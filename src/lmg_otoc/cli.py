@@ -280,25 +280,60 @@ def _run_micro(opts, run_dir, workers):
     return outputs, grid, diag
 
 
+# run settings every checkpoint record carries; a resumed run must match them
+_CHECKPOINT_KEYS = ("n", "tavg", "dt")
+
+
+def _load_checkpoint(path, settings):
+    """Cells recorded in cells.jsonl by an earlier run with these settings.
+
+    A record is written with its newline in one go, so a last line without
+    one was cut short by a kill: it is cut off the file with a warning and
+    its cell is computed again. Any other unreadable line, or a record of a
+    run with other settings, is refused.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith(b"\n"):
+        torn = lines.pop()
+        print(f"warning: {path}:{len(lines) + 1}: dropping torn record "
+              f"{torn[:60]!r}; its cell is recomputed", file=sys.stderr)
+        with open(path, "r+b") as fh:
+            fh.truncate(sum(len(line) for line in lines))
+    cells = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            key = (rec["alpha"], rec["lambda"])
+            value = (rec["fbar_raw"], rec["halfwidth"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise UsageError(f"{path}:{lineno}: malformed checkpoint record ({exc!r})") from None
+        for name in _CHECKPOINT_KEYS:
+            if rec.get(name) != settings[name]:
+                raise UsageError(
+                    f"{path}:{lineno}: checkpoint has {name}={rec.get(name)!r} but "
+                    f"this run has {name}={settings[name]!r}; resume with the same "
+                    f"settings or use a fresh --out")
+        cells[key] = value
+    return cells
+
+
 def _run_sweep(opts, run_dir, workers):
     config = AveragingConfig(opts["tavg"], opts["dt"])
     cells_path = os.path.join(run_dir, "cells.jsonl")
+    settings = {name: opts[name] for name in _CHECKPOINT_KEYS}
     precomputed = {}
-    if opts["resume"] and os.path.exists(cells_path):
-        with open(cells_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                precomputed[(rec["alpha"], rec["lambda"])] = (
-                    rec["fbar_raw"], rec["halfwidth"])
+    resume = opts["resume"] and os.path.exists(cells_path)
+    if resume:
+        precomputed = _load_checkpoint(cells_path, settings)
 
-    with open(cells_path, "a") as checkpoint:
+    with open(cells_path, "a" if resume else "w") as checkpoint:
         def on_cell(alpha, lam, raw, halfwidth):
             checkpoint.write(json.dumps(
                 {"alpha": alpha, "lambda": lam,
-                 "fbar_raw": raw, "halfwidth": halfwidth}) + "\n")
+                 "fbar_raw": raw, "halfwidth": halfwidth, **settings}) + "\n")
             checkpoint.flush()
 
         grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,

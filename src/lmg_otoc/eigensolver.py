@@ -28,11 +28,16 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-def eigh(matrix: OperatorMatrix) -> EigenDecomposition:
-    if matrix.skew:
-        raise DomainError("eigendecomposition expects a symmetric operator, got skew storage")
-    entries = matrix.entries
-    if not np.array_equal(entries, entries.T):
+def eigh(matrix: OperatorMatrix | np.ndarray) -> EigenDecomposition:
+    """Decompose an operator, or a bare real symmetric array such as one
+    parity block of a Hamiltonian."""
+    if isinstance(matrix, OperatorMatrix):
+        if matrix.skew:
+            raise DomainError("eigendecomposition expects a symmetric operator, got skew storage")
+        entries = matrix.entries
+    else:
+        entries = np.asarray(matrix, dtype=np.float64)
+    if entries.ndim != 2 or not np.array_equal(entries, entries.T):
         raise DomainError("matrix is not symmetric")
     try:
         values, vectors = np.linalg.eigh(entries)

@@ -5,9 +5,16 @@ Both protocols evolve W = V = S_x/S in the Heisenberg picture and read off
     F(t) = <psi| W(t) V W(t) V |psi>,     W(t) = exp(+iHt) W exp(-iHt),
 
 with everything expressed in the eigenbasis of the evolving Hamiltonian:
-the heavy objects are the real symmetric matrix of W in that basis and
-the real coefficient vector of |psi>, prepared once; each time sample
-then costs diagonal phase sandwiches plus dense matrix products.
+the heavy objects are the real matrix of W in that basis and the real
+coefficient vector of |psi>, prepared once; each time sample then costs
+diagonal phase sandwiches plus matrix products.
+
+Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
+is parity-odd. The single-state kernel therefore works in a folded frame:
+the even and odd tridiagonal blocks are solved separately and W is the
+one block B coupling them, so every product is half-size. The state
+itself still comes from the dense solve of the bare Hamiltonian. The
+all-levels kernel and the spectral oracle use the dense frame.
 
 Protocols:
   * quench: |psi> is the ground state of the bare Hamiltonian, evolution
@@ -27,14 +34,14 @@ import numpy as np
 from .eigensolver import eigh
 from .errors import DomainError
 from .model import LmgParams, QuenchSpec, build_hamiltonian, build_postquench
-from .spin_ops import Basis
+from .spin_ops import Basis, OperatorMatrix, _tridiagonal
 
 DEFAULT_AVERAGING_TIME = 1.0e4
 DEFAULT_AVERAGING_DT = 0.5
 DEFAULT_DYNAMICS_DT = 0.05
 
-# time samples per dense-product batch; keeps the phase block cache-sized
-_BLOCK = 2048
+# time samples per product batch; keeps the phase block cache-sized
+_BLOCK = 512
 
 
 def make_time_grid(tmax: float, dt: float) -> np.ndarray:
@@ -42,7 +49,7 @@ def make_time_grid(tmax: float, dt: float) -> np.ndarray:
     if tmax <= 0 or dt <= 0:
         raise DomainError(f"need tmax > 0 and dt > 0, got tmax={tmax}, dt={dt}")
     steps = max(1, round(tmax / dt))
-    return np.linspace(0.0, steps * dt, steps + 1)
+    return np.arange(steps + 1) * float(dt)
 
 
 def _validate_grid(times) -> np.ndarray:
@@ -128,53 +135,169 @@ def _frame_micro(params: LmgParams):
     return d.values, w_eig
 
 
-def _otoc_values(energies, w_eig, psi_eig, times) -> np.ndarray:
-    """F(t) on the grid; three dense products per time block."""
-    u = w_eig @ psi_eig
-    out = np.empty(times.size, dtype=np.complex128)
-    for lo in range(0, times.size, _BLOCK):
-        t = times[lo:lo + _BLOCK]
-        phases = np.exp(1j * energies[:, None] * t[None, :])
-        x = np.conj(phases) * u[:, None]
-        x = _matmul_real_complex(w_eig, x)
-        x *= phases
-        x = _matmul_real_complex(w_eig, x)          # V sandwich
-        x *= np.conj(phases)
-        x = _matmul_real_complex(w_eig, x)
-        x *= phases
-        out[lo:lo + t.size] = psi_eig @ x
-    return out
+def _fold(hamiltonian: OperatorMatrix):
+    """Even and odd parity blocks of an X-basis tridiagonal Hamiltonian.
+
+    Parity maps m -> -m, i.e. index k -> D-1-k, and the folded basis pairs
+    (|k> +- |D-1-k>)/sqrt(2) for k < D//2, plus the m = 0 state on the even
+    side when D is odd. Both blocks stay tridiagonal: the pair coupling
+    across the centre lands on the last diagonal entry (D even) or, scaled
+    by sqrt(2), on the last off-diagonal of the even block (D odd).
+    """
+    if hamiltonian.basis != Basis.X:
+        raise DomainError("parity folding reads the X-basis tridiagonal form")
+    diag = np.diagonal(hamiltonian.entries)
+    off = np.diagonal(hamiltonian.entries, 1)
+    if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+        raise DomainError("Hamiltonian does not commute with the m -> -m parity")
+    h = diag.size // 2
+    odd_diag = diag[:h].copy()
+    if diag.size % 2:
+        even_diag = diag[:h + 1]
+        even_off = off[:h].copy()
+        even_off[-1] *= np.sqrt(2.0)
+    else:
+        even_diag = diag[:h].copy()
+        even_diag[-1] += off[h - 1]
+        odd_diag[-1] -= off[h - 1]
+        even_off = off[:h - 1]
+    odd_off = off[:h - 1]
+    return _tridiagonal(even_diag, even_off), _tridiagonal(odd_diag, odd_off)
 
 
-def _otoc_with_commutator(energies, w_eig, psi_eig, times):
-    """F, the A term, relation-C and the commutator norm, batched."""
-    u = w_eig @ psi_eig
+@dataclass(frozen=True)
+class _ParityFrame:
+    """Eigenbasis of a parity-folded Hamiltonian: even levels first, then odd.
+
+    W = S_x/S flips parity, so in this frame it is [[0, B], [B^T, 0]] with
+    B the even x odd block; only B is stored.
+    """
+
+    energies: np.ndarray = field(repr=False)
+    even_vectors: np.ndarray = field(repr=False)
+    odd_vectors: np.ndarray = field(repr=False)
+    w_block: np.ndarray = field(repr=False)
+
+    def state(self, psi: np.ndarray) -> np.ndarray:
+        """Coefficients of an X-basis state in this frame."""
+        h = self.odd_vectors.shape[0]
+        head, tail = psi[:h], psi[::-1][:h]
+        even = (head + tail) / np.sqrt(2.0)
+        if psi.size % 2:
+            even = np.append(even, psi[h])
+        odd = (head - tail) / np.sqrt(2.0)
+        return np.concatenate([self.even_vectors.T @ even, self.odd_vectors.T @ odd])
+
+
+def _parity_frame(hamiltonian: OperatorMatrix) -> _ParityFrame:
+    even_block, odd_block = _fold(hamiltonian)
+    de = eigh(even_block)
+    do = eigh(odd_block)
+    sector = hamiltonian.sector
+    h = do.dimension
+    w = sector.m_values()[:h] / sector.total_spin
+    b = de.vectors[:h].T @ (w[:, None] * do.vectors)
+    return _ParityFrame(energies=np.concatenate([de.values, do.values]),
+                        even_vectors=de.vectors, odd_vectors=do.vectors,
+                        w_block=b)
+
+
+def _state_quench(spec: QuenchSpec):
+    """Folded post-quench frame and the bare ground state in it."""
+    psi0 = eigh(build_hamiltonian(spec.params, Basis.X)).vectors[:, 0]
+    frame = _parity_frame(build_postquench(spec, Basis.X))
+    return frame, frame.state(psi0)
+
+
+def _state_level(params: LmgParams, n: int):
+    """Folded bare frame and its n-th level, as the dense solve returns it.
+
+    The state is taken from the dense eigendecomposition rather than from a
+    block, so inside a degenerate doublet it is the same mixture as before
+    folding.
+    """
+    d = params.sector.dimension
+    if not 0 <= n < d:
+        raise DomainError(f"level index {n} outside [0, {d - 1}]")
+    h = build_hamiltonian(params, Basis.X)
+    psi = eigh(h).vectors[:, n]
+    frame = _parity_frame(h)
+    return frame, frame.state(psi)
+
+
+def _apply_w(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x in a parity frame for columns x: two half-size real GEMMs, on
+    the real view of complex x."""
+    he = b.shape[0]
+    xr = x.view(np.float64)
+    out = np.empty_like(xr)
+    np.matmul(b, xr[he:], out=out[:he])
+    np.matmul(b.T, xr[:he], out=out[he:])
+    return out.view(x.dtype)
+
+
+def _phase_batches(energies: np.ndarray, times: np.ndarray):
+    """(slice, exp(+iEt)) for consecutive batches of at most _BLOCK samples.
+
+    On a grid with t_k = k * t_1 exactly, as make_time_grid builds it, each
+    batch is exp(iE t_lo) times one table of exp(iE k t_1): one complex
+    exponential per level per batch. Any other grid takes exp directly.
+    """
     n = times.size
-    f = np.empty(n, dtype=np.complex128)
-    a_term = np.empty(n, dtype=np.complex128)
-    c_norm = np.empty(n)
+    uniform = n > 1 and np.array_equal(times, np.arange(n) * times[1])
+    if uniform:
+        offsets = np.arange(min(n, _BLOCK)) * times[1]
+        table = np.exp(1j * energies[:, None] * offsets[None, :])
     for lo in range(0, n, _BLOCK):
         t = times[lo:lo + _BLOCK]
-        sl = slice(lo, lo + t.size)
-        phases = np.exp(1j * energies[:, None] * t[None, :])
-        wt_psi = phases * _matmul_real_complex(w_eig, np.conj(phases) * psi_eig[:, None])
-        wt_v_psi = phases * _matmul_real_complex(w_eig, np.conj(phases) * u[:, None])
-        v_wt_v_psi = _matmul_real_complex(w_eig, wt_v_psi)
-        v_wt_psi = _matmul_real_complex(w_eig, wt_psi)
+        if uniform:
+            phases = table[:, :t.size] * np.exp(1j * energies * times[lo])[:, None]
+        else:
+            phases = np.exp(1j * energies[:, None] * t[None, :])
+        yield slice(lo, lo + t.size), phases
+
+
+def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
+                       commutator: bool = False):
+    """F(t) for one state on the grid, in a parity frame.
+
+    With commutator=True also returns the A term, relation-C and the
+    commutator norm: (f, a_term, c_rel, c_norm). Each W is two half-size
+    products, so a state with both parities costs half the dense flops.
+    """
+    b = frame.w_block
+    u = _apply_w(b, psi[:, None])
+    n = times.size
+    f = np.empty(n, dtype=np.complex128)
+    if commutator:
+        a_term = np.empty(n, dtype=np.complex128)
+        c_norm = np.empty(n)
+    for sl, phases in _phase_batches(frame.energies, times):
+        conj = np.conj(phases)
+        wt_v_psi = _apply_w(b, conj * u)
+        wt_v_psi *= phases                           # W(t) V |psi>
+        v_wt_v_psi = _apply_w(b, wt_v_psi)
+        if not commutator:
+            x = _apply_w(b, v_wt_v_psi * conj)
+            x *= phases
+            f[sl] = psi @ x
+            continue
+        wt_psi = _apply_w(b, conj * psi[:, None])
+        wt_psi *= phases                             # W(t) |psi>
         f[sl] = np.einsum("ib,ib->b", np.conj(wt_psi), v_wt_v_psi)
         a_term[sl] = np.einsum("ib,ib->b", np.conj(wt_v_psi), wt_v_psi)
-        diff = wt_v_psi - v_wt_psi
+        diff = wt_v_psi - _apply_w(b, wt_psi)
         c_norm[sl] = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
-    c_rel = 2.0 * a_term.real - 2.0 * f.real
-    return f, a_term, c_rel, c_norm
+    if not commutator:
+        return f
+    return f, a_term, 2.0 * a_term.real - 2.0 * f.real, c_norm
 
 
 def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
     """F(t) for the quench protocol: ground state of the bare Hamiltonian,
     Heisenberg evolution under the field-shifted one."""
     t = _validate_grid(times)
-    energies, w_eig, psi_eig = _frame_quench(spec)
-    values = _otoc_values(energies, w_eig, psi_eig, t)
+    values = _single_state_otoc(*_state_quench(spec), t)
     p = spec.params
     return OtocSeries(
         times=t, values=values, protocol="quench",
@@ -184,14 +307,9 @@ def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
 
 def micro_otoc(params: LmgParams, n: int, times) -> OtocSeries:
     """F_n(t) in the n-th eigenstate, evolution under the bare Hamiltonian."""
-    d = params.sector.dimension
-    if not 0 <= n < d:
-        raise DomainError(f"level index {n} outside [0, {d - 1}]")
     t = _validate_grid(times)
-    energies, w_eig = _frame_micro(params)
-    psi_eig = np.zeros(d)
-    psi_eig[n] = 1.0
-    values = _otoc_values(energies, w_eig, psi_eig, t)
+    frame, psi = _state_level(params, n)
+    values = _single_state_otoc(frame, psi, t)
     return OtocSeries(
         times=t, values=values, protocol="microcanonical",
         state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})",
@@ -277,8 +395,8 @@ def long_time_average(series: OtocSeries) -> LongTimeAverage:
 def commutator_series(spec: QuenchSpec, times) -> CommutatorSeries:
     """Quench-protocol F(t), A(t) and both C readings on the grid."""
     t = _validate_grid(times)
-    energies, w_eig, psi_eig = _frame_quench(spec)
-    f, a_term, c_rel, c_norm = _otoc_with_commutator(energies, w_eig, psi_eig, t)
+    f, a_term, c_rel, c_norm = _single_state_otoc(*_state_quench(spec), t,
+                                                  commutator=True)
     p = spec.params
     return CommutatorSeries(
         times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
@@ -288,14 +406,9 @@ def commutator_series(spec: QuenchSpec, times) -> CommutatorSeries:
 
 def commutator_series_micro(params: LmgParams, n: int, times) -> CommutatorSeries:
     """Microcanonical-protocol counterpart of commutator_series."""
-    d = params.sector.dimension
-    if not 0 <= n < d:
-        raise DomainError(f"level index {n} outside [0, {d - 1}]")
     t = _validate_grid(times)
-    energies, w_eig = _frame_micro(params)
-    psi_eig = np.zeros(d)
-    psi_eig[n] = 1.0
-    f, a_term, c_rel, c_norm = _otoc_with_commutator(energies, w_eig, psi_eig, t)
+    frame, psi = _state_level(params, n)
+    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, t, commutator=True)
     return CommutatorSeries(
         times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
         protocol="microcanonical",

@@ -140,6 +140,60 @@ def test_sweep_resume_reuses_cells(tmp_path):
     assert second[:2] == first
 
 
+SWEEP_ARGS = ["sweep", "--alphas", "0.4", "--lambdas", "0,0.5,1.0", "--n", "10",
+              "--tavg", "50", "--dt", "0.5"]
+
+
+def test_sweep_rerun_without_resume_replaces_checkpoint(tmp_path):
+    out = tmp_path / "run"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    first = (out / "cells.jsonl").read_text()
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    second = (out / "cells.jsonl").read_text().splitlines()
+    assert len(second) == 3                # one record per cell, not appended
+    assert sorted(second) == sorted(first.splitlines())
+
+
+@pytest.mark.parametrize("flag, value, key", [("--n", "12", "n"),
+                                              ("--tavg", "60", "tavg"),
+                                              ("--dt", "0.25", "dt")])
+def test_sweep_resume_refuses_other_settings(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "run"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    before = (out / "cells.jsonl").read_bytes()
+    argv = list(SWEEP_ARGS)
+    argv[argv.index(flag) + 1] = value
+    assert main(argv + ["--resume", "--out", str(out)]) == 2
+    assert f"checkpoint has {key}=" in capsys.readouterr().err
+    assert (out / "cells.jsonl").read_bytes() == before
+
+
+def test_sweep_resume_recomputes_a_torn_last_record(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    fresh = (out / "sweep.csv").read_text()
+    cells = out / "cells.jsonl"
+    lines = cells.read_text().splitlines(keepends=True)
+    cells.write_text("".join(lines[:-1]) + lines[-1][:25])     # killed mid-write
+    capsys.readouterr()
+    assert main(SWEEP_ARGS + ["--resume", "--out", str(out)]) == 0
+    assert "torn" in capsys.readouterr().err
+    resumed = cells.read_text().splitlines(keepends=True)
+    assert resumed[:-1] == lines[:-1] and len(resumed) == 3
+    assert sorted(resumed) == sorted(lines)
+    assert (out / "sweep.csv").read_text() == fresh
+
+
+def test_sweep_resume_rejects_a_malformed_inner_record(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    cells = out / "cells.jsonl"
+    lines = cells.read_text().splitlines(keepends=True)
+    cells.write_text(lines[0] + lines[1][:25] + "\n" + lines[2])
+    assert main(SWEEP_ARGS + ["--resume", "--out", str(out)]) == 2
+    assert "cells.jsonl:2: malformed" in capsys.readouterr().err
+
+
 def test_micro_table_and_spread_summary(tmp_path):
     rc, out = run(tmp_path, "micro", "--n", "10", "--alpha", "0.4",
                   "--tavg", "50", "--dt", "0.5", "--sizes", "8,10")
