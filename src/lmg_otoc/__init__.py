@@ -11,10 +11,9 @@ from .analysis import (AveragingConfig, DnDiagnostic, FitResult, MicroScan,
                        fit_power_law, microcanonical_scan, quench_fbar,
                        quench_sweep, scaling_gamma_epsilon,
                        scaling_gamma_lambda, scaling_mu)
-from .eigensolver import EigenDecomposition, eigh, propagator_phases
-from .errors import (BasisMismatchError, DomainError, LmgOtocError,
-                     NumericalError)
-from .model import (LmgParams, QuenchSpec, build_hamiltonian,
+from .eigensolver import EigenDecomposition, eigh
+from .errors import DomainError, LmgOtocError, NumericalError
+from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     build_postquench, classical_ground_energy,
                     critical_lambda, critical_rescaled_energy,
                     rescale_energies)
@@ -23,25 +22,19 @@ from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
                    diagonal_ensemble_average, long_time_average,
                    make_time_grid, micro_fbar_all, micro_otoc,
                    micro_otoc_all, quench_otoc)
-from .spin_ops import (Basis, OperatorMatrix, SpinSector, basis_change,
-                       build_sx, build_sy_times_minus_i, build_sz,
-                       rotation_z_to_x, scaled_op)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingConfig", "Basis", "BasisMismatchError", "CommutatorSeries",
-    "DnDiagnostic", "DomainError", "EigenDecomposition", "FitResult",
-    "LmgOtocError", "LmgParams", "LongTimeAverage", "MicroScan",
-    "NormalizedAverage", "NumericalError", "OperatorMatrix", "OtocSeries",
-    "QuenchSpec", "SpinSector", "SweepGrid", "basis_change",
-    "build_hamiltonian", "build_postquench", "build_sx",
-    "build_sy_times_minus_i", "build_sz", "classical_ground_energy",
+    "AveragingConfig", "CommutatorSeries", "DnDiagnostic", "DomainError",
+    "EigenDecomposition", "FitResult", "LmgOtocError", "LmgParams",
+    "LongTimeAverage", "MicroScan", "NormalizedAverage", "NumericalError",
+    "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
+    "build_hamiltonian", "build_postquench", "classical_ground_energy",
     "commutator_series", "commutator_series_micro", "critical_lambda",
     "critical_rescaled_energy", "diagonal_ensemble_average", "dn_diagnostic",
     "eigh", "fit_power_law", "long_time_average", "make_time_grid",
     "micro_fbar_all", "micro_otoc", "micro_otoc_all", "microcanonical_scan",
-    "propagator_phases", "quench_fbar", "quench_otoc", "quench_sweep",
-    "rescale_energies", "rotation_z_to_x", "scaled_op",
+    "quench_fbar", "quench_otoc", "quench_sweep", "rescale_energies",
     "scaling_gamma_epsilon", "scaling_gamma_lambda", "scaling_mu",
 ]

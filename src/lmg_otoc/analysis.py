@@ -8,19 +8,19 @@ fits for the three scaling exponents.
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigensolver import eigh
 from .errors import DomainError, NumericalError
-from .model import (LmgParams, QuenchSpec, build_hamiltonian, critical_lambda,
-                    critical_rescaled_energy, rescale_energies)
+from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
+                    critical_lambda, critical_rescaled_energy,
+                    rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
                    LongTimeAverage, long_time_average, make_time_grid,
                    micro_fbar_all, quench_otoc)
-from .spin_ops import SpinSector
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -118,24 +118,55 @@ class DnDiagnostic:
 
 
 def resolve_workers(requested=None) -> int:
+    """The flag, else $LMG_OTOC_WORKERS, else the cores this process may use."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get(WORKERS_ENV)
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fan_out(job, items, max_workers, on_result=None) -> list:
+    """[job(item) for item in items], computed on a pool of worker threads.
+
+    Each result is handed to on_result(item, result) on the calling thread
+    as it completes. On the first failing job, the jobs not yet started are
+    cancelled and the running ones finish; their results are still handed
+    over before the first error is re-raised.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    error = None
+    with ThreadPoolExecutor(max_workers=resolve_workers(max_workers)) as pool:
+        index = {pool.submit(job, item): k for k, item in enumerate(items)}
+        pending = set(index)
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=index.get):     # submission order
+                    if fut.exception() is not None:
+                        if error is None:
+                            error = fut.exception()
+                            pending = {f for f in pending if not f.cancel()}
+                        continue
+                    k = index[fut]
+                    results[k] = fut.result()
+                    if on_result is not None:
+                        on_result(items[k], results[k])
+        finally:
+            for fut in pending:
+                fut.cancel()
+    if error is not None:
+        raise error
+    return results
 
 
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
     """Long-time average of Re F for one quench."""
     return long_time_average(quench_otoc(spec, config.time_grid()))
-
-
-def _normalize(raw: LongTimeAverage, reference: float) -> NormalizedAverage:
-    return NormalizedAverage(
-        raw=raw.value, reference=reference, value=raw.value / reference,
-        halfwidth=raw.estimator_halfwidth,
-        flagged=not raw.estimator_halfwidth < 0.01 * abs(reference))
 
 
 def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
@@ -158,24 +189,15 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
               if (a, lam) not in precomputed]
 
     def job(cell):
-        a, lam = cell
-        avg = quench_fbar(QuenchSpec(LmgParams(a, sector), lam), config)
-        return cell, avg.value, avg.estimator_halfwidth
+        avg = quench_fbar(QuenchSpec(LmgParams(cell[0], sector), cell[1]), config)
+        return avg.value, avg.estimator_halfwidth
 
-    def settle(cell, raw, halfwidth):
-        precomputed[cell] = (raw, halfwidth)
+    def settle(cell, result):
+        precomputed[cell] = result
         if on_cell is not None:
-            on_cell(cell[0], cell[1], raw, halfwidth)
+            on_cell(*cell, *result)
 
-    workers = resolve_workers(max_workers)
-    if workers > 1 and len(wanted) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job, c) for c in wanted]
-            for fut in as_completed(futures):
-                settle(*fut.result())
-    else:
-        for c in wanted:
-            settle(*job(c))
+    _fan_out(job, wanted, max_workers, settle)
 
     critical = []
     for a in alphas:
@@ -268,12 +290,7 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
     def job(n):
         return quench_fbar(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c), config).value
 
-    workers = resolve_workers(max_workers)
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fbars = list(pool.map(job, sizes))
-    else:
-        fbars = [job(n) for n in sizes]
+    fbars = _fan_out(job, sizes, max_workers)
     fit = fit_power_law(np.array(sizes, dtype=float), np.array(fbars))
     return FitResult(exponent=-fit.exponent, exponent_stderr=fit.exponent_stderr,
                      amplitude=fit.amplitude, window=fit.window,
@@ -312,13 +329,7 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
     def job(lam):
         return quench_fbar(QuenchSpec(LmgParams(alpha, sector), float(lam)), config).value
 
-    todo = [0.0] + list(lambdas)
-    workers = resolve_workers(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(job, todo))
-    else:
-        out = [job(lam) for lam in todo]
+    out = _fan_out(job, [0.0] + list(lambdas), max_workers)
     ref = out[0]
     if abs(ref) < REFERENCE_FLOOR:
         raise NumericalError("zero-field reference is numerically zero")

@@ -19,11 +19,11 @@ from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
                        scaling_gamma_lambda, scaling_mu)
 from .eigensolver import eigh
 from .errors import DomainError, NumericalError
-from .model import LmgParams, QuenchSpec, build_hamiltonian, rescale_energies
+from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
+                    rescale_energies)
 from .otoc import commutator_series, commutator_series_micro, make_time_grid
 from .output import (ResultTable, Stopwatch, emit_heatmap_dat, emit_line_dat,
                      write_csv, write_manifest, write_svg_line)
-from .spin_ops import SpinSector
 
 RUNS_ENV = "LMG_OTOC_RUNS"
 
@@ -67,49 +67,61 @@ def _choice(*allowed):
         if text not in allowed:
             raise ValueError(f"expected one of {allowed}, got {text!r}")
         return text
+    cast.choices = allowed
     return cast
 
 
-# per command: option name -> (config cast, default, required)
+_N = "number of spins"
+_ALPHA = "model parameter in [0, 1]"
+_TAVG = "averaging horizon"
+_DT = "averaging step"
+
+# per command: option name -> (config cast, default, required, help); the
+# argparse flags are generated from this table
 _OPTIONS = {
     "spectrum": {
-        "n": (int, None, True),
-        "alpha": (float, None, True),
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
     },
     "otoc": {
-        "n": (int, None, True),
-        "alpha": (float, None, True),
-        "lambda": (float, 0.0, False),
-        "tmax": (float, 200.0, False),
-        "dt": (float, 0.05, False),
-        "state": (_choice("ground", "level"), "ground", False),
-        "level": (int, None, False),
-        "plot": (_parse_bool, False, False),
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
+        "lambda": (float, 0.0, False, "quench field strength"),
+        "tmax": (float, 200.0, False, "trace horizon"),
+        "dt": (float, 0.05, False, "sample spacing"),
+        "state": (_choice("ground", "level"), "ground", False,
+                  "initial state: the bare ground state or the eigenstate "
+                  "picked by --level"),
+        "level": (int, None, False, "eigenstate index for --state level"),
+        "plot": (_parse_bool, False, False, "also write an SVG of Re F(t)"),
     },
     "micro": {
-        "n": (int, None, True),
-        "alpha": (float, None, True),
-        "tavg": (float, 1.0e4, False),
-        "dt": (float, 0.5, False),
-        "sizes": (_parse_int_list, None, False),
-        "plot": (_parse_bool, False, False),
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
+        "tavg": (float, 1.0e4, False, _TAVG),
+        "dt": (float, 0.5, False, _DT),
+        "sizes": (_parse_int_list, None, False,
+                  "comma-separated sizes for the near-critical spread summary"),
+        "plot": (_parse_bool, False, False, "also write an SVG of the level profile"),
     },
     "sweep": {
-        "alphas": (_parse_float_list, None, True),
-        "lambdas": (_parse_float_list, None, True),
-        "n": (int, None, True),
-        "tavg": (float, 1.0e4, False),
-        "dt": (float, 0.5, False),
-        "resume": (_parse_bool, False, False),
+        "alphas": (_parse_float_list, None, True, "comma-separated alpha values"),
+        "lambdas": (_parse_float_list, None, True, "comma-separated field strengths"),
+        "n": (int, None, True, _N),
+        "tavg": (float, 1.0e4, False, _TAVG),
+        "dt": (float, 0.5, False, _DT),
+        "resume": (_parse_bool, False, False,
+                   "reuse per-cell results already checkpointed in --out"),
     },
     "fit": {
-        "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True),
-        "alpha": (float, None, True),
-        "n": (int, None, False),
-        "sizes": (_parse_int_list, None, False),
-        "window": (_parse_window, None, False),
-        "tavg": (float, 1.0e4, False),
-        "dt": (float, 0.5, False),
+        "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True,
+                 "which exponent to fit"),
+        "alpha": (float, None, True, _ALPHA),
+        "n": (int, None, False, "system size for the gamma fits"),
+        "sizes": (_parse_int_list, None, False, "comma-separated sizes for the mu fit"),
+        "window": (_parse_window, None, False, "fit window lo,hi on the fitting abscissa"),
+        "tavg": (float, 1.0e4, False, _TAVG),
+        "dt": (float, 0.5, False, _DT),
     },
 }
 
@@ -138,8 +150,8 @@ def _resolve_options(command, args, config):
     if unknown:
         raise UsageError(f"config keys not understood by {command}: {sorted(unknown)}")
     out = {}
-    for key, (cast, default, required) in spec.items():
-        flag_value = getattr(args, key.replace("-", "_"), None)
+    for key, (cast, default, required, _) in spec.items():
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             out[key] = flag_value
         elif key in config:
@@ -425,13 +437,13 @@ _RUNNERS = {
 }
 
 
-def _add_common(sp):
-    sp.add_argument("--out", help="run directory (default: timestamped under "
-                                  f"the run root, ${RUNS_ENV} or ./runs)")
-    sp.add_argument("--config", help="key=value file supplying option defaults")
-    sp.add_argument("--workers", type=int,
-                    help="worker-thread count (default: $LMG_OTOC_WORKERS "
-                         "or machine parallelism)")
+_COMMAND_HELP = {
+    "spectrum": "eigenvalue table",
+    "otoc": "time trace of F, A and C",
+    "micro": "per-eigenstate long-time averages",
+    "sweep": "normalized averages over an (alpha, lambda) grid",
+    "fit": "power-law exponent fits",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,64 +453,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "model: exact spectra, time traces, long-time-average "
                     "order-parameter sweeps and scaling fits.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalue table")
-    sp.add_argument("--n", type=int, help="number of spins")
-    sp.add_argument("--alpha", type=float, help="model parameter in [0, 1]")
-    _add_common(sp)
-
-    sp = sub.add_parser("otoc", help="time trace of F, A and C")
-    sp.add_argument("--n", type=int, help="number of spins")
-    sp.add_argument("--alpha", type=float, help="model parameter in [0, 1]")
-    sp.add_argument("--lambda", dest="lambda_", type=float,
-                    help="quench field strength (default 0)")
-    sp.add_argument("--tmax", type=float, help="trace horizon (default 200)")
-    sp.add_argument("--dt", type=float, help="sample spacing (default 0.05)")
-    sp.add_argument("--state", choices=("ground", "level"),
-                    help="initial state: bare ground state (default) or an "
-                         "eigenstate picked by --level")
-    sp.add_argument("--level", type=int, help="eigenstate index for --state level")
-    sp.add_argument("--plot", action="store_const", const=True,
-                    help="also write an SVG of Re F(t)")
-    _add_common(sp)
-
-    sp = sub.add_parser("micro", help="per-eigenstate long-time averages")
-    sp.add_argument("--n", type=int, help="number of spins")
-    sp.add_argument("--alpha", type=float, help="model parameter in [0, 1]")
-    sp.add_argument("--tavg", type=float, help="averaging horizon (default 1e4)")
-    sp.add_argument("--dt", type=float, help="averaging step (default 0.5)")
-    sp.add_argument("--sizes", type=_parse_int_list,
-                    help="comma-separated sizes for the near-critical "
-                         "spread summary")
-    sp.add_argument("--plot", action="store_const", const=True,
-                    help="also write an SVG of the level profile")
-    _add_common(sp)
-
-    sp = sub.add_parser("sweep", help="normalized averages over an "
-                                      "(alpha, lambda) grid")
-    sp.add_argument("--alphas", type=_parse_float_list,
-                    help="comma-separated alpha values")
-    sp.add_argument("--lambdas", type=_parse_float_list,
-                    help="comma-separated field strengths")
-    sp.add_argument("--n", type=int, help="number of spins")
-    sp.add_argument("--tavg", type=float, help="averaging horizon (default 1e4)")
-    sp.add_argument("--dt", type=float, help="averaging step (default 0.5)")
-    sp.add_argument("--resume", action="store_const", const=True,
-                    help="reuse per-cell results already checkpointed in --out")
-    _add_common(sp)
-
-    sp = sub.add_parser("fit", help="power-law exponent fits")
-    sp.add_argument("--kind", choices=("mu", "gamma-lambda", "gamma-epsilon"),
-                    help="which exponent to fit")
-    sp.add_argument("--alpha", type=float, help="model parameter in [0, 1]")
-    sp.add_argument("--n", type=int, help="system size for the gamma fits")
-    sp.add_argument("--sizes", type=_parse_int_list,
-                    help="comma-separated sizes for the mu fit")
-    sp.add_argument("--window", type=_parse_window,
-                    help="fit window lo,hi on the fitting abscissa")
-    sp.add_argument("--tavg", type=float, help="averaging horizon (default 1e4)")
-    sp.add_argument("--dt", type=float, help="averaging step (default 0.5)")
-    _add_common(sp)
+    for command, options in _OPTIONS.items():
+        sp = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key, (cast, default, required, text) in options.items():
+            if cast is _parse_bool:
+                sp.add_argument(f"--{key}", dest=key, action="store_const", const=True,
+                                help=text)
+                continue
+            if required:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default {default})"
+            if hasattr(cast, "choices"):
+                sp.add_argument(f"--{key}", dest=key, choices=cast.choices, help=text)
+            else:
+                sp.add_argument(f"--{key}", dest=key, type=cast, help=text)
+        sp.add_argument("--out", help="run directory (default: timestamped under "
+                                      f"the run root, ${RUNS_ENV} or ./runs)")
+        sp.add_argument("--config", help="key=value file supplying option defaults")
+        sp.add_argument("--workers", type=int,
+                        help="worker-thread count (default: $LMG_OTOC_WORKERS "
+                             "or the cores this process may use)")
     return p
 
 
@@ -511,9 +486,6 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config) if args.config else {}
-        # argparse cannot use "lambda" as an attribute name
-        if hasattr(args, "lambda_"):
-            setattr(args, "lambda", args.lambda_)
         opts = _resolve_options(args.command, args, config)
         run_dir = _make_run_dir(args.command, args.out)
         runner = _RUNNERS[args.command]
@@ -535,6 +507,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
-"""Dense real-symmetric eigendecomposition, the single numerical kernel
-every downstream computation consumes.
+"""Real symmetric tridiagonal eigendecomposition, the single numerical
+kernel every downstream computation consumes.
 
+The input is a (diag, off) pair: the diagonal and the first off-diagonal
+of the matrix, as the model builders and the parity fold produce them.
 The contract is the invariant set (ascending values, orthonormal columns,
-faithful reconstruction), not the algorithm; the implementation delegates
-to LAPACK's divide-and-conquer driver through numpy. An independent
-Sturm-bisection oracle in the test suite checks the eigenvalues it
-produces on tridiagonal inputs.
+faithful reconstruction), not the algorithm; the implementation assembles
+the dense matrix and delegates to LAPACK's divide-and-conquer solver
+through numpy. An independent Sturm-bisection oracle in the test suite
+checks the eigenvalues it produces.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spin_ops import OperatorMatrix
 
 
 @dataclass(frozen=True)
@@ -28,26 +29,17 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-def eigh(matrix: OperatorMatrix | np.ndarray) -> EigenDecomposition:
-    """Decompose an operator, or a bare real symmetric array such as one
-    parity block of a Hamiltonian."""
-    if isinstance(matrix, OperatorMatrix):
-        if matrix.skew:
-            raise DomainError("eigendecomposition expects a symmetric operator, got skew storage")
-        entries = matrix.entries
-    else:
-        entries = np.asarray(matrix, dtype=np.float64)
-    if entries.ndim != 2 or not np.array_equal(entries, entries.T):
-        raise DomainError("matrix is not symmetric")
+def eigh(pair) -> EigenDecomposition:
+    """Decompose the symmetric tridiagonal matrix given as (diag, off)."""
+    diag, off = (np.asarray(a, dtype=np.float64) for a in pair)
+    if diag.ndim != 1 or diag.size == 0 or off.shape != (diag.size - 1,):
+        raise DomainError(f"need a nonempty diagonal and an off-diagonal one shorter, "
+                          f"got shapes {diag.shape} and {off.shape}")
+    entries = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
         values, vectors = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on a {entries.shape[0]}-dim matrix: {exc}") from exc
+        raise NumericalError(f"eigensolver failed on a {diag.size}-dim matrix: {exc}") from exc
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def propagator_phases(decomp: EigenDecomposition, t: float) -> np.ndarray:
-    """The diagonal of exp(+i H t) in the eigenbasis."""
-    return np.exp(1j * decomp.values * float(t))

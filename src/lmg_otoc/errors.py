@@ -9,9 +9,5 @@ class DomainError(LmgOtocError):
     """Input outside the supported parameter or precondition domain."""
 
 
-class BasisMismatchError(DomainError):
-    """Arithmetic attempted between operators tagged with different bases."""
-
-
 class NumericalError(LmgOtocError):
     """A numerical kernel failed (non-convergence, singular reference)."""

@@ -6,10 +6,13 @@ The Hamiltonian is
     H = -(2(1-alpha)/S) S_x^2 + alpha (S_z + S),        0 <= alpha <= 1,
 
 acting in the symmetric S = N/2 sector. A quench adds a longitudinal
-field term lam * S_z at t = 0. In the X-basis H is tridiagonal:
-diagonal -(2(1-alpha)/S) m^2 + alpha S, first off-diagonal
-(alpha/2) sqrt(S(S+1) - m(m-1)). The excited-state critical energy sits
-at E = 0 for 0 < alpha < 0.8.
+field term lam * S_z at t = 0. Both live in the S_x eigenbasis (the
+X-basis, m ascending from -S to +S), where W = V = S_x/S is diagonal and
+the Hamiltonians are tridiagonal; the builders return them as a
+(diag, off) pair. The diagonal is -(2(1-alpha)/S) m^2 + alpha S, the
+first off-diagonal (alpha/2) sqrt(S(S+1) - m(m-1)), and the field adds
+(lam/2) sqrt(S(S+1) - m(m-1)) to the latter. The excited-state critical
+energy sits at E = 0 for 0 < alpha < 0.8.
 """
 
 from dataclasses import dataclass
@@ -18,10 +21,49 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
-from .spin_ops import Basis, OperatorMatrix, SpinSector, build_sx, build_sz
 
 CRITICAL_ENERGY = 0.0
 ALPHA_QPT = 0.8
+
+
+@dataclass(frozen=True)
+class SpinSector:
+    """The symmetric sector of N spin-1/2 sites: S = N/2, dimension N + 1.
+
+    Half-integer bookkeeping stays exact by deriving everything from the
+    integer N; twice the magnetic quantum numbers are integers.
+    """
+
+    n_spins: int
+
+    def __post_init__(self):
+        if not isinstance(self.n_spins, (int, np.integer)) or self.n_spins < 1:
+            raise DomainError(f"n_spins must be a positive integer, got {self.n_spins!r}")
+
+    @property
+    def twice_spin(self) -> int:
+        return self.n_spins
+
+    @property
+    def total_spin(self) -> float:
+        return self.n_spins / 2
+
+    @property
+    def dimension(self) -> int:
+        return self.n_spins + 1
+
+    def m_values(self) -> np.ndarray:
+        """Magnetic quantum numbers -S .. +S ascending. Exact in binary."""
+        return (2.0 * np.arange(self.dimension) - self.n_spins) / 2.0
+
+    def ladder_strengths(self) -> np.ndarray:
+        """sqrt(S(S+1) - m(m-1)) coupling m-1 to m, for m = -S+1 .. +S.
+
+        Evaluated from integers (twice-m) so the radicand is exact.
+        """
+        n = self.n_spins
+        tm = 2 * np.arange(1, self.dimension) - n          # twice m
+        return np.sqrt(float(n * (n + 2)) - tm * (tm - 2.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,32 +88,22 @@ class QuenchSpec:
             raise DomainError(f"field strength must be nonnegative, got {self.field_strength}")
 
 
-def build_hamiltonian(params: LmgParams, basis: Basis = Basis.X) -> OperatorMatrix:
+def build_hamiltonian(params: LmgParams):
+    """The X-basis Hamiltonian as its (diagonal, first off-diagonal) pair."""
     sector = params.sector
     alpha = params.alpha
     s = sector.total_spin
-    if basis == Basis.X:
-        m = sector.m_values()
-        diag = -(2.0 * (1.0 - alpha) / s) * m * m + alpha * s
-        off = (alpha / 2.0) * sector.ladder_strengths()
-        entries = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    else:
-        sx = build_sx(sector, Basis.Z).entries
-        sx2 = sx @ sx
-        sx2 = (sx2 + sx2.T) / 2      # restore exact symmetry after the product
-        entries = (-(2.0 * (1.0 - alpha) / s) * sx2
-                   + alpha * (build_sz(sector, Basis.Z).entries + s * np.eye(sector.dimension)))
-    return OperatorMatrix(sector, basis, np.ascontiguousarray(entries))
+    m = sector.m_values()
+    diag = -(2.0 * (1.0 - alpha) / s) * m * m + alpha * s
+    off = (alpha / 2.0) * sector.ladder_strengths()
+    return diag, off
 
 
-def build_postquench(spec: QuenchSpec, basis: Basis = Basis.X) -> OperatorMatrix:
-    h = build_hamiltonian(spec.params, basis)
-    if spec.field_strength == 0.0:
-        return h
-    sz = build_sz(spec.params.sector, basis)
-    entries = h.entries + spec.field_strength * sz.entries
-    entries = (entries + entries.T) / 2
-    return OperatorMatrix(spec.params.sector, basis, np.ascontiguousarray(entries))
+def build_postquench(spec: QuenchSpec):
+    """H + lam S_z as an X-basis pair: S_z only adds ladder_strengths/2 to
+    the off-diagonal."""
+    diag, off = build_hamiltonian(spec.params)
+    return diag, off + spec.field_strength * spec.params.sector.ladder_strengths() / 2
 
 
 def critical_lambda(alpha: float) -> float:

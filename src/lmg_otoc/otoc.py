@@ -33,8 +33,8 @@ import numpy as np
 
 from .eigensolver import eigh
 from .errors import DomainError
-from .model import LmgParams, QuenchSpec, build_hamiltonian, build_postquench
-from .spin_ops import Basis, OperatorMatrix, _tridiagonal
+from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
+                    build_postquench)
 
 DEFAULT_AVERAGING_TIME = 1.0e4
 DEFAULT_AVERAGING_DT = 0.5
@@ -119,9 +119,8 @@ def _matmul_real_complex(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _frame_quench(spec: QuenchSpec):
     params = spec.params
-    d0 = eigh(build_hamiltonian(params, Basis.X))
-    psi0 = d0.vectors[:, 0]
-    df = eigh(build_postquench(spec, Basis.X))
+    psi0 = eigh(build_hamiltonian(params)).vectors[:, 0]
+    df = eigh(build_postquench(spec))
     w_diag = params.sector.m_values() / params.sector.total_spin
     w_eig = df.vectors.T @ (w_diag[:, None] * df.vectors)
     psi_eig = df.vectors.T @ psi0
@@ -129,14 +128,14 @@ def _frame_quench(spec: QuenchSpec):
 
 
 def _frame_micro(params: LmgParams):
-    d = eigh(build_hamiltonian(params, Basis.X))
+    d = eigh(build_hamiltonian(params))
     w_diag = params.sector.m_values() / params.sector.total_spin
     w_eig = d.vectors.T @ (w_diag[:, None] * d.vectors)
     return d.values, w_eig
 
 
-def _fold(hamiltonian: OperatorMatrix):
-    """Even and odd parity blocks of an X-basis tridiagonal Hamiltonian.
+def _fold(pair):
+    """Even and odd parity blocks of an X-basis (diag, off) Hamiltonian.
 
     Parity maps m -> -m, i.e. index k -> D-1-k, and the folded basis pairs
     (|k> +- |D-1-k>)/sqrt(2) for k < D//2, plus the m = 0 state on the even
@@ -144,10 +143,7 @@ def _fold(hamiltonian: OperatorMatrix):
     across the centre lands on the last diagonal entry (D even) or, scaled
     by sqrt(2), on the last off-diagonal of the even block (D odd).
     """
-    if hamiltonian.basis != Basis.X:
-        raise DomainError("parity folding reads the X-basis tridiagonal form")
-    diag = np.diagonal(hamiltonian.entries)
-    off = np.diagonal(hamiltonian.entries, 1)
+    diag, off = pair
     if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
         raise DomainError("Hamiltonian does not commute with the m -> -m parity")
     h = diag.size // 2
@@ -161,8 +157,7 @@ def _fold(hamiltonian: OperatorMatrix):
         even_diag[-1] += off[h - 1]
         odd_diag[-1] -= off[h - 1]
         even_off = off[:h - 1]
-    odd_off = off[:h - 1]
-    return _tridiagonal(even_diag, even_off), _tridiagonal(odd_diag, odd_off)
+    return (even_diag, even_off), (odd_diag, off[:h - 1])
 
 
 @dataclass(frozen=True)
@@ -189,11 +184,10 @@ class _ParityFrame:
         return np.concatenate([self.even_vectors.T @ even, self.odd_vectors.T @ odd])
 
 
-def _parity_frame(hamiltonian: OperatorMatrix) -> _ParityFrame:
-    even_block, odd_block = _fold(hamiltonian)
+def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
+    even_block, odd_block = _fold(pair)
     de = eigh(even_block)
     do = eigh(odd_block)
-    sector = hamiltonian.sector
     h = do.dimension
     w = sector.m_values()[:h] / sector.total_spin
     b = de.vectors[:h].T @ (w[:, None] * do.vectors)
@@ -204,8 +198,8 @@ def _parity_frame(hamiltonian: OperatorMatrix) -> _ParityFrame:
 
 def _state_quench(spec: QuenchSpec):
     """Folded post-quench frame and the bare ground state in it."""
-    psi0 = eigh(build_hamiltonian(spec.params, Basis.X)).vectors[:, 0]
-    frame = _parity_frame(build_postquench(spec, Basis.X))
+    psi0 = eigh(build_hamiltonian(spec.params)).vectors[:, 0]
+    frame = _parity_frame(spec.params.sector, build_postquench(spec))
     return frame, frame.state(psi0)
 
 
@@ -219,9 +213,9 @@ def _state_level(params: LmgParams, n: int):
     d = params.sector.dimension
     if not 0 <= n < d:
         raise DomainError(f"level index {n} outside [0, {d - 1}]")
-    h = build_hamiltonian(params, Basis.X)
+    h = build_hamiltonian(params)
     psi = eigh(h).vectors[:, n]
-    frame = _parity_frame(h)
+    frame = _parity_frame(params.sector, h)
     return frame, frame.state(psi)
 
 
@@ -316,20 +310,26 @@ def micro_otoc(params: LmgParams, n: int, times) -> OtocSeries:
         params=params, level=n)
 
 
-def micro_otoc_all(params: LmgParams, times) -> list[OtocSeries]:
-    """F_n(t) for every level at once.
+def _all_levels(params: LmgParams, t: np.ndarray):
+    """Yield F_n(t_j) for every level n, one time sample j after another.
 
-    One D x D product pair per time sample serves all levels together:
-    with M(t) = W(t) V in the eigenbasis, F_n(t) = [M(t)^2]_{nn}.
+    One D x D product pair per sample serves all levels together: with
+    M(t) = W(t) V in the eigenbasis, F_n(t) = [M(t)^2]_{nn}.
     """
-    t = _validate_grid(times)
     energies, w_eig = _frame_micro(params)
-    d = energies.size
-    values = np.empty((d, t.size), dtype=np.complex128)
-    for j, tj in enumerate(t):
+    for tj in t:
         p = np.exp(1j * energies * tj)
         m = p[:, None] * _matmul_real_complex(w_eig, np.ascontiguousarray(np.conj(p)[:, None] * w_eig))
-        values[:, j] = np.einsum("ij,ji->i", m, m)
+        yield np.einsum("ij,ji->i", m, m)
+
+
+def micro_otoc_all(params: LmgParams, times) -> list[OtocSeries]:
+    """F_n(t) for every level at once."""
+    t = _validate_grid(times)
+    d = params.sector.dimension
+    values = np.empty((d, t.size), dtype=np.complex128)
+    for j, f in enumerate(_all_levels(params, t)):
+        values[:, j] = f
     return [OtocSeries(times=t, values=values[n].copy(), protocol="microcanonical",
                        state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})",
                        params=params, level=n)
@@ -345,18 +345,15 @@ def micro_fbar_all(params: LmgParams, times):
     t = _validate_grid(times)
     if t.size < 2:
         raise DomainError("averaging needs at least two time samples")
-    energies, w_eig = _frame_micro(params)
-    d = energies.size
+    d = params.sector.dimension
     w_full = _trapezoid_weights(t)
     half_idx = _half_horizon_index(t)
     w_half = np.zeros_like(w_full)
     w_half[:half_idx + 1] = _trapezoid_weights(t[:half_idx + 1])
     acc_full = np.zeros(d)
     acc_half = np.zeros(d)
-    for j, tj in enumerate(t):
-        p = np.exp(1j * energies * tj)
-        m = p[:, None] * _matmul_real_complex(w_eig, np.ascontiguousarray(np.conj(p)[:, None] * w_eig))
-        re = np.einsum("ij,ji->i", m, m).real
+    for j, f in enumerate(_all_levels(params, t)):
+        re = f.real
         acc_full += w_full[j] * re
         acc_half += w_half[j] * re
     return acc_full, np.abs(acc_full - acc_half)

@@ -1,12 +1,17 @@
 """Normalization, sweeps, scans, and the power-law fits."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
-from lmg_otoc import (AveragingConfig, DomainError, LmgParams, NumericalError,
-                      SpinSector, dn_diagnostic, fit_power_law,
-                      microcanonical_scan, quench_sweep,
-                      scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
+from lmg_otoc import (AveragingConfig, DomainError, LmgParams,
+                      LongTimeAverage, NumericalError, SpinSector,
+                      dn_diagnostic, fit_power_law, microcanonical_scan,
+                      quench_sweep, scaling_gamma_epsilon,
+                      scaling_gamma_lambda, scaling_mu)
+from lmg_otoc import analysis
 
 FAST = AveragingConfig(100.0, 0.5)
 
@@ -109,6 +114,40 @@ def test_quench_sweep_reuses_precomputed_cells():
                          on_cell=lambda a, l, r, h: calls.append((a, l)))
     assert calls == []                    # nothing recomputed
     assert grid2.cells[0][1].value == grid1.cells[0][1].value
+
+
+def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
+    # on 2 workers the lambda=0.5 cell fails at once while the reference
+    # cell is still running: that cell must still reach on_cell, the
+    # cells not yet started must never run, and the error must propagate
+    started = []
+
+    def cell(spec, config):
+        started.append(spec.field_strength)
+        if spec.field_strength == 0.5:
+            raise NumericalError("cell failed")
+        time.sleep(0.2)
+        return LongTimeAverage(value=1.0, total_time=100.0, sample_count=201,
+                               estimator_halfwidth=0.0)
+
+    monkeypatch.setattr(analysis, "quench_fbar", cell)
+    settled = []
+    with pytest.raises(NumericalError, match="cell failed"):
+        quench_sweep([0.4], [0.5, 1.0, 1.5], 10, FAST, max_workers=2,
+                     on_cell=lambda a, lam, r, h: settled.append(lam))
+    assert 0.0 in settled
+    assert 1.5 not in started
+    assert sorted(settled) == sorted(lam for lam in started if lam != 0.5)
+
+
+def test_default_workers_count_usable_cores(monkeypatch):
+    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert analysis.resolve_workers() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert analysis.resolve_workers() == 64
+    assert analysis.resolve_workers(3) == 3
 
 
 def test_microcanonical_scan_structure():

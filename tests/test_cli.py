@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from lmg_otoc.cli import main
+from lmg_otoc.cli import _OPTIONS, build_parser, main
 from lmg_otoc.output import read_csv
 
 
@@ -46,6 +46,26 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_io_error_exits_with_code_5(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["spectrum", "--n", "4", "--alpha", "0.4",
+               "--out", str(blocker / "sub")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_every_option_is_a_flag_of_its_command(capsys):
+    parser = build_parser()
+    for command, options in _OPTIONS.items():
+        assert set(options) <= set(vars(parser.parse_args([command])))
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        for key in options:
+            assert f"--{key} " in text or f"--{key}\n" in text
 
 
 def test_otoc_trace_table(tmp_path):

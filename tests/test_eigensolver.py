@@ -4,41 +4,38 @@ import numpy as np
 import oracles
 import pytest
 
-from lmg_otoc import (Basis, DomainError, LmgParams, NumericalError,
-                      QuenchSpec, SpinSector, build_hamiltonian,
-                      build_postquench, build_sy_times_minus_i, build_sz,
-                      eigh, propagator_phases)
+from lmg_otoc import (DomainError, LmgParams, NumericalError, QuenchSpec,
+                      SpinSector, build_hamiltonian, build_postquench, eigh)
 from lmg_otoc.otoc import long_time_average, make_time_grid, quench_otoc
-from lmg_otoc.spin_ops import OperatorMatrix
-
-
-def _random_symmetric(rng, n):
-    a = rng.normal(size=(n, n))
-    a = (a + a.T) / 2
-    return OperatorMatrix(SpinSector(n - 1), Basis.Z, a)
 
 
 def test_diagonal_matrix():
-    d = eigh(build_sz(SpinSector(4), Basis.Z))
-    assert np.array_equal(d.values, SpinSector(4).m_values())
+    m = SpinSector(4).m_values()
+    d = eigh((m, np.zeros(4)))
+    assert np.array_equal(d.values, m)
     assert d.dimension == 5
 
 
 def test_invariants_on_random_matrices():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        op = _random_symmetric(rng, 50)
-        d = eigh(op)
+        diag, off = rng.normal(size=50), rng.normal(size=49)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        d = eigh((diag, off))
         eye = np.eye(50)
         assert np.max(np.abs(d.vectors.T @ d.vectors - eye)) < 1e-10
         recon = d.vectors @ np.diag(d.values) @ d.vectors.T
-        assert np.max(np.abs(recon - op.entries)) < 1e-8 * np.linalg.norm(op.entries)
+        assert np.max(np.abs(recon - dense)) < 1e-8 * np.linalg.norm(dense)
         assert np.all(np.diff(d.values) >= 0)
 
 
-def test_rejects_skew_storage():
-    with pytest.raises(DomainError):
-        eigh(build_sy_times_minus_i(SpinSector(4), Basis.Z))
+def test_rejects_malformed_pair():
+    for diag, off in ((np.zeros(4), np.zeros(4)),        # off-diagonal too long
+                      (np.zeros(4), np.zeros(2)),        # off-diagonal too short
+                      (np.zeros((2, 2)), np.zeros(1)),   # a matrix, not a diagonal
+                      (np.zeros(0), np.zeros(0))):       # empty
+        with pytest.raises(DomainError):
+            eigh((diag, off))
 
 
 def test_convergence_failure_is_reported(monkeypatch):
@@ -46,15 +43,15 @@ def test_convergence_failure_is_reported(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
     monkeypatch.setattr(np.linalg, "eigh", boom)
     with pytest.raises(NumericalError, match="5-dim"):
-        eigh(build_sz(SpinSector(4), Basis.Z))
+        eigh((np.zeros(5), np.ones(4)))
 
 
 @pytest.mark.parametrize("n", [6, 18, 30])
 def test_tridiagonal_eigenvalues_match_sturm_bisection(n):
     params = LmgParams(0.4, SpinSector(n))
-    h = build_hamiltonian(params, Basis.X)
-    got = eigh(h).values
-    want = oracles.sturm_eigenvalues(np.diag(h.entries), np.diag(h.entries, 1))
+    diag, off = build_hamiltonian(params)
+    got = eigh((diag, off)).values
+    want = oracles.sturm_eigenvalues(diag, off)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -68,14 +65,6 @@ def test_field_shift_obeys_eigenvalue_perturbation_bound():
         assert np.max(np.abs(e_shift - e_bare)) <= bound * (1 + 1e-12)
 
 
-def test_propagator_phases():
-    d = eigh(build_sz(SpinSector(2), Basis.Z))
-    got = propagator_phases(d, 0.7)
-    want = np.exp(1j * d.values * 0.7)
-    assert np.array_equal(got, want)
-    assert np.max(np.abs(np.abs(got) - 1.0)) < 1e-15
-
-
 def test_degenerate_block_rotation_leaves_averages_alone():
     # alpha=0 spectra are doubly degenerate in +-m; the average must not
     # depend on which basis the solver picks inside each block
@@ -84,9 +73,9 @@ def test_degenerate_block_rotation_leaves_averages_alone():
     times = make_time_grid(200.0, 0.1)
     baseline = long_time_average(quench_otoc(spec, times)).value
 
-    d0 = eigh(build_hamiltonian(params, Basis.X))
+    d0 = eigh(build_hamiltonian(params))
     psi0 = d0.vectors[:, 0]
-    df = eigh(build_postquench(spec, Basis.X))
+    df = eigh(build_postquench(spec))
     energies = df.values.copy()
     vectors = df.vectors.copy()
 

@@ -4,7 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
-from lmg_otoc import (Basis, DomainError, LmgParams, QuenchSpec, SpinSector,
+from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench,
                       classical_ground_energy, critical_lambda,
                       critical_rescaled_energy, eigh, rescale_energies)
@@ -13,38 +13,46 @@ from lmg_otoc.model import rescale_energy_point
 
 def test_x_basis_matrix_elements():
     params = LmgParams(0.4, SpinSector(4))
-    h = build_hamiltonian(params, Basis.X)
+    diag, off = build_hamiltonian(params)
+    assert diag.shape == (5,) and off.shape == (4,)
     # diagonal: -(2(1-alpha)/S) m^2 + alpha S at m = 1
-    assert abs(h.entries[3, 3] - 0.2) < 1e-14
+    assert abs(diag[3] - 0.2) < 1e-14
     # off-diagonal between m=0 and m=1: (alpha/2) sqrt(6)
-    assert abs(h.entries[2, 3] - 0.2 * np.sqrt(6.0)) < 1e-14
+    assert abs(off[2] - 0.2 * np.sqrt(6.0)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 20, 100])
 @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.9])
 def test_spectra_agree_across_bases(n, alpha):
+    # the X-basis pair against the oracle's Z-basis ladder-algebra matrix
     params = LmgParams(alpha, SpinSector(n))
-    ex = np.linalg.eigvalsh(build_hamiltonian(params, Basis.X).entries)
-    ez = np.linalg.eigvalsh(build_hamiltonian(params, Basis.Z).entries)
+    ex = eigh(build_hamiltonian(params)).values
+    ez = np.linalg.eigvalsh(oracles.zbasis_hamiltonian(n, alpha))
     scale = max(1.0, np.abs(ex).max())
     assert np.max(np.abs(ex - ez)) < 1e-9 * scale
 
 
+def _dense(pair):
+    diag, off = pair
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_postquench_adds_field_term():
-    from lmg_otoc import build_sz
-    sec = SpinSector(12)
-    params = LmgParams(0.3, sec)
-    spec = QuenchSpec(params, 0.7)
-    h = build_hamiltonian(params, Basis.X).entries
-    sz = build_sz(sec, Basis.X).entries
-    hf = build_postquench(spec, Basis.X).entries
-    assert np.max(np.abs(hf - (h + 0.7 * sz))) < 1e-13
+    # S_z in the X-basis is B^T S_z B over the oracle's S_x eigenstates B
+    sz = oracles.zbasis_spin_ops(12)[2]
+    b = oracles.xbasis_states_bruteforce(12)
+    params = LmgParams(0.3, SpinSector(12))
+    h = _dense(build_hamiltonian(params))
+    hf = _dense(build_postquench(QuenchSpec(params, 0.7)))
+    assert np.max(np.abs(hf - (h + 0.7 * b.T @ sz @ b))) < 1e-13
+    bare = build_postquench(QuenchSpec(params, 0.0))
+    assert all(np.array_equal(x, y) for x, y in zip(bare, build_hamiltonian(params)))
 
 
 def test_postquench_spectra_agree_across_bases():
     spec = QuenchSpec(LmgParams(0.4, SpinSector(30)), 1.0)
-    ex = np.linalg.eigvalsh(build_postquench(spec, Basis.X).entries)
-    ez = np.linalg.eigvalsh(build_postquench(spec, Basis.Z).entries)
+    ex = eigh(build_postquench(spec)).values
+    ez = np.linalg.eigvalsh(oracles.zbasis_hamiltonian(30, 0.4, 1.0))
     assert np.max(np.abs(ex - ez)) < 1e-9 * max(1.0, np.abs(ex).max())
 
 

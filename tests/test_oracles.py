@@ -85,6 +85,6 @@ def test_zbasis_hamiltonian_spectrum_matches_package():
             h = lo.build_hamiltonian(params)
         else:
             h = lo.build_postquench(lo.QuenchSpec(params, lam))
-        pkg = np.linalg.eigvalsh(h.entries)
+        pkg = lo.eigh(h).values
         orc = np.linalg.eigvalsh(oracles.zbasis_hamiltonian(n, alpha, lam))
         assert np.max(np.abs(pkg - orc)) < 1e-9

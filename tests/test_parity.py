@@ -4,20 +4,24 @@ import numpy as np
 import oracles
 import pytest
 
-from lmg_otoc import (Basis, DomainError, LmgParams, QuenchSpec, SpinSector,
+from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
                       commutator_series_micro, make_time_grid, micro_otoc,
                       quench_otoc)
 from lmg_otoc.otoc import _fold
-from lmg_otoc.spin_ops import OperatorMatrix
 
 TOL = 1e-9
 
 
+def _matrix(pair):
+    diag, off = pair
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _dense(params, times, lam=0.0, level=None, commutator=False):
-    bare = build_hamiltonian(params, Basis.X).entries
+    bare = _matrix(build_hamiltonian(params))
     if level is None:
-        evolving = build_postquench(QuenchSpec(params, lam), Basis.X).entries
+        evolving = _matrix(build_postquench(QuenchSpec(params, lam)))
     else:
         evolving = bare
     w = params.sector.m_values() / params.sector.total_spin
@@ -40,33 +44,33 @@ def _parity(vectors):
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 41])
 @pytest.mark.parametrize("alpha, lam", [(0.4, 0.0), (0.4, 1.3), (0.0, 0.5), (1.0, 0.0)])
 def test_fold_reproduces_the_spectrum(n, alpha, lam):
-    h = build_postquench(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam), Basis.X)
+    h = build_postquench(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam))
     even, odd = _fold(h)
-    assert even.shape[0] == (n + 2) // 2 and odd.shape[0] == (n + 1) // 2
-    for block in (even, odd):
-        assert np.array_equal(block, block.T)
-        assert not np.any(np.triu(block, 2))          # still tridiagonal
-    folded = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
-    want = np.linalg.eigvalsh(h.entries)
+    assert even[0].size == (n + 2) // 2 and odd[0].size == (n + 1) // 2
+    for diag, off in (even, odd):
+        assert off.size == diag.size - 1
+    folded = np.sort(np.concatenate([np.linalg.eigvalsh(_matrix(even)),
+                                     np.linalg.eigvalsh(_matrix(odd))]))
+    want = np.linalg.eigvalsh(_matrix(h))
     assert np.max(np.abs(folded - want)) < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_fold_labels_levels_by_parity():
     # the even block's levels are exactly those of parity +1
     params = LmgParams(0.9, SpinSector(30))
-    h = build_hamiltonian(params, Basis.X)
+    h = build_hamiltonian(params)
     even, _ = _fold(h)
-    energies, vectors = np.linalg.eigh(h.entries)
+    energies, vectors = np.linalg.eigh(_matrix(h))
     plus = energies[_parity(vectors) > 0]
-    assert np.max(np.abs(np.linalg.eigvalsh(even) - plus)) < 1e-12
+    assert np.max(np.abs(np.linalg.eigvalsh(_matrix(even)) - plus)) < 1e-12
 
 
 def test_fold_rejects_a_parity_breaking_matrix():
-    sector = SpinSector(4)
-    entries = build_hamiltonian(LmgParams(0.4, sector), Basis.X).entries.copy()
-    entries[0, 0] += 1e-3
+    diag, off = build_hamiltonian(LmgParams(0.4, SpinSector(4)))
     with pytest.raises(DomainError):
-        _fold(OperatorMatrix(sector, Basis.X, entries))
+        _fold((diag + [1e-3, 0, 0, 0, 0], off))      # diagonal not persymmetric
+    with pytest.raises(DomainError):
+        _fold((diag, off + [1e-3, 0, 0, 0]))         # off-diagonal not persymmetric
 
 
 def test_time_grid_takes_the_tabulated_phase_path():
@@ -96,7 +100,7 @@ def test_level_states_match_dense_kernel(n, grid):
     params = LmgParams(0.4, SpinSector(n))
     times = _grid(grid)
     # deep levels come out of the dense solve as localised doublet mixtures
-    mixed = np.abs(_parity(np.linalg.eigh(build_hamiltonian(params).entries)[1])) < 0.5
+    mixed = np.abs(_parity(np.linalg.eigh(_matrix(build_hamiltonian(params)))[1])) < 0.5
     assert mixed[0]
     for level in (0, 7, 30, n):
         got = micro_otoc(params, level, times).values

@@ -1,19 +1,34 @@
-"""Collective spin operators: algebra invariants and frame changes."""
+"""The collective-spin sector: magnetic numbers and ladder strengths.
+
+SpinSector.m_values and SpinSector.ladder_strengths are all the package
+keeps of the spin operators: S_x is diag(m) in the X-basis and S_z the
+ladder pair there. The operators are assembled here from those two arrays
+in both frames and checked against the su(2) algebra and against the
+oracle's brute-force X-basis states.
+"""
 
 import numpy as np
 import oracles
 import pytest
 
-from lmg_otoc import (Basis, DomainError, OperatorMatrix, SpinSector,
-                      basis_change, build_sx, build_sy_times_minus_i,
-                      build_sz, rotation_z_to_x, scaled_op)
-from lmg_otoc.errors import BasisMismatchError
+from lmg_otoc import DomainError, SpinSector
 
 SECTORS = [SpinSector(n) for n in (1, 2, 3, 8, 21, 50)]
 
 
-def _complex_sy(op):
-    return 1j * op.entries
+def _frame_ops(sec, basis):
+    """(S_x, S_y, S_z) as dense matrices in the Z- or X-basis.
+
+    In the Z-basis S_x is the half-ladder tridiagonal and S_z diag(m); in
+    the X-basis the two swap roles, and the phase convention that makes
+    the X-basis S_z off-diagonal positive flips the sign of S_y.
+    """
+    half = sec.ladder_strengths() / 2
+    ladder = np.diag(half, 1) + np.diag(half, -1)
+    m = np.diag(sec.m_values())
+    sign = 1.0 if basis == "z" else -1.0
+    sy = 1j * sign * (np.diag(half, 1) - np.diag(half, -1))
+    return (ladder, sy, m) if basis == "z" else (m, sy, ladder)
 
 
 def test_sector_basics():
@@ -31,134 +46,73 @@ def test_sector_rejects_bad_counts(bad):
 
 
 def test_single_spin_x_matrix_in_z_basis():
-    sec = SpinSector(1)
-    sx = build_sx(sec, Basis.Z)
-    assert np.array_equal(sx.entries, np.array([[0.0, 0.5], [0.5, 0.0]]))
+    sx, _, _ = _frame_ops(SpinSector(1), "z")
+    assert np.array_equal(sx, np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def test_two_spin_z_matrix_in_x_basis():
-    sec = SpinSector(2)
-    sz = build_sz(sec, Basis.X)
+    _, _, sz = _frame_ops(SpinSector(2), "x")
     r = 1.0 / np.sqrt(2.0)
     want = np.array([[0, r, 0], [r, 0, r], [0, r, 0]])
-    assert np.max(np.abs(sz.entries - want)) < 1e-15
+    assert np.max(np.abs(sz - want)) < 1e-15
 
 
 def test_four_spin_ladder_element():
     # coupling between the m=0 and m=1 eigenstates
-    sec = SpinSector(4)
-    sx = build_sx(sec, Basis.Z)
-    assert abs(sx.entries[2, 3] - np.sqrt(6.0) / 2.0) < 1e-15
-    sz = build_sz(sec, Basis.X)
-    assert abs(sz.entries[2, 3] - np.sqrt(6.0) / 2.0) < 1e-15
+    assert abs(SpinSector(4).ladder_strengths()[2] / 2 - np.sqrt(6.0) / 2.0) < 1e-15
 
 
 @pytest.mark.parametrize("sec", SECTORS, ids=lambda s: f"N{s.n_spins}")
-@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("basis", ["z", "x"])
 def test_commutation_relations(sec, basis):
-    sx = build_sx(sec, basis).entries
-    sy = _complex_sy(build_sy_times_minus_i(sec, basis))
-    sz = build_sz(sec, basis).entries
+    sx, sy, sz = _frame_ops(sec, basis)
     assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
     assert np.max(np.abs(sy @ sz - sz @ sy - 1j * sx)) < 1e-12
     assert np.max(np.abs(sz @ sx - sx @ sz - 1j * sy)) < 1e-12
 
 
 @pytest.mark.parametrize("sec", SECTORS, ids=lambda s: f"N{s.n_spins}")
-@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("basis", ["z", "x"])
 def test_casimir(sec, basis):
-    sx = build_sx(sec, basis).entries
-    k = build_sy_times_minus_i(sec, basis).entries
-    sz = build_sz(sec, basis).entries
+    sx, sy, sz = _frame_ops(sec, basis)
     s = sec.total_spin
-    casimir = sx @ sx - k @ k + sz @ sz      # Sy^2 = -(K)^2 for K = -i Sy
+    casimir = sx @ sx + sy @ sy + sz @ sz
     assert np.max(np.abs(casimir - s * (s + 1) * np.eye(sec.dimension))) < 1e-10
 
 
 @pytest.mark.parametrize("sec", SECTORS, ids=lambda s: f"N{s.n_spins}")
 def test_generator_spectra_are_magnetic_numbers(sec):
-    for op in (build_sx(sec, Basis.Z), build_sz(sec, Basis.X),
-               build_sz(sec, Basis.Z), build_sx(sec, Basis.X)):
-        vals = np.linalg.eigvalsh(op.entries)
-        assert np.max(np.abs(np.sort(vals) - sec.m_values())) < 1e-10
-    for basis in (Basis.Z, Basis.X):
-        k = build_sy_times_minus_i(sec, basis).entries
-        vals = np.sort(np.linalg.eigvalsh(1j * k).real)
-        assert np.max(np.abs(vals - sec.m_values())) < 1e-10
+    for basis in ("z", "x"):
+        for op in _frame_ops(sec, basis):
+            vals = np.sort(np.linalg.eigvalsh(op))
+            assert np.max(np.abs(vals - sec.m_values())) < 1e-10
 
 
 @pytest.mark.parametrize("sec", SECTORS, ids=lambda s: f"N{s.n_spins}")
 def test_rotation_is_orthogonal(sec):
-    u = rotation_z_to_x(sec)
-    d = sec.dimension
-    assert np.max(np.abs(u.T @ u - np.eye(d))) < 1e-12
-    assert np.max(np.abs(u @ u.T - np.eye(d))) < 1e-12
+    # the Z -> X rotation lives in the oracle now: its brute-force S_x
+    # eigenstates, which the frame checks below rely on
+    b = oracles.xbasis_states_bruteforce(sec.n_spins)
+    eye = np.eye(sec.dimension)
+    assert np.max(np.abs(b.T @ b - eye)) < 1e-12
+    assert np.max(np.abs(b @ b.T - eye)) < 1e-12
 
 
 def test_rotation_matches_bruteforce_states():
+    # B^T S_z B over the oracle's S_x eigenstates B is the X-basis S_z the
+    # post-quench Hamiltonian adds: zero diagonal, off-diagonal ladder/2
     for n in (2, 5, 12):
-        u = rotation_z_to_x(SpinSector(n))
-        brute = oracles.xbasis_states_bruteforce(n)
-        assert np.max(np.abs(u - brute)) < 1e-10
-
-
-@pytest.mark.parametrize("n", [1, 4, 17])
-def test_basis_change_round_trip(n):
-    sec = SpinSector(n)
-    for build in (build_sx, build_sz, build_sy_times_minus_i):
-        op = build(sec, Basis.Z)
-        there = basis_change(op, Basis.X)
-        back = basis_change(there, Basis.Z)
-        assert np.max(np.abs(back.entries - op.entries)) < 1e-12
-        assert back.basis == Basis.Z and there.basis == Basis.X
+        b = oracles.xbasis_states_bruteforce(n)
+        sz_x = b.T @ oracles.zbasis_spin_ops(n)[2] @ b
+        want = SpinSector(n).ladder_strengths() / 2
+        assert np.max(np.abs(sz_x - (np.diag(want, 1) + np.diag(want, -1)))) < 1e-10
 
 
 def test_basis_change_maps_builders_onto_each_other():
+    # the oracle's rotation carries both frames' operators, built from the
+    # sector's m values and ladder strengths, onto each other
     sec = SpinSector(9)
-    got = basis_change(build_sz(sec, Basis.Z), Basis.X)
-    assert np.max(np.abs(got.entries - build_sz(sec, Basis.X).entries)) < 1e-12
-    got = basis_change(build_sx(sec, Basis.Z), Basis.X)
-    assert np.max(np.abs(got.entries - build_sx(sec, Basis.X).entries)) < 1e-12
-    got = basis_change(build_sy_times_minus_i(sec, Basis.Z), Basis.X)
-    assert np.max(np.abs(got.entries - build_sy_times_minus_i(sec, Basis.X).entries)) < 1e-12
-
-
-def test_basis_change_rejects_same_frame():
-    op = build_sz(SpinSector(3), Basis.Z)
-    with pytest.raises(DomainError):
-        basis_change(op, Basis.Z)
-
-
-def test_scaled_op():
-    sec = SpinSector(6)
-    w = scaled_op(build_sx(sec, Basis.X), 1.0 / sec.total_spin)
-    assert np.max(np.abs(np.diag(w.entries) - sec.m_values() / 3.0)) < 1e-15
-    assert np.linalg.norm(w.entries, 2) <= 1.0 + 1e-12
-
-
-def test_operator_matrix_validation():
-    sec = SpinSector(2)
-    with pytest.raises(DomainError):
-        OperatorMatrix(sector=sec, basis=Basis.Z,
-                       entries=np.arange(9.0).reshape(3, 3))
-    with pytest.raises(DomainError):
-        OperatorMatrix(sector=sec, basis=Basis.Z, entries=np.eye(3), skew=True)
-    with pytest.raises(DomainError):
-        OperatorMatrix(sector=sec, basis=Basis.Z, entries=np.eye(4))
-
-
-def test_frame_mismatch_is_detected():
-    sec = SpinSector(4)
-    a = build_sx(sec, Basis.Z)
-    b = build_sx(sec, Basis.X)
-    from lmg_otoc.spin_ops import _require_same_frame
-    with pytest.raises(BasisMismatchError):
-        _require_same_frame(a, b)
-    with pytest.raises(DomainError):
-        _require_same_frame(a, build_sx(SpinSector(6), Basis.Z))
-
-
-def test_entries_are_read_only():
-    op = build_sz(SpinSector(4), Basis.Z)
-    with pytest.raises(ValueError):
-        op.entries[0, 0] = 5.0
+    b = oracles.xbasis_states_bruteforce(9)
+    for zform, xform in zip(_frame_ops(sec, "z"), _frame_ops(sec, "x")):
+        assert np.max(np.abs(b.T @ zform @ b - xform)) < 1e-12
+        assert np.max(np.abs(b @ xform @ b.T - zform)) < 1e-12
