@@ -19,9 +19,8 @@ from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     rescale_energies)
 from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
                    commutator_series, commutator_series_micro,
-                   diagonal_ensemble_average, long_time_average,
-                   make_time_grid, micro_fbar_all, micro_otoc,
-                   micro_otoc_all, quench_otoc)
+                   long_time_average, make_time_grid, micro_fbar_all,
+                   micro_otoc, micro_otoc_all, quench_otoc)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
     "build_hamiltonian", "build_postquench", "classical_ground_energy",
     "commutator_series", "commutator_series_micro", "critical_lambda",
-    "critical_rescaled_energy", "diagonal_ensemble_average", "dn_diagnostic",
+    "critical_rescaled_energy", "dn_diagnostic",
     "eigh", "fit_power_law", "long_time_average", "make_time_grid",
     "micro_fbar_all", "micro_otoc", "micro_otoc_all", "microcanonical_scan",
     "quench_fbar", "quench_otoc", "quench_sweep", "rescale_energies",

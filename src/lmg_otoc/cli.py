@@ -14,8 +14,9 @@ import sys
 import time
 
 from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
-                       DEFAULT_SIZES, AveragingConfig, dn_diagnostic,
-                       microcanonical_scan, quench_sweep, scaling_gamma_epsilon,
+                       DEFAULT_SIZES, WORKERS_ENV, AveragingConfig,
+                       dn_diagnostic, microcanonical_scan, quench_sweep,
+                       resolve_workers, scaling_gamma_epsilon,
                        scaling_gamma_lambda, scaling_mu)
 from .eigensolver import eigh
 from .errors import DomainError, NumericalError
@@ -75,9 +76,11 @@ _N = "number of spins"
 _ALPHA = "model parameter in [0, 1]"
 _TAVG = "averaging horizon"
 _DT = "averaging step"
+_WORKERS = f"worker-thread count (default ${WORKERS_ENV}, else the cores this process may use)"
 
 # per command: option name -> (config cast, default, required, help); the
-# argparse flags are generated from this table
+# argparse flags are generated from this table. A dict default is keyed by
+# the resolved --kind; kinds it does not name leave the option unset.
 _OPTIONS = {
     "spectrum": {
         "n": (int, None, True, _N),
@@ -112,16 +115,22 @@ _OPTIONS = {
         "dt": (float, 0.5, False, _DT),
         "resume": (_parse_bool, False, False,
                    "reuse per-cell results already checkpointed in --out"),
+        "workers": (int, None, False, _WORKERS),
     },
     "fit": {
         "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True,
                  "which exponent to fit"),
         "alpha": (float, None, True, _ALPHA),
-        "n": (int, None, False, "system size for the gamma fits"),
-        "sizes": (_parse_int_list, None, False, "comma-separated sizes for the mu fit"),
-        "window": (_parse_window, None, False, "fit window lo,hi on the fitting abscissa"),
+        "n": (int, {"gamma-lambda": 400, "gamma-epsilon": 300}, False,
+              "system size for the gamma fits"),
+        "sizes": (_parse_int_list, {"mu": DEFAULT_SIZES}, False,
+                  "comma-separated sizes for the mu fit"),
+        "window": (_parse_window, {"gamma-lambda": DEFAULT_FIELD_FIT_WINDOW,
+                                   "gamma-epsilon": DEFAULT_ENERGY_FIT_WINDOW}, False,
+                   "fit window lo,hi on the fitting abscissa"),
         "tavg": (float, 1.0e4, False, _TAVG),
         "dt": (float, 0.5, False, _DT),
+        "workers": (int, None, False, _WORKERS + "; used by the mu and gamma-lambda fits"),
     },
 }
 
@@ -160,7 +169,7 @@ def _resolve_options(command, args, config):
             except ValueError as exc:
                 raise UsageError(f"config value for {key}: {exc}") from None
         else:
-            out[key] = default
+            out[key] = default.get(out["kind"]) if isinstance(default, dict) else default
         if required and out[key] is None:
             raise UsageError(f"missing required option --{key}")
     return out
@@ -182,13 +191,20 @@ def _make_run_dir(command, out_flag):
     return path
 
 
+def _show(default):
+    """A default as the help text names it: lists comma-joined, per kind."""
+    if isinstance(default, dict):
+        return ", ".join(f"{_show(v)} for {kind}" for kind, v in default.items())
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+
+
 def _json_safe(value):
     if isinstance(value, tuple):
         return list(value)
     return value
 
 
-def _run_spectrum(opts, run_dir, workers):
+def _run_spectrum(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     energies = eigh(build_hamiltonian(params)).values
     rescaled = rescale_energies(energies)
@@ -205,7 +221,7 @@ def _run_spectrum(opts, run_dir, workers):
              "ground_energy_per_spin": float(energies[0]) / n})
 
 
-def _run_otoc(opts, run_dir, workers):
+def _run_otoc(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     times = make_time_grid(opts["tmax"], opts["dt"])
     if opts["state"] == "level":
@@ -247,7 +263,7 @@ def _run_otoc(opts, run_dir, workers):
     return outputs, grid, diag
 
 
-def _run_micro(opts, run_dir, workers):
+def _run_micro(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     config = AveragingConfig(opts["tavg"], opts["dt"])
     scan = microcanonical_scan(params, config)
@@ -332,7 +348,7 @@ def _load_checkpoint(path, settings):
     return cells
 
 
-def _run_sweep(opts, run_dir, workers):
+def _run_sweep(opts, run_dir):
     config = AveragingConfig(opts["tavg"], opts["dt"])
     cells_path = os.path.join(run_dir, "cells.jsonl")
     settings = {name: opts[name] for name in _CHECKPOINT_KEYS}
@@ -341,6 +357,7 @@ def _run_sweep(opts, run_dir, workers):
     if resume:
         precomputed = _load_checkpoint(cells_path, settings)
 
+    opts["workers"] = resolve_workers(opts["workers"])
     with open(cells_path, "a" if resume else "w") as checkpoint:
         def on_cell(alpha, lam, raw, halfwidth):
             checkpoint.write(json.dumps(
@@ -349,7 +366,7 @@ def _run_sweep(opts, run_dir, workers):
             checkpoint.flush()
 
         grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,
-                            max_workers=workers, precomputed=precomputed,
+                            max_workers=opts["workers"], precomputed=precomputed,
                             on_cell=on_cell)
 
     rows = []
@@ -391,25 +408,23 @@ def _run_sweep(opts, run_dir, workers):
     return outputs, grid_spec, diag
 
 
-def _run_fit(opts, run_dir, workers):
+def _run_fit(opts, run_dir):
     config = AveragingConfig(opts["tavg"], opts["dt"])
     kind = opts["kind"]
+    if kind != "gamma-epsilon":
+        opts["workers"] = resolve_workers(opts["workers"])
     if kind == "mu":
-        sizes = opts["sizes"] or DEFAULT_SIZES
-        fit = scaling_mu(opts["alpha"], sizes, config, max_workers=workers)
+        fit = scaling_mu(opts["alpha"], opts["sizes"], config,
+                         max_workers=opts["workers"])
         point_cols, point_units = ("n_spins", "fbar_raw"), ("count", "dimensionless")
     elif kind == "gamma-lambda":
-        n = opts["n"] or 400
-        window = opts["window"] or DEFAULT_FIELD_FIT_WINDOW
-        fit = scaling_gamma_lambda(opts["alpha"], n, config=config,
-                                   window=window, max_workers=workers)
+        fit = scaling_gamma_lambda(opts["alpha"], opts["n"], config=config,
+                                   window=opts["window"], max_workers=opts["workers"])
         point_cols, point_units = (("field_distance", "fbar_norm"),
                                    ("field", "dimensionless"))
     else:
-        n = opts["n"] or 300
-        window = opts["window"] or DEFAULT_ENERGY_FIT_WINDOW
-        fit = scaling_gamma_epsilon(opts["alpha"], n, config=config,
-                                    window=window)
+        fit = scaling_gamma_epsilon(opts["alpha"], opts["n"], config=config,
+                                    window=opts["window"])
         point_cols, point_units = (("energy_distance", "fbar_norm"),
                                    ("dimensionless", "dimensionless"))
 
@@ -428,6 +443,8 @@ def _run_fit(opts, run_dir, workers):
             {"exponent": fit.exponent, "n_points": fit.n_points})
 
 
+# A runner writes the worker count it settles back into opts, so the
+# manifest records the count the run used.
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "otoc": _run_otoc,
@@ -463,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             if required:
                 text += " (required)"
             elif default is not None:
-                text += f" (default {default})"
+                text += f" (default {_show(default)})"
             if hasattr(cast, "choices"):
                 sp.add_argument(f"--{key}", dest=key, choices=cast.choices, help=text)
             else:
@@ -471,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="run directory (default: timestamped under "
                                       f"the run root, ${RUNS_ENV} or ./runs)")
         sp.add_argument("--config", help="key=value file supplying option defaults")
-        sp.add_argument("--workers", type=int,
-                        help="worker-thread count (default: $LMG_OTOC_WORKERS "
-                             "or the cores this process may use)")
     return p
 
 
@@ -490,9 +504,8 @@ def main(argv=None) -> int:
         run_dir = _make_run_dir(args.command, args.out)
         runner = _RUNNERS[args.command]
         with Stopwatch() as watch:
-            outputs, time_grid, diagnostics = runner(opts, run_dir, args.workers)
+            outputs, time_grid, diagnostics = runner(opts, run_dir)
         resolved = {k: _json_safe(v) for k, v in opts.items()}
-        resolved["workers"] = args.workers
         resolved["config_file"] = args.config
         write_manifest(os.path.join(run_dir, "manifest.json"), args.command,
                        resolved, time_grid, diagnostics, watch.elapsed, outputs)

@@ -10,11 +10,10 @@ coefficient vector of |psi>, prepared once; each time sample then costs
 diagonal phase sandwiches plus matrix products.
 
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
-is parity-odd. The single-state kernel therefore works in a folded frame:
-the even and odd tridiagonal blocks are solved separately and W is the
-one block B coupling them, so every product is half-size. The state
-itself still comes from the dense solve of the bare Hamiltonian. The
-all-levels kernel and the spectral oracle use the dense frame.
+is parity-odd. Both kernels therefore work in a folded frame: the even
+and odd tridiagonal blocks are solved separately and W is the one block
+B coupling them, so every product is half-size. The states themselves
+still come from the dense solve of the bare Hamiltonian.
 
 Protocols:
   * quench: |psi> is the ground state of the bare Hamiltonian, evolution
@@ -26,7 +25,6 @@ Complex numbers enter only through the phase factors; operators, states
 and eigenvectors stay real throughout.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,23 +115,6 @@ def _matmul_real_complex(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.view(np.complex128)
 
 
-def _frame_quench(spec: QuenchSpec):
-    params = spec.params
-    psi0 = eigh(build_hamiltonian(params)).vectors[:, 0]
-    df = eigh(build_postquench(spec))
-    w_diag = params.sector.m_values() / params.sector.total_spin
-    w_eig = df.vectors.T @ (w_diag[:, None] * df.vectors)
-    psi_eig = df.vectors.T @ psi0
-    return df.values, w_eig, psi_eig
-
-
-def _frame_micro(params: LmgParams):
-    d = eigh(build_hamiltonian(params))
-    w_diag = params.sector.m_values() / params.sector.total_spin
-    w_eig = d.vectors.T @ (w_diag[:, None] * d.vectors)
-    return d.values, w_eig
-
-
 def _fold(pair):
     """Even and odd parity blocks of an X-basis (diag, off) Hamiltonian.
 
@@ -174,12 +155,12 @@ class _ParityFrame:
     w_block: np.ndarray = field(repr=False)
 
     def state(self, psi: np.ndarray) -> np.ndarray:
-        """Coefficients of an X-basis state in this frame."""
+        """Coefficients in this frame of an X-basis state, or of each column."""
         h = self.odd_vectors.shape[0]
         head, tail = psi[:h], psi[::-1][:h]
         even = (head + tail) / np.sqrt(2.0)
-        if psi.size % 2:
-            even = np.append(even, psi[h])
+        if psi.shape[0] % 2:
+            even = np.concatenate([even, psi[h:h + 1]])
         odd = (head - tail) / np.sqrt(2.0)
         return np.concatenate([self.even_vectors.T @ even, self.odd_vectors.T @ odd])
 
@@ -203,20 +184,24 @@ def _state_quench(spec: QuenchSpec):
     return frame, frame.state(psi0)
 
 
-def _state_level(params: LmgParams, n: int):
-    """Folded bare frame and its n-th level, as the dense solve returns it.
+def _bare_levels(params: LmgParams):
+    """Dense eigenvectors of the bare Hamiltonian and its folded frame.
 
-    The state is taken from the dense eigendecomposition rather than from a
-    block, so inside a degenerate doublet it is the same mixture as before
+    Levels are taken from the dense eigendecomposition rather than from a
+    block, so inside a degenerate doublet each is the same mixture as before
     folding.
     """
+    h = build_hamiltonian(params)
+    return eigh(h).vectors, _parity_frame(params.sector, h)
+
+
+def _state_level(params: LmgParams, n: int):
+    """Folded bare frame and its n-th level, as the dense solve returns it."""
     d = params.sector.dimension
     if not 0 <= n < d:
         raise DomainError(f"level index {n} outside [0, {d - 1}]")
-    h = build_hamiltonian(params)
-    psi = eigh(h).vectors[:, n]
-    frame = _parity_frame(params.sector, h)
-    return frame, frame.state(psi)
+    vectors, frame = _bare_levels(params)
+    return frame, frame.state(vectors[:, n])
 
 
 def _apply_w(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -313,14 +298,26 @@ def micro_otoc(params: LmgParams, n: int, times) -> OtocSeries:
 def _all_levels(params: LmgParams, t: np.ndarray):
     """Yield F_n(t_j) for every level n, one time sample j after another.
 
-    One D x D product pair per sample serves all levels together: with
-    M(t) = W(t) V in the eigenbasis, F_n(t) = [M(t)^2]_{nn}.
+    With M(t) = W(t) V, F_n(t) = <n|M(t)^2|n>. M is parity-even, so in the
+    frame it is two diagonal blocks, P_e B P_o^* B^T and P_o B^T P_e^* B
+    with P = exp(iEt): one half-size product each per sample. The dense
+    solve mixes frame levels only of opposite parity, inside degenerate
+    doublets, and M^2 does not couple those, so with c_an = <a|n>,
+    F_n(t) = sum_a c_an^2 [M(t)^2]_aa exactly.
     """
-    energies, w_eig = _frame_micro(params)
+    vectors, frame = _bare_levels(params)
+    weights = frame.state(vectors) ** 2
+    b = frame.w_block
+    bt = np.ascontiguousarray(b.T)
+    he = b.shape[0]
     for tj in t:
-        p = np.exp(1j * energies * tj)
-        m = p[:, None] * _matmul_real_complex(w_eig, np.ascontiguousarray(np.conj(p)[:, None] * w_eig))
-        yield np.einsum("ij,ji->i", m, m)
+        p = np.exp(1j * frame.energies * tj)
+        pe, po = p[:he], p[he:]
+        m_even = pe[:, None] * _matmul_real_complex(b, np.conj(po)[:, None] * bt)
+        m_odd = po[:, None] * _matmul_real_complex(bt, np.conj(pe)[:, None] * b)
+        m2 = np.concatenate([np.einsum("ij,ji->i", m_even, m_even),
+                             np.einsum("ij,ji->i", m_odd, m_odd)])
+        yield _matmul_real_complex(weights.T, m2[:, None])[:, 0]
 
 
 def micro_otoc_all(params: LmgParams, times) -> list[OtocSeries]:
@@ -343,13 +340,8 @@ def micro_fbar_all(params: LmgParams, times):
     D x len(times) series. halfwidth mirrors LongTimeAverage.
     """
     t = _validate_grid(times)
-    if t.size < 2:
-        raise DomainError("averaging needs at least two time samples")
+    w_full, w_half = _average_weights(t)
     d = params.sector.dimension
-    w_full = _trapezoid_weights(t)
-    half_idx = _half_horizon_index(t)
-    w_half = np.zeros_like(w_full)
-    w_half[:half_idx + 1] = _trapezoid_weights(t[:half_idx + 1])
     acc_full = np.zeros(d)
     acc_half = np.zeros(d)
     for j, f in enumerate(_all_levels(params, t)):
@@ -359,31 +351,29 @@ def micro_fbar_all(params: LmgParams, times):
     return acc_full, np.abs(acc_full - acc_half)
 
 
-def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
-    """Weights turning a dot product into the trapezoidal mean over [t0, t_end]."""
+def _average_weights(t: np.ndarray):
+    """Weights (full, half) whose dot products with samples on t give the
+    trapezoidal means over the whole grid and over its first half, which
+    ends at the last sample at or below t_end / 2 (at least the second)."""
     if t.size < 2:
-        return np.zeros(t.size)
-    w = np.zeros(t.size)
-    dt = np.diff(t)
-    w[:-1] += dt / 2
-    w[1:] += dt / 2
-    return w / (t[-1] - t[0])
-
-
-def _half_horizon_index(t: np.ndarray) -> int:
-    """Largest index at or below half the horizon (at least 1)."""
-    j = int(np.searchsorted(t, t[-1] / 2.0, side="right") - 1)
-    return max(j, 1)
+        raise DomainError("averaging needs at least two time samples")
+    half_end = max(int(np.searchsorted(t, t[-1] / 2.0, side="right")), 2)
+    weights = []
+    for end in (t.size, half_end):
+        w = np.zeros(t.size)
+        dt = np.diff(t[:end])
+        w[:end - 1] += dt / 2
+        w[1:end] += dt / 2
+        weights.append(w / (t[end - 1] - t[0]))
+    return weights
 
 
 def long_time_average(series: OtocSeries) -> LongTimeAverage:
     t = series.times
-    if t.size < 2:
-        raise DomainError("averaging needs at least two time samples")
+    w_full, w_half = _average_weights(t)
     re = series.values.real
-    value = float(np.trapezoid(re, t) / (t[-1] - t[0]))
-    j = _half_horizon_index(t)
-    half = float(np.trapezoid(re[:j + 1], t[:j + 1]) / (t[j] - t[0]))
+    value = float(w_full @ re)
+    half = float(w_half @ re)
     return LongTimeAverage(value=value, total_time=float(t[-1]),
                            sample_count=int(t.size),
                            estimator_halfwidth=abs(value - half))
@@ -410,67 +400,3 @@ def commutator_series_micro(params: LmgParams, n: int, times) -> CommutatorSerie
         times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
         protocol="microcanonical",
         state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})")
-
-
-def diagonal_ensemble_average(target, *, horizon: float | None = None,
-                              gap_tol: float = 1e-10,
-                              reference_horizon: float = DEFAULT_AVERAGING_TIME,
-                              materiality: float = 1e-3) -> float:
-    """Spectral-sum oracle for the long-time average of Re F.
-
-    target is either a QuenchSpec (quench protocol) or a (params, n) pair
-    (microcanonical). With horizon=None the infinite-time limit is taken:
-    only terms whose four-energy combination is stationary survive, with
-    degeneracies clustered at gap_tol; a warning is raised when gaps too
-    small to dephase within reference_horizon move the answer by more than
-    `materiality`. A finite horizon instead evaluates the exact mean of
-    Re F over [0, horizon], every term weighted by its analytic window
-    factor. Cost is O(D^4); intended for small sectors.
-    """
-    if isinstance(target, QuenchSpec):
-        energies, w_eig, psi_eig = _frame_quench(target)
-    else:
-        params, n = target
-        d = params.sector.dimension
-        if not 0 <= n < d:
-            raise DomainError(f"level index {n} outside [0, {d - 1}]")
-        energies, w_eig = _frame_micro(params)
-        psi_eig = np.zeros(d)
-        psi_eig[n] = 1.0
-
-    if horizon is not None:
-        return _spectral_mean(energies, w_eig, psi_eig, horizon)
-
-    labels = np.zeros(energies.size, dtype=int)
-    for i in range(1, energies.size):
-        labels[i] = labels[i - 1] + (1 if energies[i] - energies[i - 1] > gap_tol else 0)
-    clustered = np.array([energies[labels == g].mean()
-                          for g in range(labels[-1] + 1)])[labels]
-    value = _spectral_mean(clustered, w_eig, psi_eig, None, gap_tol=gap_tol)
-    finite = _spectral_mean(energies, w_eig, psi_eig, reference_horizon)
-    if abs(finite - value) > materiality:
-        warnings.warn(
-            f"near-degenerate gaps below 2*pi/{reference_horizon:g} leave the "
-            f"infinite-time average ({value:.6g}) materially different from the "
-            f"horizon-{reference_horizon:g} mean ({finite:.6g})",
-            stacklevel=2)
-    return value
-
-
-def _spectral_mean(energies, w_eig, psi_eig, horizon, gap_tol=1e-10) -> float:
-    u = w_eig @ psi_eig
-    d = energies.size
-    total = 0.0
-    for a in range(d):
-        row = psi_eig[a] * w_eig[a]
-        cols = np.nonzero(row)[0]
-        for b in cols:
-            g = (energies[a] - energies[b]) + energies[:, None] - energies[None, :]
-            if horizon is None:
-                kern = (np.abs(g) < 0.5 * gap_tol).astype(float)
-            else:
-                x = 0.5 * g * horizon
-                kern = np.cos(x) * np.sinc(x / np.pi)
-            quad = w_eig[b][:, None] * w_eig * u[None, :]
-            total += row[b] * float((quad * kern).sum())
-    return total

@@ -4,9 +4,10 @@ Everything here is deliberately built through routes the library does not
 use: operators are assembled in the Z-basis from raw ladder algebra, time
 evolution goes through dense matrix exponentials, eigenvalues come from
 Sturm-sequence bisection, long-time averages from a closed-form
-spectral sum, and single-state traces from the dense D x D kernel the
-package used before it folded by parity. Agreement between these routes and the library is the point
-of the tests; nothing in this module imports the package.
+spectral sum, and single-state and all-levels traces from the dense
+D x D kernels the package used before it folded by parity. Agreement
+between these routes and the library is the point of the tests; nothing
+in this module imports the package.
 """
 
 import numpy as np
@@ -192,6 +193,27 @@ def dense_single_state_otoc(h_bare, h_evolving, w_diag, times, level=0,
     if not commutator:
         return f
     return f, a_term, 2.0 * a_term.real - 2.0 * f.real, c_norm
+
+
+def dense_all_levels_otoc(h, w_diag, times):
+    """F_n(t) for every level n of h, evolving under h, through its dense frame.
+
+    W = V = diag(w_diag) in the basis h is written in. Returns a
+    D x len(times) array, row n the trace of column n of the dense
+    eigendecomposition: with M(t) = W(t) V in the eigenbasis,
+    F_n(t) = [M(t)^2]_nn, one D x D product pair per sample, as the
+    package did before it folded by parity.
+    """
+    energies, vectors = np.linalg.eigh(h)
+    w_eig = vectors.T @ (w_diag[:, None] * vectors)
+    times = np.asarray(times, dtype=float)
+    out = np.empty((energies.size, times.size), dtype=np.complex128)
+    for j, t in enumerate(times):
+        p = np.exp(1j * energies * t)
+        m = p[:, None] * _matmul_real_complex(
+            w_eig, np.ascontiguousarray(np.conj(p)[:, None] * w_eig))
+        out[:, j] = np.einsum("ij,ji->i", m, m)
+    return out
 
 
 def two_level_micro_f(alpha, times, level):

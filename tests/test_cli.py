@@ -252,6 +252,35 @@ def test_fit_commands(tmp_path):
     assert doc["kind"] == "gamma-epsilon" and doc["n_points"] >= 3
 
 
+def test_fit_manifest_records_the_defaults_it_used(tmp_path, capsys):
+    rc, out = run(tmp_path, "fit", "--kind", "gamma-epsilon", "--alpha", "0.4",
+                  "--tavg", "50", "--dt", "0.5")
+    assert rc == 0
+    params = manifest_of(out)["parameters"]
+    assert params["n"] == 300 and params["window"] == [0.015, 0.1]
+    assert params["sizes"] is None             # only the mu fit uses sizes
+    assert main(["fit", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "300 for gamma-epsilon" in text and "0.015,0.1 for gamma-epsilon" in text
+
+
+def test_workers_is_an_option_of_sweep_and_fit_only(tmp_path, monkeypatch):
+    assert main(["spectrum", "--n", "4", "--alpha", "0.4", "--workers", "2",
+                 "--out", str(tmp_path / "spectrum")]) == 2
+    assert [c for c in _OPTIONS if "workers" in _OPTIONS[c]] == ["sweep", "fit"]
+    sweep = ["sweep", "--alphas", "0.4", "--lambdas", "0,0.5", "--n", "8",
+             "--tavg", "20", "--dt", "0.5"]
+    conf = tmp_path / "run.conf"
+    conf.write_text("workers=3\n")
+    monkeypatch.setenv("LMG_OTOC_WORKERS", "1")
+    # flag > config > environment
+    for name, extra, want in (("env", [], 1), ("conf", ["--config", str(conf)], 3),
+                              ("flag", ["--config", str(conf), "--workers", "2"], 2)):
+        rc, out = run(tmp_path / name, *sweep, *extra)
+        assert rc == 0
+        assert manifest_of(out)["parameters"]["workers"] == want
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("n=10\nalpha=0.4   # comment\ntmax=2\ndt=0.5\n")

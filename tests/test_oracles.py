@@ -54,6 +54,17 @@ def test_spectral_fbar_frozen_values():
     assert abs(got - oracles.FROZEN_STATIONARY_FBAR_N20_A04_L0) < 1e-10
 
 
+def test_spectral_fbar_two_level_vanishes():
+    # the N=1 trace is a pure oscillation, so its infinite-time mean is 0
+    assert abs(oracles.spectral_fbar(1, 0.3, level=0)) < 1e-12
+
+
+def test_spectral_fbar_free_model_levels():
+    # energies sort by -m^2, so level 0 pairs with |m| = S and level 10 is m = 0
+    assert abs(oracles.spectral_fbar(10, 0.0, level=0) - 1.0) < 1e-12
+    assert abs(oracles.spectral_fbar(10, 0.0, level=10)) < 1e-12
+
+
 def test_bruteforce_x_states_diagonalize_sx():
     n = 7
     sx, _, _ = oracles.zbasis_spin_ops(n)

@@ -1,16 +1,13 @@
 """OTOC engine: protocol correctness, symmetries, and averaging."""
 
-import warnings
-
 import numpy as np
 import oracles
 import pytest
 
 from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
                       SpinSector, commutator_series, commutator_series_micro,
-                      diagonal_ensemble_average, long_time_average,
-                      make_time_grid, micro_fbar_all, micro_otoc,
-                      micro_otoc_all, quench_fbar, quench_otoc)
+                      long_time_average, make_time_grid, micro_fbar_all,
+                      micro_otoc, micro_otoc_all, quench_fbar, quench_otoc)
 from lmg_otoc.otoc import OtocSeries
 
 
@@ -178,13 +175,15 @@ def test_long_time_average_needs_two_samples():
 
 
 def test_streamed_level_averages_match_series_route():
-    params = LmgParams(0.4, SpinSector(10))
-    times = make_time_grid(100.0, 0.5)
-    fbar, halfwidth = micro_fbar_all(params, times)
-    for n in (0, 4, 10):
-        direct = long_time_average(micro_otoc(params, n, times))
-        assert abs(fbar[n] - direct.value) < 1e-12
-        assert abs(halfwidth[n] - direct.estimator_halfwidth) < 1e-12
+    # the broken-phase case has localised doublet mixtures among its levels
+    for params, levels in ((LmgParams(0.4, SpinSector(10)), (0, 4, 10)),
+                           (LmgParams(0.2, SpinSector(60)), (0, 1, 17, 60))):
+        times = make_time_grid(100.0, 0.5)
+        fbar, halfwidth = micro_fbar_all(params, times)
+        for n in levels:
+            direct = long_time_average(micro_otoc(params, n, times))
+            assert abs(fbar[n] - direct.value) < 1e-12
+            assert abs(halfwidth[n] - direct.estimator_halfwidth) < 1e-12
 
 
 def test_zero_field_average_matches_spectral_oracle():
@@ -192,42 +191,6 @@ def test_zero_field_average_matches_spectral_oracle():
     avg = quench_fbar(spec, AveragingConfig(1000.0, 0.25))
     want = oracles.spectral_fbar(8, 0.4, lam=0.0, horizon=1000.0)
     assert abs(avg.value - want) < 2e-3
-
-
-def test_diagonal_ensemble_finite_horizon_against_oracle():
-    for lam in (0.0, 0.5):
-        spec = QuenchSpec(LmgParams(0.4, SpinSector(12)), lam)
-        got = diagonal_ensemble_average(spec, horizon=500.0)
-        want = oracles.spectral_fbar(12, 0.4, lam=lam, horizon=500.0)
-        assert abs(got - want) < 1e-10
-
-
-def test_diagonal_ensemble_two_level_vanishes():
-    # the N=1 trace is a pure oscillation, so its infinite-time mean is 0
-    got = diagonal_ensemble_average((LmgParams(0.3, SpinSector(1)), 0))
-    assert abs(got) < 1e-12
-
-
-def test_diagonal_ensemble_free_model_levels():
-    params = LmgParams(0.0, SpinSector(10))
-    m = params.sector.m_values()
-    s = params.sector.total_spin
-    # energies sort by -m^2, so level 0 pairs with |m| = S
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")          # degenerate blocks, no warning
-        assert abs(diagonal_ensemble_average((params, 0)) - 1.0) < 1e-12
-        got = diagonal_ensemble_average((params, 10))
-        assert abs(got - 0.0) < 1e-12
-
-
-def test_diagonal_ensemble_warns_when_horizon_matters():
-    # near-degenerate post-quench pairs dephase far beyond the reference
-    # horizon; the strict limit must flag itself as operationally remote
-    spec = QuenchSpec(LmgParams(0.4, SpinSector(20)), 0.5)
-    with pytest.warns(UserWarning, match="infinite-time"):
-        strict = diagonal_ensemble_average(spec, reference_horizon=1e4)
-    finite = diagonal_ensemble_average(spec, horizon=1e4)
-    assert abs(strict - finite) > 0.1
 
 
 def test_series_metadata():

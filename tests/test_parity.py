@@ -1,4 +1,4 @@
-"""Parity-folded single-state engine against the dense D x D kernel."""
+"""Parity-folded OTOC kernels against the dense D x D kernels."""
 
 import numpy as np
 import oracles
@@ -8,7 +8,7 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
                       commutator_series_micro, make_time_grid, micro_otoc,
                       quench_otoc)
-from lmg_otoc.otoc import _fold
+from lmg_otoc.otoc import _all_levels, _fold
 
 TOL = 1e-9
 
@@ -110,6 +110,21 @@ def test_level_states_match_dense_kernel(n, grid):
         got = (cs.f_values, cs.a_values, cs.c_values, cs.c_norm_values)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < TOL
+
+
+@pytest.mark.parametrize("grid", ["uniform", "scattered"])
+@pytest.mark.parametrize("n", [60, 61])
+@pytest.mark.parametrize("alpha", [0.2, 0.4])
+def test_all_levels_match_dense_kernel(n, alpha, grid):
+    params = LmgParams(alpha, SpinSector(n))
+    times = _grid(grid)
+    h = _matrix(build_hamiltonian(params))
+    # the dense solve returns localised doublet mixtures deep in the spectrum
+    assert np.abs(_parity(np.linalg.eigh(h)[1])).min() < 1e-6
+    got = np.array(list(_all_levels(params, times))).T
+    w = params.sector.m_values() / params.sector.total_spin
+    want = oracles.dense_all_levels_otoc(h, w, times)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_long_horizon_quench_at_production_size():

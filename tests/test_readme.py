@@ -1,0 +1,14 @@
+"""The python examples in README.md run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    namespace = {}                          # later blocks reuse earlier names
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -1,6 +1,7 @@
-"""Hash the result files of a fixed set of small CLI runs.
+"""Hash, or compare, the result files of a fixed set of small CLI runs.
 
     python tools/golden_cli.py [SRC]
+    python tools/golden_cli.py SRC_A SRC_B
 
 Runs nine small-N invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers and the
@@ -11,10 +12,16 @@ duration; cells.jsonl is hashed by its sorted lines, since with several
 workers its records follow completion order. Prints one
 "<run>/<file> <sha256>" line per file. Two checkouts behave the same on
 this set when their outputs are identical line for line.
+
+With two trees the set runs against both, and each file gets one line:
+"identical"; else, when the two files differ only in their numbers, the
+largest absolute deviation among those numbers; else "layout differs".
+A refactor that moves only last digits shows up as small deviations.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,32 +49,66 @@ RUNS = {
 
 SKIP = {"manifest.json"}
 SORTED_LINES = {"cells.jsonl"}
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def digest(path: Path) -> str:
+def contents(path: Path) -> bytes:
     data = path.read_bytes()
     if path.name in SORTED_LINES:
         data = b"".join(sorted(data.splitlines(keepends=True)))
-    return hashlib.sha256(data).hexdigest()
+    return data
+
+
+def compare(a: bytes, b: bytes) -> str:
+    if a == b:
+        return "identical"
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "layout differs"
+    dev = max(abs(float(x) - float(y))
+              for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)))
+    return f"max abs deviation {dev:.3g}"
+
+
+def run_set(src: Path, tmp: Path) -> dict:
+    """Run the fixed set against src into tmp; {"<run>/<file>": path}."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    files = {}
+    for name, args in RUNS.items():
+        out = tmp / name
+        cmd = [sys.executable, "-m", "lmg_otoc.cli", *args, "--out", str(out)]
+        proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{src}: {name} exited {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        for path in sorted(out.iterdir()):
+            if path.name not in SKIP:
+                files[f"{name}/{path.name}"] = path
+    return files
 
 
 def main(argv) -> int:
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    srcs = [Path(a) for a in argv] or [Path(__file__).resolve().parents[1] / "src"]
+    if len(srcs) > 2:
+        print("usage: golden_cli.py [SRC] | SRC_A SRC_B", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="golden-cli-") as tmp:
-        for name, args in RUNS.items():
-            out = Path(tmp) / name
-            cmd = [sys.executable, "-m", "lmg_otoc.cli", *args, "--out", str(out)]
-            proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True)
-            if proc.returncode != 0:
-                print(f"error: {name} exited {proc.returncode}: {proc.stderr.strip()}",
-                      file=sys.stderr)
-                return 1
-            for path in sorted(out.iterdir()):
-                if path.name not in SKIP:
-                    print(f"{name}/{path.name} {digest(path)}")
+        try:
+            runs = [run_set(src, Path(tmp) / str(k)) for k, src in enumerate(srcs)]
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if len(runs) == 1:
+            for key, path in runs[0].items():
+                print(f"{key} {hashlib.sha256(contents(path)).hexdigest()}")
+            return 0
+        a, b = runs
+        for key in dict.fromkeys([*a, *b]):
+            if key not in a or key not in b:
+                print(f"{key} only in {srcs[0] if key in a else srcs[1]}")
+            else:
+                print(f"{key} {compare(contents(a[key]), contents(b[key]))}")
     return 0
 
 
