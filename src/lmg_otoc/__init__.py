@@ -14,9 +14,8 @@ from .analysis import (AveragingConfig, DnDiagnostic, FitResult, MicroScan,
 from .eigensolver import EigenDecomposition, eigh
 from .errors import DomainError, LmgOtocError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
-                    build_postquench, classical_ground_energy,
-                    critical_lambda, critical_rescaled_energy,
-                    rescale_energies)
+                    build_postquench, critical_lambda,
+                    critical_rescaled_energy, rescale_energies)
 from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
                    commutator_series, commutator_series_micro,
                    long_time_average, make_time_grid, micro_fbar_all,
@@ -29,9 +28,9 @@ __all__ = [
     "EigenDecomposition", "FitResult", "LmgOtocError", "LmgParams",
     "LongTimeAverage", "MicroScan", "NormalizedAverage", "NumericalError",
     "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
-    "build_hamiltonian", "build_postquench", "classical_ground_energy",
-    "commutator_series", "commutator_series_micro", "critical_lambda",
-    "critical_rescaled_energy", "dn_diagnostic",
+    "build_hamiltonian", "build_postquench", "commutator_series",
+    "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",
+    "dn_diagnostic",
     "eigh", "fit_power_law", "long_time_average", "make_time_grid",
     "micro_fbar_all", "micro_otoc", "micro_otoc_all", "microcanonical_scan",
     "quench_fbar", "quench_otoc", "quench_sweep", "rescale_energies",

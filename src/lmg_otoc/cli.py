@@ -80,7 +80,7 @@ _WORKERS = f"worker-thread count (default ${WORKERS_ENV}, else the cores this pr
 
 # per command: option name -> (config cast, default, required, help); the
 # argparse flags are generated from this table. A dict default is keyed by
-# the resolved --kind; kinds it does not name leave the option unset.
+# the resolved --kind; kinds it does not name refuse the option.
 _OPTIONS = {
     "spectrum": {
         "n": (int, None, True, _N),
@@ -130,7 +130,8 @@ _OPTIONS = {
                    "fit window lo,hi on the fitting abscissa"),
         "tavg": (float, 1.0e4, False, _TAVG),
         "dt": (float, 0.5, False, _DT),
-        "workers": (int, None, False, _WORKERS + "; used by the mu and gamma-lambda fits"),
+        "workers": (int, {"mu": None, "gamma-lambda": None}, False,
+                    _WORKERS + "; used by the mu and gamma-lambda fits"),
     },
 }
 
@@ -153,7 +154,8 @@ def _load_config(path):
 
 
 def _resolve_options(command, args, config):
-    """flags > config file > defaults; missing required keys are fatal."""
+    """flags > config file > defaults; missing required keys, and options the
+    resolved --kind does not use, are fatal."""
     spec = _OPTIONS[command]
     unknown = set(config) - set(spec)
     if unknown:
@@ -161,6 +163,10 @@ def _resolve_options(command, args, config):
     out = {}
     for key, (cast, default, required, _) in spec.items():
         flag_value = getattr(args, key, None)
+        if isinstance(default, dict):
+            if out["kind"] not in default and (flag_value is not None or key in config):
+                raise UsageError(f"--{key} is not used by {command} --kind {out['kind']}")
+            default = default.get(out["kind"])
         if flag_value is not None:
             out[key] = flag_value
         elif key in config:
@@ -169,7 +175,7 @@ def _resolve_options(command, args, config):
             except ValueError as exc:
                 raise UsageError(f"config value for {key}: {exc}") from None
         else:
-            out[key] = default.get(out["kind"]) if isinstance(default, dict) else default
+            out[key] = default
         if required and out[key] is None:
             raise UsageError(f"missing required option --{key}")
     return out
@@ -192,9 +198,11 @@ def _make_run_dir(command, out_flag):
 
 
 def _show(default):
-    """A default as the help text names it: lists comma-joined, per kind."""
+    """A default as the help text names it: lists comma-joined, per kind
+    (kinds that take the option without a default left out)."""
     if isinstance(default, dict):
-        return ", ".join(f"{_show(v)} for {kind}" for kind, v in default.items())
+        return ", ".join(f"{_show(v)} for {kind}" for kind, v in default.items()
+                         if v is not None)
     return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
 
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             if required:
                 text += " (required)"
-            elif default is not None:
+            elif default is not None and _show(default):
                 text += f" (default {_show(default)})"
             if hasattr(cast, "choices"):
                 sp.add_argument(f"--{key}", dest=key, choices=cast.choices, help=text)
@@ -489,6 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"the run root, ${RUNS_ENV} or ./runs)")
         sp.add_argument("--config", help="key=value file supplying option defaults")
     return p
+
+
+# documented failures; any other exception is a bug and keeps its traceback
+_EXIT_CODES = {UsageError: 2, NumericalError: 3, DomainError: 4, OSError: 5}
 
 
 def main(argv=None) -> int:
@@ -511,18 +523,9 @@ def main(argv=None) -> int:
                        resolved, time_grid, diagnostics, watch.elapsed, outputs)
         print(run_dir)
         return 0
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

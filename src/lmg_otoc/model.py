@@ -1,5 +1,5 @@
 """Model assembly: the collective-spin Hamiltonian, its quenched variant,
-the critical field strength, energy rescaling and the mean-field oracle.
+the critical field strength and energy rescaling.
 
 The Hamiltonian is
 
@@ -18,7 +18,6 @@ energy sits at E = 0 for 0 < alpha < 0.8.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
 
@@ -142,24 +141,3 @@ def rescale_energy_point(energies, value: float) -> float:
 
 def critical_rescaled_energy(energies) -> float:
     return rescale_energy_point(energies, CRITICAL_ENERGY)
-
-
-def classical_ground_energy(alpha: float) -> float:
-    """Minimum of the classical energy surface per spin over the Bloch sphere.
-
-    e(theta) = -(1-alpha) sin(theta)^2 + (alpha/2)(cos(theta) + 1),
-    minimized over the polar angle with a bounded scalar search. Serves as
-    the mean-field cross-check for finite-N ground energies per spin.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-
-    def energy(theta):
-        ct = np.cos(theta)
-        return -(1.0 - alpha) * (1.0 - ct * ct) + 0.5 * alpha * (ct + 1.0)
-
-    res = minimize_scalar(energy, bounds=(0.0, np.pi), method="bounded",
-                          options={"xatol": 1e-13})
-    # the pole theta=pi is a boundary candidate the bounded search cannot
-    # quite reach; compare explicitly
-    return float(min(res.fun, energy(np.pi), energy(0.0)))

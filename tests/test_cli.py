@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lmg_otoc import NumericalError
 from lmg_otoc.cli import _OPTIONS, build_parser, main
 from lmg_otoc.output import read_csv
 
@@ -56,6 +59,26 @@ def test_io_error_exits_with_code_5(tmp_path, capsys):
     assert rc == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_numerical_error_exits_with_code_3(tmp_path, capsys, monkeypatch):
+    def failing_eigh(pair):
+        raise NumericalError("eigensolver did not converge")
+    monkeypatch.setattr("lmg_otoc.cli.eigh", failing_eigh)
+    rc = main(["spectrum", "--n", "4", "--alpha", "0.4",
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: eigensolver did not converge\n"
+
+
+def test_cli_does_not_import_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import lmg_otoc.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_every_option_is_a_flag_of_its_command(capsys):
@@ -262,6 +285,24 @@ def test_fit_manifest_records_the_defaults_it_used(tmp_path, capsys):
     assert main(["fit", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "300 for gamma-epsilon" in text and "0.015,0.1 for gamma-epsilon" in text
+
+
+def test_fit_refuses_the_options_its_kind_does_not_use(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("window=0.1,0.2\n")
+    for argv, option, kind in (
+            (["--kind", "mu", "--sizes", "30,40,60", "--n", "50",
+              "--window", "0.1,0.2"], "--n", "mu"),
+            (["--kind", "gamma-epsilon", "--sizes", "10,20", "--workers", "2"],
+             "--sizes", "gamma-epsilon"),
+            (["--kind", "gamma-epsilon", "--workers", "2"], "--workers",
+             "gamma-epsilon"),
+            (["--kind", "mu", "--config", str(conf)], "--window", "mu")):
+        out = tmp_path / "run"
+        assert main(["fit", "--alpha", "0.4", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert option in err and f"--kind {kind}" in err
+        assert not out.exists()
 
 
 def test_workers_is_an_option_of_sweep_and_fit_only(tmp_path, monkeypatch):

@@ -5,8 +5,7 @@ import oracles
 import pytest
 
 from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
-                      build_hamiltonian, build_postquench,
-                      classical_ground_energy, critical_lambda,
+                      build_hamiltonian, build_postquench, critical_lambda,
                       critical_rescaled_energy, eigh, rescale_energies)
 from lmg_otoc.model import rescale_energy_point
 
@@ -103,15 +102,8 @@ def test_critical_rescaled_energy_targets_zero():
     assert abs(critical_rescaled_energy(e) - 2.0 * 4.0 / 6.0) < 1e-14
 
 
-def test_classical_ground_energy_closed_form():
-    assert abs(classical_ground_energy(0.4) - (-5.0 / 12.0)) < 1e-12
-    for alpha in np.linspace(0.0, 0.99, 12):
-        want = oracles.classical_energy_stationary(alpha)
-        assert abs(classical_ground_energy(alpha) - want) < 1e-9, f"alpha={alpha}"
-
-
 def test_ground_energy_converges_to_classical_value():
-    target = classical_ground_energy(0.4)
+    target = oracles.classical_energy_stationary(0.4)
     gaps = []
     for n in (20, 40, 80):
         params = LmgParams(0.4, SpinSector(n))
