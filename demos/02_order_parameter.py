@@ -51,13 +51,13 @@ for i, alpha in enumerate(grid.alphas):
             print(f"  lambda = {lam:5.2f}  Fbar_norm = "
                   f"{cell.value:7.4f}{marker}")
 
-table = ResultTable(columns=("alpha", "lambda", "fbar_norm", "lambda_c"),
-                    units=("dimensionless", "field", "dimensionless",
-                           "field"),
-                    rows=rows)
+table = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm", "lambda_c"),
+                              units=("dimensionless", "field", "dimensionless",
+                                     "field"),
+                              rows=rows)
 write_csv(os.path.join(OUT, "sweep.csv"), table)
-heat = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
-                   units=("dimensionless", "field", "dimensionless"),
-                   rows=[r[:3] for r in rows if r[2] is not None])
+heat = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm"),
+                             units=("dimensionless", "field", "dimensionless"),
+                             rows=[r[:3] for r in rows if r[2] is not None])
 emit_heatmap_dat(os.path.join(OUT, "heatmap.dat"), heat)
 print(f"outputs in {OUT}")

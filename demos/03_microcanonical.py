@@ -52,9 +52,9 @@ for n, diag in dn_diagnostic(0.4, sizes, config):
     print(f"N = {n:3d}  critical level = {diag.n_c:3d}  "
           f"spread = {diag.value:.4f}")
 write_csv(os.path.join(OUT, "spread.csv"),
-          ResultTable(columns=("n_spins", "n_c", "window_lo", "window_hi",
-                               "spread"),
-                      units=("count", "index", "index", "index",
-                             "dimensionless"),
-                      rows=rows))
+          ResultTable.from_rows(columns=("n_spins", "n_c", "window_lo", "window_hi",
+                                         "spread"),
+                                units=("count", "index", "index", "index",
+                                       "dimensionless"),
+                                rows=rows))
 print(f"outputs in {OUT}")

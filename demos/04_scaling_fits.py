@@ -47,16 +47,16 @@ for name, fit in (("mu", mu), ("gamma_lambda", gl), ("gamma_epsilon", ge)):
     rows.append([name, fit.exponent, fit.exponent_stderr, fit.amplitude,
                  fit.n_points])
 write_csv(os.path.join(OUT, "fits.csv"),
-          ResultTable(columns=("kind", "exponent", "stderr", "amplitude",
-                               "n_points"),
-                      units=("name", "dimensionless", "dimensionless",
-                             "dimensionless", "count"),
-                      rows=rows))
+          ResultTable.from_rows(columns=("kind", "exponent", "stderr", "amplitude",
+                                         "n_points"),
+                                units=("name", "dimensionless", "dimensionless",
+                                       "dimensionless", "count"),
+                                rows=rows))
 
 # the raw points behind each fit, for replotting
 for name, fit in (("mu", mu), ("gamma_lambda", gl), ("gamma_epsilon", ge)):
     write_csv(os.path.join(OUT, f"points_{name}.csv"),
               ResultTable(columns=("x", "y"),
                           units=("dimensionless", "dimensionless"),
-                          rows=[[x, y] for x, y in zip(fit.xs, fit.ys)]))
+                          data=(fit.xs, fit.ys)))
 print(f"outputs in {OUT}")

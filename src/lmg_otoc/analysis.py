@@ -6,21 +6,17 @@ near-critical spread diagnostic, and ordinary least-squares power-law
 fits for the three scaling exponents.
 """
 
-import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import eigh
 from .errors import DomainError, NumericalError
-from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
-                    critical_lambda, critical_rescaled_energy,
-                    rescale_energies)
+from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
+                    critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, long_time_average, make_time_grid,
-                   micro_fbar_all, quench_otoc)
+                   LongTimeAverage, _bare_levels, _fan_out, long_time_average,
+                   make_time_grid, micro_fbar_all, quench_otoc)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -29,8 +25,6 @@ from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
 DEFAULT_FIELD_FIT_WINDOW = (0.2, 0.5)
 DEFAULT_ENERGY_FIT_WINDOW = (0.015, 0.1)
 DEFAULT_SIZES = (100, 200, 300, 400)
-
-WORKERS_ENV = "LMG_OTOC_WORKERS"
 
 REFERENCE_FLOOR = 1e-12
 
@@ -117,53 +111,6 @@ class DnDiagnostic:
     value: float
 
 
-def resolve_workers(requested=None) -> int:
-    """The flag, else $LMG_OTOC_WORKERS, else the cores this process may use."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fan_out(job, items, max_workers, on_result=None) -> list:
-    """[job(item) for item in items], computed on a pool of worker threads.
-
-    Each result is handed to on_result(item, result) on the calling thread
-    as it completes. On the first failing job, the jobs not yet started are
-    cancelled and the running ones finish; their results are still handed
-    over before the first error is re-raised.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    error = None
-    with ThreadPoolExecutor(max_workers=resolve_workers(max_workers)) as pool:
-        index = {pool.submit(job, item): k for k, item in enumerate(items)}
-        pending = set(index)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in sorted(done, key=index.get):     # submission order
-                    if fut.exception() is not None:
-                        if error is None:
-                            error = fut.exception()
-                            pending = {f for f in pending if not f.cancel()}
-                        continue
-                    k = index[fut]
-                    results[k] = fut.result()
-                    if on_result is not None:
-                        on_result(items[k], results[k])
-        finally:
-            for fut in pending:
-                fut.cancel()
-    if error is not None:
-        raise error
-    return results
-
-
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
     """Long-time average of Re F for one quench."""
     return long_time_average(quench_otoc(spec, config.time_grid()))
@@ -229,8 +176,11 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
 
 
 def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan:
-    """Normalized long-time average for every eigenstate of one model."""
-    energies = eigh(build_hamiltonian(params)).values
+    """Normalized long-time average for every eigenstate of one model.
+
+    The energies come from the same dense solve as the levels that
+    micro_fbar_all averages over."""
+    energies = _bare_levels(params)[0].values
     fbar, halfwidths = micro_fbar_all(params, config.time_grid())
     ref = fbar[0]
     if abs(ref) < REFERENCE_FLOOR:

@@ -14,15 +14,16 @@ import sys
 import time
 
 from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
-                       DEFAULT_SIZES, WORKERS_ENV, AveragingConfig,
-                       dn_diagnostic, microcanonical_scan, quench_sweep,
-                       resolve_workers, scaling_gamma_epsilon,
-                       scaling_gamma_lambda, scaling_mu)
+                       DEFAULT_SIZES, AveragingConfig, dn_diagnostic,
+                       microcanonical_scan, quench_sweep,
+                       scaling_gamma_epsilon, scaling_gamma_lambda,
+                       scaling_mu)
 from .eigensolver import eigh
 from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     rescale_energies)
-from .otoc import commutator_series, commutator_series_micro, make_time_grid
+from .otoc import (WORKERS_ENV, commutator_series, commutator_series_micro,
+                   make_time_grid, resolve_workers)
 from .output import (ResultTable, Stopwatch, emit_heatmap_dat, emit_line_dat,
                      write_csv, write_manifest, write_svg_line)
 
@@ -76,7 +77,8 @@ _N = "number of spins"
 _ALPHA = "model parameter in [0, 1]"
 _TAVG = "averaging horizon"
 _DT = "averaging step"
-_WORKERS = f"worker-thread count (default ${WORKERS_ENV}, else the cores this process may use)"
+_WORKERS = (f"worker-thread count (default ${WORKERS_ENV}, else the cores this process "
+            "may use divided by the BLAS thread count)")
 
 # per command: option name -> (config cast, default, required, help); the
 # argparse flags are generated from this table. A dict default is keyed by
@@ -217,12 +219,10 @@ def _run_spectrum(opts, run_dir):
     energies = eigh(build_hamiltonian(params)).values
     rescaled = rescale_energies(energies)
     n = opts["n"]
-    rows = [(i, float(e), float(e) / n, float(r))
-            for i, (e, r) in enumerate(zip(energies, rescaled))]
     table = ResultTable(
         columns=("n", "energy", "energy_per_spin", "rescaled_energy"),
         units=("index", "model units", "model units", "dimensionless"),
-        rows=rows)
+        data=(range(energies.size), energies, energies / n, rescaled))
     write_csv(os.path.join(run_dir, "spectrum.csv"), table)
     return (["spectrum.csv"], {},
             {"dimension": params.sector.dimension,
@@ -232,6 +232,7 @@ def _run_spectrum(opts, run_dir):
 def _run_otoc(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     times = make_time_grid(opts["tmax"], opts["dt"])
+    opts["workers"] = resolve_workers(None)
     if opts["state"] == "level":
         if opts["level"] is None:
             raise UsageError("--state level needs --level")
@@ -239,20 +240,18 @@ def _run_otoc(opts, run_dir):
             raise DomainError(
                 "eigenstate traces evolve under the bare Hamiltonian; "
                 "a nonzero --lambda is inconsistent with --state level")
-        series = commutator_series_micro(params, opts["level"], times)
+        series = commutator_series_micro(params, opts["level"], times,
+                                         workers=opts["workers"])
     else:
-        series = commutator_series(QuenchSpec(params, opts["lambda"]), times)
+        series = commutator_series(QuenchSpec(params, opts["lambda"]), times,
+                                   workers=opts["workers"])
 
-    rows = list(zip((float(t) for t in series.times),
-                    series.f_values.real.tolist(),
-                    series.f_values.imag.tolist(),
-                    series.c_values.tolist(),
-                    series.a_values.real.tolist()))
     table = ResultTable(
         columns=("t", "re_f", "im_f", "c", "re_a"),
         units=("time", "dimensionless", "dimensionless", "dimensionless",
                "dimensionless"),
-        rows=rows)
+        data=(series.times, series.f_values.real, series.f_values.imag,
+              series.c_values, series.a_values.real))
     write_csv(os.path.join(run_dir, "otoc.csv"), table)
     emit_line_dat(os.path.join(run_dir, "otoc.dat"),
                   series.times, series.f_values.real)
@@ -275,15 +274,13 @@ def _run_micro(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     config = AveragingConfig(opts["tavg"], opts["dt"])
     scan = microcanonical_scan(params, config)
-    rows = [(i, float(scan.energies_per_spin[i]), float(scan.rescaled[i]),
-             float(scan.fbar_raw[i]), float(scan.fbar_norm[i]))
-            for i in range(scan.energies.size)]
     table = ResultTable(
         columns=("n", "energy_per_spin", "rescaled_energy",
                  "fbar_n_raw", "fbar_n_norm"),
         units=("index", "model units", "dimensionless", "dimensionless",
                "dimensionless"),
-        rows=rows)
+        data=(range(scan.energies.size), scan.energies_per_spin, scan.rescaled,
+              scan.fbar_raw, scan.fbar_norm))
     write_csv(os.path.join(run_dir, "micro.csv"), table)
     emit_line_dat(os.path.join(run_dir, "micro.dat"),
                   scan.rescaled, scan.fbar_norm)
@@ -302,7 +299,7 @@ def _run_micro(opts, run_dir):
         pairs = dn_diagnostic(opts["alpha"], opts["sizes"], config, scans=scans)
         dn_rows = [(n, d.n_c, d.window[0], d.window[1], d.value)
                    for n, d in pairs]
-        dn_table = ResultTable(
+        dn_table = ResultTable.from_rows(
             columns=("n_spins", "n_c", "window_lo", "window_hi", "dn"),
             units=("count", "index", "index", "index", "dimensionless"),
             rows=dn_rows)
@@ -394,16 +391,16 @@ def _run_sweep(opts, run_dir):
             rows.append((a, lam, cell.raw, cell.value, cell.halfwidth,
                          lam_c if lam_c is not None else ""))
             heat_rows.append((a, lam, cell.value))
-    table = ResultTable(
+    table = ResultTable.from_rows(
         columns=("alpha", "lambda", "fbar_raw", "fbar_norm", "halfwidth",
                  "lambda_c"),
         units=("dimensionless", "field", "dimensionless", "dimensionless",
                "dimensionless", "field"),
         rows=rows)
     write_csv(os.path.join(run_dir, "sweep.csv"), table)
-    heat_table = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
-                             units=("dimensionless", "field", "dimensionless"),
-                             rows=heat_rows)
+    heat_table = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm"),
+                                       units=("dimensionless", "field", "dimensionless"),
+                                       rows=heat_rows)
     emit_heatmap_dat(os.path.join(run_dir, "heatmap.dat"), heat_table)
     outputs = ["sweep.csv", "heatmap.dat", "cells.jsonl"]
     flagged = sum(1 for row in grid.cells for c in row
@@ -443,7 +440,7 @@ def _run_fit(opts, run_dir):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     points = ResultTable(columns=point_cols, units=point_units,
-                         rows=list(zip(fit.xs.tolist(), fit.ys.tolist())))
+                         data=(fit.xs, fit.ys))
     write_csv(os.path.join(run_dir, "points.csv"), points)
     grid_spec = {"total_time": opts["tavg"], "dt": opts["dt"],
                  "samples": int(config.time_grid().size)}

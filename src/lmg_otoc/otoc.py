@@ -23,8 +23,17 @@ Protocols:
 
 Complex numbers enter only through the phase factors; operators, states
 and eigenvectors stay real throughout.
+
+A single-state trace can split its time samples over worker threads. The
+samples fall into fixed column chunks, and each thread computes whole
+chunks in a workspace of its own, so the values do not depend on the
+worker count.
 """
 
+import functools
+import os
+import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +47,60 @@ DEFAULT_AVERAGING_TIME = 1.0e4
 DEFAULT_AVERAGING_DT = 0.5
 DEFAULT_DYNAMICS_DT = 0.05
 
-# time samples per product batch; keeps the phase block cache-sized
+WORKERS_ENV = "LMG_OTOC_WORKERS"
+
+# time samples per phase batch: one table of exp(iE k dt) serves every batch
 _BLOCK = 512
+# time samples per product; a divisor of _BLOCK, and fixed, so no sample's
+# arithmetic depends on how many workers share a trace
+_CHUNK = 256
+
+
+def resolve_workers(requested=None) -> int:
+    """The flag, else $LMG_OTOC_WORKERS, else the cores this process may use."""
+    if requested is not None:
+        return max(1, int(requested))
+    env = os.environ.get(WORKERS_ENV)
+    if env:
+        return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(job, items, max_workers, on_result=None) -> list:
+    """[job(item) for item in items], computed on a pool of worker threads.
+
+    Each result is handed to on_result(item, result) on the calling thread
+    as it completes. On the first failing job, the jobs not yet started are
+    cancelled and the running ones finish; their results are still handed
+    over before the first error is re-raised.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    error = None
+    with ThreadPoolExecutor(max_workers=resolve_workers(max_workers)) as pool:
+        index = {pool.submit(job, item): k for k, item in enumerate(items)}
+        pending = set(index)
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=index.get):     # submission order
+                    if fut.exception() is not None:
+                        if error is None:
+                            error = fut.exception()
+                            pending = {f for f in pending if not f.cancel()}
+                        continue
+                    k = index[fut]
+                    results[k] = fut.result()
+                    if on_result is not None:
+                        on_result(items[k], results[k])
+        finally:
+            for fut in pending:
+                fut.cancel()
+    if error is not None:
+        raise error
+    return results
 
 
 def make_time_grid(tmax: float, dt: float) -> np.ndarray:
@@ -177,22 +238,39 @@ def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
                         w_block=b)
 
 
+# Bare dense solves are kept: the ground vector per (alpha, N), which every
+# field of a sweep row or field fit starts from, and the last whole solve,
+# from which a micro scan reads both its energies and its levels. The lock
+# keeps two concurrent cells from solving one key twice.
+_BARE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=64)
+def _bare_ground(params: LmgParams) -> np.ndarray:
+    """Ground vector of the bare Hamiltonian, as the dense solve returns it."""
+    psi0 = eigh(build_hamiltonian(params)).vectors[:, 0].copy()
+    psi0.setflags(write=False)
+    return psi0
+
+
 def _state_quench(spec: QuenchSpec):
     """Folded post-quench frame and the bare ground state in it."""
-    psi0 = eigh(build_hamiltonian(spec.params)).vectors[:, 0]
+    with _BARE_LOCK:
+        psi0 = _bare_ground(spec.params)
     frame = _parity_frame(spec.params.sector, build_postquench(spec))
     return frame, frame.state(psi0)
 
 
+@functools.lru_cache(maxsize=1)
 def _bare_levels(params: LmgParams):
-    """Dense eigenvectors of the bare Hamiltonian and its folded frame.
+    """Dense eigendecomposition of the bare Hamiltonian and its folded frame.
 
     Levels are taken from the dense eigendecomposition rather than from a
     block, so inside a degenerate doublet each is the same mixture as before
     folding.
     """
     h = build_hamiltonian(params)
-    return eigh(h).vectors, _parity_frame(params.sector, h)
+    return eigh(h), _parity_frame(params.sector, h)
 
 
 def _state_level(params: LmgParams, n: int):
@@ -200,73 +278,114 @@ def _state_level(params: LmgParams, n: int):
     d = params.sector.dimension
     if not 0 <= n < d:
         raise DomainError(f"level index {n} outside [0, {d - 1}]")
-    vectors, frame = _bare_levels(params)
-    return frame, frame.state(vectors[:, n])
+    bare, frame = _bare_levels(params)
+    return frame, frame.state(bare.vectors[:, n])
 
 
-def _apply_w(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x in a parity frame for columns x: two half-size real GEMMs, on
-    the real view of complex x."""
+def _apply_w(b: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = W x in a parity frame for columns x: two half-size real GEMMs
+    on the real views of C-contiguous x and out."""
     he = b.shape[0]
-    xr = x.view(np.float64)
-    out = np.empty_like(xr)
-    np.matmul(b, xr[he:], out=out[:he])
-    np.matmul(b.T, xr[:he], out=out[he:])
-    return out.view(x.dtype)
+    xr, outr = x.view(np.float64), out.view(np.float64)
+    np.matmul(b, xr[he:], out=outr[:he])
+    np.matmul(b.T, xr[:he], out=outr[he:])
+    return out
 
 
-def _phase_batches(energies: np.ndarray, times: np.ndarray):
-    """(slice, exp(+iEt)) for consecutive batches of at most _BLOCK samples.
+def _chunks(n: int) -> list:
+    """(batch start, columns) for every chunk of an n-sample grid: batches of
+    _BLOCK samples, each cut into columns of at most _CHUNK."""
+    return [(lo, slice(c, min(c + _CHUNK, n)))
+            for lo in range(0, n, _BLOCK)
+            for c in range(lo, min(lo + _BLOCK, n), _CHUNK)]
 
-    On a grid with t_k = k * t_1 exactly, as make_time_grid builds it, each
-    batch is exp(iE t_lo) times one table of exp(iE k t_1): one complex
-    exponential per level per batch. Any other grid takes exp directly.
-    """
+
+def _phase_table(energies: np.ndarray, times: np.ndarray):
+    """exp(iE k t_1) for k < _BLOCK when t_k = k * t_1 exactly, as
+    make_time_grid builds it; None on any other grid."""
     n = times.size
-    uniform = n > 1 and np.array_equal(times, np.arange(n) * times[1])
-    if uniform:
-        offsets = np.arange(min(n, _BLOCK)) * times[1]
-        table = np.exp(1j * energies[:, None] * offsets[None, :])
-    for lo in range(0, n, _BLOCK):
-        t = times[lo:lo + _BLOCK]
-        if uniform:
-            phases = table[:, :t.size] * np.exp(1j * energies * times[lo])[:, None]
-        else:
-            phases = np.exp(1j * energies[:, None] * t[None, :])
-        yield slice(lo, lo + t.size), phases
+    if not (n > 1 and np.array_equal(times, np.arange(n) * times[1])):
+        return None
+    offsets = np.arange(min(n, _BLOCK)) * times[1]
+    return np.exp(1j * energies[:, None] * offsets[None, :])
+
+
+def _phases(out, energies, times, table, lo, cols) -> np.ndarray:
+    """out = exp(+iEt) on the columns cols of the batch starting at lo.
+
+    With a table that is exp(iE t_lo) times its columns: one complex
+    exponential per level per batch. Without, exp is taken directly.
+    """
+    if table is None:
+        np.multiply(1j * energies[:, None], times[None, cols], out=out)
+        return np.exp(out, out=out)
+    factor = np.exp(1j * energies * times[lo])
+    return np.multiply(table[:, cols.start - lo:cols.stop - lo], factor[:, None],
+                       out=out)
 
 
 def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
-                       commutator: bool = False):
+                       commutator: bool = False, workers: int = 1):
     """F(t) for one state on the grid, in a parity frame.
 
     With commutator=True also returns the A term, relation-C and the
     commutator norm: (f, a_term, c_rel, c_norm). Each W is two half-size
     products, so a state with both parities costs half the dense flops.
+
+    Thread k of `workers` takes every workers-th chunk of _chunks(n),
+    starting at the k-th. Each thread writes every intermediate into one workspace it allocates once,
+    and its results into its chunks' slices of the outputs.
     """
     b = frame.w_block
-    u = _apply_w(b, psi[:, None])
+    e = frame.energies
+    d = psi.size
     n = times.size
+    u = _apply_w(b, psi[:, None], np.empty((d, 1)))     # V |psi>
+    table = _phase_table(e, times)
     f = np.empty(n, dtype=np.complex128)
     if commutator:
         a_term = np.empty(n, dtype=np.complex128)
         c_norm = np.empty(n)
-    for sl, phases in _phase_batches(frame.energies, times):
-        conj = np.conj(phases)
-        wt_v_psi = _apply_w(b, conj * u)
-        wt_v_psi *= phases                           # W(t) V |psi>
-        v_wt_v_psi = _apply_w(b, wt_v_psi)
-        if not commutator:
-            x = _apply_w(b, v_wt_v_psi * conj)
-            x *= phases
-            f[sl] = psi @ x
-            continue
-        wt_psi = _apply_w(b, conj * psi[:, None])
-        wt_psi *= phases                             # W(t) |psi>
-        f[sl] = np.einsum("ib,ib->b", np.conj(wt_psi), v_wt_v_psi)
-        a_term[sl] = np.einsum("ib,ib->b", np.conj(wt_v_psi), wt_v_psi)
-        diff = wt_v_psi - _apply_w(b, wt_psi)
-        c_norm[sl] = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
+    buffers = 6 if commutator else 4
+    chunks = _chunks(n)
+    workers = min(workers, len(chunks))
+
+    def run(k):
+        workspace = np.empty(buffers * d * min(n, _CHUNK), dtype=np.complex128)
+        for lo, cols in chunks[k::workers]:
+            width = cols.stop - cols.start
+            ph, cj, x, y, *more = workspace[:buffers * d * width].reshape(
+                buffers, d, width)
+            _phases(ph, e, times, table, lo, cols)
+            np.conjugate(ph, out=cj)
+            np.multiply(cj, u, out=x)
+            _apply_w(b, x, y)
+            y *= ph                                   # y = W(t) V |psi>
+            _apply_w(b, y, x)                         # x = V W(t) V |psi>
+            if not commutator:
+                x *= cj
+                _apply_w(b, x, y)
+                y *= ph
+                np.matmul(psi, y, out=f[cols])
+                continue
+            z, wt_psi = more
+            np.multiply(cj, psi[:, None], out=z)
+            _apply_w(b, z, wt_psi)
+            wt_psi *= ph                              # W(t) |psi>
+            np.conjugate(wt_psi, out=z)
+            np.einsum("ib,ib->b", z, x, out=f[cols])
+            np.conjugate(y, out=z)
+            np.einsum("ib,ib->b", z, y, out=a_term[cols])
+            diff = np.subtract(y, _apply_w(b, wt_psi, x), out=x)
+            re2, im2 = z.view(np.float64).reshape(2, d, width)
+            np.square(diff.real, out=re2)
+            np.square(diff.imag, out=im2)
+            np.add(re2, im2, out=re2).sum(axis=0, out=c_norm[cols])
+
+    if workers > 1:
+        _fan_out(run, range(workers), workers)
+    else:
+        run(0)
     if not commutator:
         return f
     return f, a_term, 2.0 * a_term.real - 2.0 * f.real, c_norm
@@ -305,8 +424,8 @@ def _all_levels(params: LmgParams, t: np.ndarray):
     doublets, and M^2 does not couple those, so with c_an = <a|n>,
     F_n(t) = sum_a c_an^2 [M(t)^2]_aa exactly.
     """
-    vectors, frame = _bare_levels(params)
-    weights = frame.state(vectors) ** 2
+    bare, frame = _bare_levels(params)
+    weights = frame.state(bare.vectors) ** 2
     b = frame.w_block
     bt = np.ascontiguousarray(b.T)
     he = b.shape[0]
@@ -379,11 +498,12 @@ def long_time_average(series: OtocSeries) -> LongTimeAverage:
                            estimator_halfwidth=abs(value - half))
 
 
-def commutator_series(spec: QuenchSpec, times) -> CommutatorSeries:
-    """Quench-protocol F(t), A(t) and both C readings on the grid."""
+def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSeries:
+    """Quench-protocol F(t), A(t) and both C readings on the grid, its time
+    samples split over `workers` threads."""
     t = _validate_grid(times)
     f, a_term, c_rel, c_norm = _single_state_otoc(*_state_quench(spec), t,
-                                                  commutator=True)
+                                                  commutator=True, workers=workers)
     p = spec.params
     return CommutatorSeries(
         times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
@@ -391,11 +511,13 @@ def commutator_series(spec: QuenchSpec, times) -> CommutatorSeries:
         state_label=f"ground(alpha={p.alpha}, N={p.sector.n_spins})")
 
 
-def commutator_series_micro(params: LmgParams, n: int, times) -> CommutatorSeries:
+def commutator_series_micro(params: LmgParams, n: int, times,
+                            workers: int = 1) -> CommutatorSeries:
     """Microcanonical-protocol counterpart of commutator_series."""
     t = _validate_grid(times)
     frame, psi = _state_level(params, n)
-    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, t, commutator=True)
+    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, t, commutator=True,
+                                                  workers=workers)
     return CommutatorSeries(
         times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
         protocol="microcanonical",

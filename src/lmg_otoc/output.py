@@ -10,6 +10,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MANIFEST_SCHEMA_VERSION = 1
 
 
@@ -26,20 +28,49 @@ def format_number(value) -> str:
     return repr(v)
 
 
+def _format_column(values) -> list:
+    """format_number of every value, strings kept as they are.
+
+    A float64 array is formatted in one pass: repr of each of its values as
+    Python floats, which is what format_number writes, and blank for NaN.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        cells = list(map(repr, values.tolist()))
+        for k in np.flatnonzero(np.isnan(values)):
+            cells[k] = ""
+        return cells
+    return [v if isinstance(v, str) else format_number(v) for v in values]
+
+
 @dataclass(frozen=True)
 class ResultTable:
-    """Rectangular table with per-column unit annotations."""
+    """Rectangular table with per-column unit annotations, held by column:
+    data has one sequence of values per column."""
 
     columns: tuple
     units: tuple
-    rows: list = field(repr=False)
+    data: tuple = field(repr=False)
 
     def __post_init__(self):
         if len(self.columns) != len(self.units):
             raise ValueError("one unit annotation per column required")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("ragged row in result table")
+        if len(self.data) != len(self.columns):
+            raise ValueError("one value sequence per column required")
+        if len({len(values) for values in self.data}) > 1:
+            raise ValueError("ragged columns in result table")
+
+    @classmethod
+    def from_rows(cls, columns, units, rows):
+        rows = list(rows)
+        if any(len(row) != len(columns) for row in rows):
+            raise ValueError("ragged row in result table")
+        data = tuple(zip(*rows)) if rows else ((),) * len(columns)
+        return cls(columns=tuple(columns), units=tuple(units), data=data)
+
+
+def _lines(columns, sep: str):
+    """The rows of formatted columns, joined by sep."""
+    return map(sep.join, zip(*(_format_column(values) for values in columns)))
 
 
 def write_csv(path, table: ResultTable) -> str:
@@ -47,9 +78,7 @@ def write_csv(path, table: ResultTable) -> str:
     lines = ["# units: " + ", ".join(
         f"{c}[{u}]" if u else c for c, u in zip(table.columns, table.units))]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else format_number(v) for v in row))
+    lines.extend(_lines(table.data, ","))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return str(path)
@@ -117,9 +146,8 @@ class Stopwatch:
 
 def emit_line_dat(path, xs, ys) -> str:
     """Two-column whitespace series, one row per point."""
-    lines = [f"{format_number(x)} {format_number(y)}" for x, y in zip(xs, ys)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_lines((xs, ys), " ")) + "\n")
     return str(path)
 
 
@@ -132,13 +160,12 @@ def emit_heatmap_dat(path, table: ResultTable) -> str:
     blocks = []
     current_key = object()
     block = None
-    for row in table.rows:
-        if row[0] != current_key:
-            current_key = row[0]
+    for key, line in zip(table.data[0], _lines(table.data, " ")):
+        if key != current_key:
+            current_key = key
             block = []
             blocks.append(block)
-        block.append(" ".join(
-            v if isinstance(v, str) else format_number(v) for v in row))
+        block.append(line)
     with open(path, "w") as fh:
         fh.write("\n\n".join("\n".join(b) for b in blocks) + "\n")
     return str(path)

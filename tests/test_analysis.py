@@ -11,7 +11,7 @@ from lmg_otoc import (AveragingConfig, DomainError, LmgParams,
                       dn_diagnostic, fit_power_law, microcanonical_scan,
                       quench_sweep, scaling_gamma_epsilon,
                       scaling_gamma_lambda, scaling_mu)
-from lmg_otoc import analysis
+from lmg_otoc import analysis, otoc
 
 FAST = AveragingConfig(100.0, 0.5)
 
@@ -116,6 +116,30 @@ def test_quench_sweep_reuses_precomputed_cells():
     assert grid2.cells[0][1].value == grid1.cells[0][1].value
 
 
+def _count_solves(monkeypatch):
+    """Dimension of every eigh call made through the OTOC layer, with its
+    caches of bare solves emptied."""
+    dims = []
+    solve = otoc.eigh
+    monkeypatch.setattr(otoc, "eigh", lambda pair: dims.append(len(pair[0])) or solve(pair))
+    otoc._bare_ground.cache_clear()
+    otoc._bare_levels.cache_clear()
+    return dims
+
+
+def test_quench_sweep_solves_the_bare_model_once_per_row(monkeypatch):
+    dims = _count_solves(monkeypatch)
+    quench_sweep([0.4], [0.0, 0.3, 0.6], 10, FAST, max_workers=2)
+    # one dense 11 x 11 solve for the row, then the two parity blocks per cell
+    assert sorted(dims) == [5] * 3 + [6] * 3 + [11]
+
+
+def test_microcanonical_scan_solves_the_bare_model_once(monkeypatch):
+    dims = _count_solves(monkeypatch)
+    microcanonical_scan(LmgParams(0.4, SpinSector(20)), FAST)
+    assert sorted(dims) == [10, 11, 21]
+
+
 def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
     # on 2 workers the lambda=0.5 cell fails at once while the reference
     # cell is still running: that cell must still reach on_cell, the
@@ -141,13 +165,13 @@ def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
 
 
 def test_default_workers_count_usable_cores(monkeypatch):
-    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+    monkeypatch.delenv(otoc.WORKERS_ENV, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert analysis.resolve_workers() == 2
+    assert otoc.resolve_workers() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert analysis.resolve_workers() == 64
-    assert analysis.resolve_workers(3) == 3
+    assert otoc.resolve_workers() == 64
+    assert otoc.resolve_workers(3) == 3
 
 
 def test_microcanonical_scan_structure():

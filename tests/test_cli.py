@@ -116,6 +116,21 @@ def test_otoc_rerun_is_byte_identical(tmp_path):
     assert (out1 / "otoc.csv").read_bytes() == (out2 / "otoc.csv").read_bytes()
 
 
+@pytest.mark.parametrize("state", [[], ["--state", "level", "--level", "9"]])
+def test_otoc_split_over_workers_writes_the_same_bytes(tmp_path, monkeypatch, state):
+    args = ("otoc", "--n", "21", "--alpha", "0.4", "--tmax", "30", "--dt", "0.05",
+            "--plot", *state)
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LMG_OTOC_WORKERS", workers)
+        rc, out = run(tmp_path / workers, *args)
+        assert rc == 0
+        assert manifest_of(out)["parameters"]["workers"] == int(workers)
+        outputs[workers] = {name: (out / name).read_bytes()
+                            for name in ("otoc.csv", "otoc.dat", "otoc.svg")}
+    assert outputs["1"] == outputs["2"]
+
+
 def test_otoc_eigenstate_protocol(tmp_path):
     rc, out = run(tmp_path, "otoc", "--n", "10", "--alpha", "0.4",
                   "--state", "level", "--level", "3", "--tmax", "2",

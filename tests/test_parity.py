@@ -8,7 +8,8 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
                       commutator_series_micro, make_time_grid, micro_otoc,
                       quench_otoc)
-from lmg_otoc.otoc import _all_levels, _fold
+from lmg_otoc.otoc import (_BLOCK, _CHUNK, _all_levels, _fold, _single_state_otoc,
+                           _state_quench)
 
 TOL = 1e-9
 
@@ -132,3 +133,31 @@ def test_long_horizon_quench_at_production_size():
     times = make_time_grid(1e4, 0.5)
     got = quench_otoc(QuenchSpec(params, 1.0), times).values
     assert np.max(np.abs(got - _dense(params, times, 1.0))) < TOL
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("n", [60, 61])
+@pytest.mark.parametrize("grid", ["uniform", "scattered", "one chunk", "tail 1",
+                                  "tail 1 + chunk", "single sample"])
+def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, commutator):
+    samples = {"one chunk": _CHUNK - 3, "tail 1": 2 * _BLOCK + 1,
+               "tail 1 + chunk": _BLOCK + _CHUNK + 1, "single sample": 1}
+    if grid in samples:
+        times = make_time_grid(0.5 * samples[grid], 0.5)[:samples[grid]]
+        assert times.size == samples[grid]
+    else:
+        times = _grid(grid)
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(n)), 1.0))
+
+    def trace(workers):
+        got = _single_state_otoc(frame, psi, times, commutator=commutator,
+                                 workers=workers)
+        return got if commutator else (got,)
+
+    serial = trace(1)
+    for workers in (2, 3):
+        split = trace(workers)
+        assert len(split) == len(serial)
+        for a, b in zip(serial, split):
+            assert np.array_equal(a, b)
+

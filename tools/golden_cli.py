@@ -3,9 +3,11 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs nine small-N invocations of the command line (spectrum twice, otoc
-quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers and the
-three fits), each in a fresh process with BLAS pinned to one thread and
+Runs ten small-N invocations of the command line (spectrum twice, otoc
+quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
+three fits, and the otoc quench again with its trace split over 3 worker
+threads), each in a fresh process with BLAS pinned to one thread,
+LMG_OTOC_WORKERS pinned per run (1 unless WORKERS says otherwise) and
 the package imported from SRC (default: the src/ next to this script).
 Every file a run writes is hashed, except manifest.json, which carries a
 duration; cells.jsonl is hashed by its sorted lines, since with several
@@ -17,6 +19,9 @@ With two trees the set runs against both, and each file gets one line:
 "identical"; else, when the two files differ only in their numbers, the
 largest absolute deviation among those numbers; else "layout differs".
 A refactor that moves only last digits shows up as small deviations.
+The split quench run repeats otoc-quench, so its files must equal those
+of otoc-quench, and across trees those of the other tree's run, which
+may ignore the variable.
 """
 
 import hashlib
@@ -46,6 +51,10 @@ RUNS = {
                           "--n", "40", "--tavg", "200", "--dt", "0.5",
                           "--window", "0.01,0.5"],
 }
+RUNS["otoc-quench-3-workers"] = RUNS["otoc-quench"]
+
+# LMG_OTOC_WORKERS of the runs that do not take 1
+WORKERS = {"otoc-quench-3-workers": "3"}
 
 SKIP = {"manifest.json"}
 SORTED_LINES = {"cells.jsonl"}
@@ -77,7 +86,8 @@ def run_set(src: Path, tmp: Path) -> dict:
     for name, args in RUNS.items():
         out = tmp / name
         cmd = [sys.executable, "-m", "lmg_otoc.cli", *args, "--out", str(out)]
-        proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+        proc = subprocess.run(cmd, env=dict(env, LMG_OTOC_WORKERS=WORKERS.get(name, "1")),
+                              stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{src}: {name} exited {proc.returncode}: "
