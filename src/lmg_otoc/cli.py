@@ -25,7 +25,7 @@ from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
 from .otoc import (WORKERS_ENV, commutator_series, commutator_series_micro,
                    make_time_grid, resolve_workers)
 from .output import (ResultTable, Stopwatch, emit_heatmap_dat, emit_line_dat,
-                     write_csv, write_manifest, write_svg_line)
+                     format_column, write_csv, write_manifest, write_svg_line)
 
 RUNS_ENV = "LMG_OTOC_RUNS"
 
@@ -246,15 +246,17 @@ def _run_otoc(opts, run_dir):
         series = commutator_series(QuenchSpec(params, opts["lambda"]), times,
                                    workers=opts["workers"])
 
+    # t and re_f go to both files: format them once
+    t_cells = format_column(series.times)
+    re_f_cells = format_column(series.f_values.real)
     table = ResultTable(
         columns=("t", "re_f", "im_f", "c", "re_a"),
         units=("time", "dimensionless", "dimensionless", "dimensionless",
                "dimensionless"),
-        data=(series.times, series.f_values.real, series.f_values.imag,
+        data=(t_cells, re_f_cells, series.f_values.imag,
               series.c_values, series.a_values.real))
     write_csv(os.path.join(run_dir, "otoc.csv"), table)
-    emit_line_dat(os.path.join(run_dir, "otoc.dat"),
-                  series.times, series.f_values.real)
+    emit_line_dat(os.path.join(run_dir, "otoc.dat"), t_cells, re_f_cells)
     outputs = ["otoc.csv", "otoc.dat"]
     if opts["plot"]:
         write_svg_line(os.path.join(run_dir, "otoc.svg"),

@@ -130,14 +130,10 @@ def rescale_energies(energies) -> np.ndarray:
     return 2.0 * (e - e[0]) / span
 
 
-def rescale_energy_point(energies, value: float) -> float:
-    """The same affine map applied to an arbitrary energy value."""
+def critical_rescaled_energy(energies) -> float:
+    """CRITICAL_ENERGY under the affine map of rescale_energies."""
     e = np.asarray(energies, dtype=float)
     span = e[-1] - e[0]
     if span <= 0.0:
         raise DomainError("degenerate spectrum: highest energy equals lowest")
-    return 2.0 * (float(value) - e[0]) / span
-
-
-def critical_rescaled_energy(energies) -> float:
-    return rescale_energy_point(energies, CRITICAL_ENERGY)
+    return 2.0 * (CRITICAL_ENERGY - e[0]) / span

@@ -7,7 +7,10 @@ Both protocols evolve W = V = S_x/S in the Heisenberg picture and read off
 with everything expressed in the eigenbasis of the evolving Hamiltonian:
 the heavy objects are the real matrix of W in that basis and the real
 coefficient vector of |psi>, prepared once; each time sample then costs
-diagonal phase sandwiches plus matrix products.
+diagonal phase sandwiches plus three products with W. The commutator
+trace needs no fourth: W is real and symmetric in the frame, so
+<chi|W phi> = <W chi|phi> with phi = W(t)V|psi> and chi = W(t)|psi>, and
+W chi is already formed for the commutator norm |phi - W chi|^2.
 
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
 is parity-odd. Both kernels therefore work in a folded frame: the even
@@ -324,6 +327,14 @@ def _phases(out, energies, times, table, lo, cols) -> np.ndarray:
                        out=out)
 
 
+def _sum_squares(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_i |x_ib|^2 per column b of C-contiguous complex x: one real
+    sum of squares over its float64 view, then re + im of each column."""
+    r = x.view(np.float64)
+    s = np.einsum("ij,ij->j", r, r)
+    return np.add(s[0::2], s[1::2], out=out)
+
+
 def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
                        commutator: bool = False, workers: int = 1):
     """F(t) for one state on the grid, in a parity frame.
@@ -332,9 +343,16 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
     commutator norm: (f, a_term, c_rel, c_norm). Each W is two half-size
     products, so a state with both parities costs half the dense flops.
 
+    Either way a sample costs three W products. F alone takes W(t)V|psi>
+    and then W and W(t) once more. With the commutator, phi = W(t)V|psi>,
+    chi = W(t)|psi> and v = W chi give A = |phi|^2 and the norm
+    |phi - v|^2, and since W is real and symmetric,
+    F = <chi|W phi> = <W chi|phi> = <v|phi> needs no further product.
+
     Thread k of `workers` takes every workers-th chunk of _chunks(n),
-    starting at the k-th. Each thread writes every intermediate into one workspace it allocates once,
-    and its results into its chunks' slices of the outputs.
+    starting at the k-th. Each thread writes every intermediate into
+    four buffers of D x _CHUNK it allocates once, and its results into
+    its chunks' slices of the outputs.
     """
     b = frame.w_block
     e = frame.energies
@@ -346,41 +364,33 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
     if commutator:
         a_term = np.empty(n, dtype=np.complex128)
         c_norm = np.empty(n)
-    buffers = 6 if commutator else 4
     chunks = _chunks(n)
     workers = min(workers, len(chunks))
 
     def run(k):
-        workspace = np.empty(buffers * d * min(n, _CHUNK), dtype=np.complex128)
+        workspace = np.empty(4 * d * min(n, _CHUNK), dtype=np.complex128)
         for lo, cols in chunks[k::workers]:
             width = cols.stop - cols.start
-            ph, cj, x, y, *more = workspace[:buffers * d * width].reshape(
-                buffers, d, width)
+            ph, cj, x, y = workspace[:4 * d * width].reshape(4, d, width)
             _phases(ph, e, times, table, lo, cols)
             np.conjugate(ph, out=cj)
             np.multiply(cj, u, out=x)
             _apply_w(b, x, y)
-            y *= ph                                   # y = W(t) V |psi>
-            _apply_w(b, y, x)                         # x = V W(t) V |psi>
+            y *= ph                                   # phi = W(t) V |psi>
             if not commutator:
+                _apply_w(b, y, x)                     # x = V W(t) V |psi>
                 x *= cj
                 _apply_w(b, x, y)
                 y *= ph
                 np.matmul(psi, y, out=f[cols])
                 continue
-            z, wt_psi = more
-            np.multiply(cj, psi[:, None], out=z)
-            _apply_w(b, z, wt_psi)
-            wt_psi *= ph                              # W(t) |psi>
-            np.conjugate(wt_psi, out=z)
-            np.einsum("ib,ib->b", z, x, out=f[cols])
-            np.conjugate(y, out=z)
-            np.einsum("ib,ib->b", z, y, out=a_term[cols])
-            diff = np.subtract(y, _apply_w(b, wt_psi, x), out=x)
-            re2, im2 = z.view(np.float64).reshape(2, d, width)
-            np.square(diff.real, out=re2)
-            np.square(diff.imag, out=im2)
-            np.add(re2, im2, out=re2).sum(axis=0, out=c_norm[cols])
+            np.multiply(cj, psi[:, None], out=x)
+            chi = _apply_w(b, x, cj)
+            chi *= ph                                 # W(t) |psi>
+            v = _apply_w(b, chi, x)                   # V W(t) |psi>
+            np.einsum("ib,ib->b", np.conjugate(v, out=ph), y, out=f[cols])
+            _sum_squares(y, a_term[cols])
+            _sum_squares(np.subtract(y, v, out=v), c_norm[cols])
 
     if workers > 1:
         _fan_out(run, range(workers), workers)

@@ -28,11 +28,13 @@ def format_number(value) -> str:
     return repr(v)
 
 
-def _format_column(values) -> list:
+def format_column(values) -> list:
     """format_number of every value, strings kept as they are.
 
     A float64 array is formatted in one pass: repr of each of its values as
     Python floats, which is what format_number writes, and blank for NaN.
+    A column written to several files can be formatted once and handed to
+    each writer as the list of strings this returns.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         cells = list(map(repr, values.tolist()))
@@ -70,7 +72,7 @@ class ResultTable:
 
 def _lines(columns, sep: str):
     """The rows of formatted columns, joined by sep."""
-    return map(sep.join, zip(*(_format_column(values) for values in columns)))
+    return map(sep.join, zip(*(format_column(values) for values in columns)))
 
 
 def write_csv(path, table: ResultTable) -> str:
@@ -184,12 +186,12 @@ def write_svg_line(path, xs, ys, x_label: str, y_label: str,
     """
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 70.0, 20.0, 30.0, 50.0
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if not xs or len(xs) != len(ys):
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or not xs.size or xs.shape != ys.shape:
         raise ValueError("need matching nonempty x and y series")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -201,8 +203,9 @@ def write_svg_line(path, xs, ys, x_label: str, y_label: str,
     def py(y):
         return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
 
-    points = " ".join(f"{_svg_coord(px(x))},{_svg_coord(py(y))}"
-                      for x, y in zip(xs, ys))
+    # the same operations elementwise as on each float, so the same doubles
+    points = " ".join(map("{:.6g},{:.6g}".format, px(xs).tolist(),
+                          py(ys).tolist()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',

@@ -7,7 +7,6 @@ import pytest
 from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, critical_lambda,
                       critical_rescaled_energy, eigh, rescale_energies)
-from lmg_otoc.model import rescale_energy_point
 
 
 def test_x_basis_matrix_elements():
@@ -94,11 +93,12 @@ def test_rescale_rejects_degenerate_spectrum():
         rescale_energies(np.array([1.0]))
     with pytest.raises(DomainError):
         rescale_energies(np.array([1.0, 0.5]))      # not ascending
+    with pytest.raises(DomainError):
+        critical_rescaled_energy(np.array([2.0, 2.0, 2.0]))
 
 
 def test_critical_rescaled_energy_targets_zero():
     e = np.array([-4.0, -2.0, 0.0, 2.0])
-    assert critical_rescaled_energy(e) == rescale_energy_point(e, 0.0)
     assert abs(critical_rescaled_energy(e) - 2.0 * 4.0 / 6.0) < 1e-14
 
 

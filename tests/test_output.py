@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lmg_otoc.output import (ResultTable, emit_heatmap_dat, emit_line_dat,
-                             format_number, write_csv)
+                             format_column, format_number, write_csv,
+                             write_svg_line)
 
 
 def test_columns_write_none_and_nan_blank_and_ints_and_bools_as_str(tmp_path):
@@ -62,3 +63,67 @@ def test_ragged_tables_are_refused():
         ResultTable.from_rows(("a", "b"), ("", ""), [(1, 2), (3,)])
     with pytest.raises(ValueError):
         ResultTable(("a", "b"), ("", ""), data=([1, 2],))
+
+
+def test_preformatted_columns_write_the_same_bytes(tmp_path):
+    t = np.arange(7) * 0.05
+    f = np.array([1.0, 0.5, np.nan, -1 / 3, 1e-300, -0.0, 2.0])
+    units = ("time", "dimensionless")
+    for name, (xs, ys) in (("arrays", (t, f)),
+                           ("cells", (format_column(t), format_column(f)))):
+        write_csv(tmp_path / f"{name}.csv", ResultTable(("t", "re_f"), units, (xs, ys)))
+        emit_line_dat(tmp_path / f"{name}.dat", xs, ys)
+    for suffix in ("csv", "dat"):
+        assert ((tmp_path / f"cells.{suffix}").read_bytes()
+                == (tmp_path / f"arrays.{suffix}").read_bytes())
+
+
+def _points_per_point(xs, ys):
+    """The polyline of write_svg_line as it was computed one point at a time."""
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
+    width, height = 640.0, 420.0
+    ml, mr, mt, mb = 70.0, 20.0, 30.0, 50.0
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    if x1 == x0:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 == y0:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+
+    def px(x):
+        return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
+
+    def py(y):
+        return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
+
+    return " ".join(f"{px(x):.6g},{py(y):.6g}" for x, y in zip(xs, ys))
+
+
+_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (np.arange(4001) * 0.05, np.cos(np.arange(4001) * 0.05) * np.exp(-1e-3 * np.arange(4001))),
+    (list(np.sort(_RNG.uniform(-3.0, 7.0, 500))), list(_RNG.standard_normal(500))),
+    (np.linspace(0.0, 1.0, 9), np.full(9, 0.125)),                 # constant series
+    ([2.5], [-1.0]),                                               # a single point
+    (np.linspace(-9.0, -1e-3, 50), -np.geomspace(1e-8, 3.0, 50)),  # negative range
+    (range(6), np.array([3, 1, 4, 1, 5, 9], dtype=np.float32)),
+])
+def test_svg_polyline_matches_the_per_point_formula(tmp_path, xs, ys):
+    path = tmp_path / "line.svg"
+    write_svg_line(path, xs, ys, x_label="x [u]", y_label="y [u]", title="t")
+    svg = path.read_text()
+    assert f'<polyline points="{_points_per_point(xs, ys)}" ' in svg
+    lo, hi = min(float(v) for v in xs), max(float(v) for v in xs)
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    for x in (lo, hi):
+        assert f'text-anchor="middle">{format_number(x)}</text>' in svg
+
+
+def test_svg_refuses_empty_or_mismatched_series(tmp_path):
+    for xs, ys in (([], []), ([1.0, 2.0], [1.0]), (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError):
+            write_svg_line(tmp_path / "bad.svg", xs, ys, x_label="x", y_label="y")

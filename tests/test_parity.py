@@ -8,8 +8,9 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
                       commutator_series_micro, make_time_grid, micro_otoc,
                       quench_otoc)
-from lmg_otoc.otoc import (_BLOCK, _CHUNK, _all_levels, _fold, _single_state_otoc,
-                           _state_quench)
+from lmg_otoc import otoc
+from lmg_otoc.otoc import (_BLOCK, _CHUNK, _all_levels, _chunks, _fold,
+                           _single_state_otoc, _state_quench)
 
 TOL = 1e-9
 
@@ -126,6 +127,41 @@ def test_all_levels_match_dense_kernel(n, alpha, grid):
     w = params.sector.m_values() / params.sector.total_spin
     want = oracles.dense_all_levels_otoc(h, w, times)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", ["uniform", "scattered"])
+@pytest.mark.parametrize("n", [60, 61])
+def test_commutator_branch_gives_the_f_of_the_f_only_branch(n, grid):
+    # the two branches form F through different products: <psi|W(t) V W(t) V|psi>
+    # against <W W(t) psi|W(t) V psi>
+    params = LmgParams(0.4, SpinSector(n))
+    times = _grid(grid)
+    spec = QuenchSpec(params, 1.0)
+    cs = commutator_series(spec, times)
+    assert np.max(np.abs(cs.f_values - quench_otoc(spec, times).values)) < 1e-13
+    assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
+    for level in (0, 7, 30, n):
+        cs = commutator_series_micro(params, level, times)
+        want = micro_otoc(params, level, times).values
+        assert np.max(np.abs(cs.f_values - want)) < 1e-13
+        assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commutator):
+    calls = []
+    apply_w = otoc._apply_w
+
+    def counted(*args):
+        calls.append(None)
+        return apply_w(*args)
+
+    monkeypatch.setattr(otoc, "_apply_w", counted)
+    times = _grid("uniform")
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(61)), 1.0))
+    _single_state_otoc(frame, psi, times, commutator=commutator)
+    assert len(_chunks(times.size)) > 1
+    assert len(calls) == 1 + 3 * len(_chunks(times.size))
 
 
 def test_long_horizon_quench_at_production_size():
