@@ -268,7 +268,11 @@ def _run_otoc(opts, run_dir):
     diag = {"protocol": series.protocol,
             "max_abs_im_f": float(abs(series.f_values.imag).max()),
             "min_c": float(series.c_values.min()),
-            "min_c_norm": float(series.c_norm_values.min())}
+            "min_c_norm": float(series.c_norm_values.min()),
+            "kept_levels": {"even": series.kept_levels[0],
+                            "odd": series.kept_levels[1],
+                            "dimension": params.sector.dimension},
+            "truncation_bound": series.truncation_bound}
     return outputs, grid, diag
 
 

@@ -31,6 +31,18 @@ A single-state trace can split its time samples over worker threads. The
 samples fall into fixed column chunks, and each thread computes whole
 chunks in a workspace of its own, so the values do not depend on the
 worker count.
+
+A single-state trace also runs only on the frame levels that can reach
+its result. Each sample of F, of A = |W(t)V psi|^2 and of |W W(t) psi|^2
+is a sum over five level indices of psi_a W_ab W_bc W_cd W_de psi_e
+times phases of modulus 1. In the frame W is banded, and a quench from
+the bare ground state weighs on a low-energy window, so most levels
+enter only through terms of rounding size. The levels whose terms sum,
+in modulus, to at most _DROP_BOUND are dropped before the kernel runs;
+that sum bounds, in exact arithmetic and at every t, how far any sample
+of F or A can move, and four times it bounds C and the commutator norm.
+Where nothing can be dropped the kernel sees the full frame unchanged.
+The all-levels kernel always runs on every level.
 """
 
 import functools
@@ -52,6 +64,8 @@ DEFAULT_DYNAMICS_DT = 0.05
 
 WORKERS_ENV = "LMG_OTOC_WORKERS"
 
+# largest summed path weight (see _reachable) a single-state trace may drop
+_DROP_BOUND = 1e-14
 # time samples per phase batch: one table of exp(iE k dt) serves every batch
 _BLOCK = 512
 # time samples per product; a divisor of _BLOCK, and fixed, so no sample's
@@ -161,6 +175,10 @@ class CommutatorSeries:
     with the expectation of [W(t), V]^dag [W(t), V] only when the state is
     an eigenstate of the evolving Hamiltonian; the genuine commutator norm
     (always nonnegative) is kept separately in c_norm_values.
+
+    The trace ran on kept_levels (even, odd) of the frame's levels, and
+    truncation_bound bounds how far the levels it left out could move any
+    sample of F or A; C and the norm move by at most four times that.
     """
 
     times: np.ndarray = field(repr=False)
@@ -170,6 +188,8 @@ class CommutatorSeries:
     c_norm_values: np.ndarray = field(repr=False)
     protocol: str
     state_label: str
+    kept_levels: tuple
+    truncation_bound: float
 
 
 def _matmul_real_complex(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -285,6 +305,42 @@ def _state_level(params: LmgParams, n: int):
     return frame, frame.state(bare.vectors[:, n])
 
 
+def _reachable(frame: _ParityFrame, psi: np.ndarray):
+    """(frame, psi, bound): a single-state trace's frame and state gathered
+    on the levels that can reach its result, and the bound on how far the
+    others could move it (see the module docstring).
+
+    With e_0 = |psi| and e_(k+1) = |W| e_k, the terms whose k-th of five
+    indices is level i sum to at most e_k[i] e_(4-k)[i] in modulus, so
+    dropping levels moves a sample by at most the sum of their
+    c_i = sum_k e_k[i] e_(4-k)[i]. The levels of smallest c_i go, in a
+    stable order, while that sum stays within _DROP_BOUND; the heaviest
+    level of each parity block stays.
+    """
+    ab = np.abs(frame.w_block)
+    he = ab.shape[0]
+    env = [np.abs(psi)]
+    for _ in range(4):
+        e = env[-1]
+        env.append(np.concatenate([ab @ e[he:], ab.T @ e[:he]]))
+    weight = sum(env[k] * env[4 - k] for k in range(5))
+    order = np.argsort(weight, kind="stable")
+    heaviest = (np.argmax(weight[:he]), he + np.argmax(weight[he:]))
+    order = order[np.isin(order, heaviest, invert=True)]
+    dropped = np.cumsum(weight[order])
+    count = int(np.searchsorted(dropped, _DROP_BOUND, side="right"))
+    if count == 0:
+        return frame, psi, 0.0
+    keep = np.ones(psi.size, dtype=bool)
+    keep[order[:count]] = False
+    even, odd = keep[:he], keep[he:]
+    kept = _ParityFrame(energies=frame.energies[keep],
+                        even_vectors=frame.even_vectors[:, even],
+                        odd_vectors=frame.odd_vectors[:, odd],
+                        w_block=frame.w_block[np.ix_(even, odd)])
+    return kept, psi[keep], float(dropped[count - 1])
+
+
 def _apply_w(b: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = W x in a parity frame for columns x: two half-size real GEMMs
     on the real views of C-contiguous x and out."""
@@ -362,7 +418,7 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
     table = _phase_table(e, times)
     f = np.empty(n, dtype=np.complex128)
     if commutator:
-        a_term = np.empty(n, dtype=np.complex128)
+        a_term = np.empty(n)
         c_norm = np.empty(n)
     chunks = _chunks(n)
     workers = min(workers, len(chunks))
@@ -398,14 +454,15 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
         run(0)
     if not commutator:
         return f
-    return f, a_term, 2.0 * a_term.real - 2.0 * f.real, c_norm
+    return f, a_term, 2.0 * a_term - 2.0 * f.real, c_norm
 
 
 def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
     """F(t) for the quench protocol: ground state of the bare Hamiltonian,
     Heisenberg evolution under the field-shifted one."""
     t = _validate_grid(times)
-    values = _single_state_otoc(*_state_quench(spec), t)
+    frame, psi, _ = _reachable(*_state_quench(spec))
+    values = _single_state_otoc(frame, psi, t)
     p = spec.params
     return OtocSeries(
         times=t, values=values, protocol="quench",
@@ -416,7 +473,7 @@ def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
 def micro_otoc(params: LmgParams, n: int, times) -> OtocSeries:
     """F_n(t) in the n-th eigenstate, evolution under the bare Hamiltonian."""
     t = _validate_grid(times)
-    frame, psi = _state_level(params, n)
+    frame, psi, _ = _reachable(*_state_level(params, n))
     values = _single_state_otoc(frame, psi, t)
     return OtocSeries(
         times=t, values=values, protocol="microcanonical",
@@ -512,23 +569,25 @@ def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSe
     """Quench-protocol F(t), A(t) and both C readings on the grid, its time
     samples split over `workers` threads."""
     t = _validate_grid(times)
-    f, a_term, c_rel, c_norm = _single_state_otoc(*_state_quench(spec), t,
-                                                  commutator=True, workers=workers)
     p = spec.params
-    return CommutatorSeries(
-        times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
-        protocol="quench",
-        state_label=f"ground(alpha={p.alpha}, N={p.sector.n_spins})")
+    return _commutator(_state_quench(spec), t, workers, "quench",
+                       f"ground(alpha={p.alpha}, N={p.sector.n_spins})")
 
 
 def commutator_series_micro(params: LmgParams, n: int, times,
                             workers: int = 1) -> CommutatorSeries:
     """Microcanonical-protocol counterpart of commutator_series."""
     t = _validate_grid(times)
-    frame, psi = _state_level(params, n)
-    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, t, commutator=True,
+    return _commutator(_state_level(params, n), t, workers, "microcanonical",
+                       f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})")
+
+
+def _commutator(state, times, workers, protocol, label) -> CommutatorSeries:
+    """CommutatorSeries of a (frame, psi) pair, traced on its reachable levels."""
+    frame, psi, bound = _reachable(*state)
+    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, times, commutator=True,
                                                   workers=workers)
     return CommutatorSeries(
-        times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
-        protocol="microcanonical",
-        state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})")
+        times=times, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
+        protocol=protocol, state_label=label,
+        kept_levels=frame.w_block.shape, truncation_bound=bound)

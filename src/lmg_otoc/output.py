@@ -5,6 +5,7 @@ files. Floats are written with repr(), whose shortest form round-trips
 exactly, so no precision is lost between runs and re-parses.
 """
 
+import itertools
 import json
 import os
 import time
@@ -13,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MANIFEST_SCHEMA_VERSION = 1
+
+# rows per write of a long table, so no whole-file string is ever built
+_ROWS_PER_WRITE = 4096
 
 
 def format_number(value) -> str:
@@ -75,14 +79,24 @@ def _lines(columns, sep: str):
     return map(sep.join, zip(*(format_column(values) for values in columns)))
 
 
+def _write_lines(fh, lines):
+    """The lines joined by newlines, plus a final one (so a bare newline
+    when there are none), written one block of rows at a time."""
+    lines = iter(lines)
+    block = list(itertools.islice(lines, _ROWS_PER_WRITE))
+    while True:
+        fh.write("\n".join(block) + "\n")
+        if not (block := list(itertools.islice(lines, _ROWS_PER_WRITE))):
+            return
+
+
 def write_csv(path, table: ResultTable) -> str:
     """Units comment line, header, then rows. Returns the path written."""
-    lines = ["# units: " + ", ".join(
-        f"{c}[{u}]" if u else c for c, u in zip(table.columns, table.units))]
-    lines.append(",".join(table.columns))
-    lines.extend(_lines(table.data, ","))
+    header = ["# units: " + ", ".join(
+        f"{c}[{u}]" if u else c for c, u in zip(table.columns, table.units)),
+        ",".join(table.columns)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_lines(fh, itertools.chain(header, _lines(table.data, ",")))
     return str(path)
 
 
@@ -149,7 +163,7 @@ class Stopwatch:
 def emit_line_dat(path, xs, ys) -> str:
     """Two-column whitespace series, one row per point."""
     with open(path, "w") as fh:
-        fh.write("\n".join(_lines((xs, ys), " ")) + "\n")
+        _write_lines(fh, _lines((xs, ys), " "))
     return str(path)
 
 

@@ -139,6 +139,19 @@ def test_otoc_eigenstate_protocol(tmp_path):
     assert manifest_of(out)["diagnostics"]["protocol"] == "microcanonical"
 
 
+@pytest.mark.parametrize("state", [[], ["--state", "level", "--level", "3"]])
+def test_otoc_manifest_records_the_kept_levels_and_their_bound(tmp_path, state):
+    rc, out = run(tmp_path, "otoc", "--n", "40", "--alpha", "0.4", "--tmax", "2",
+                  "--dt", "0.5", *state)
+    assert rc == 0
+    diag = manifest_of(out)["diagnostics"]
+    kept = diag["kept_levels"]
+    assert kept["dimension"] == 41
+    assert 1 <= kept["even"] <= 21 and 1 <= kept["odd"] <= 20
+    assert kept["even"] + kept["odd"] < kept["dimension"]
+    assert 0.0 < diag["truncation_bound"] <= 1e-14
+
+
 def test_otoc_eigenstate_with_field_is_rejected(tmp_path, capsys):
     rc = main(["otoc", "--n", "10", "--alpha", "0.4", "--state", "level",
                "--level", "3", "--lambda", "0.5", "--tmax", "1",

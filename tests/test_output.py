@@ -78,6 +78,19 @@ def test_preformatted_columns_write_the_same_bytes(tmp_path):
                 == (tmp_path / f"arrays.{suffix}").read_bytes())
 
 
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
+def test_long_tables_write_the_bytes_of_one_join(tmp_path, rows):
+    t = np.arange(rows) * 0.05
+    f = np.cos(t) / 3
+    write_csv(tmp_path / "t.csv", ResultTable(("t", "re_f"), ("time", ""), (t, f)))
+    emit_line_dat(tmp_path / "t.dat", t, f)
+    csv_lines = ["# units: t[time], re_f", "t,re_f"]
+    csv_lines += [f"{x!r},{y!r}" for x, y in zip(t.tolist(), f.tolist())]
+    dat_lines = [f"{x!r} {y!r}" for x, y in zip(t.tolist(), f.tolist())]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(csv_lines) + "\n"
+    assert (tmp_path / "t.dat").read_text() == "\n".join(dat_lines) + "\n"
+
+
 def _points_per_point(xs, ys):
     """The polyline of write_svg_line as it was computed one point at a time."""
     xs = [float(v) for v in xs]

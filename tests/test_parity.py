@@ -1,5 +1,7 @@
 """Parity-folded OTOC kernels against the dense D x D kernels."""
 
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -9,8 +11,9 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       commutator_series_micro, make_time_grid, micro_otoc,
                       quench_otoc)
 from lmg_otoc import otoc
-from lmg_otoc.otoc import (_BLOCK, _CHUNK, _all_levels, _chunks, _fold,
-                           _single_state_otoc, _state_quench)
+from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _all_levels, _chunks,
+                           _fold, _reachable, _single_state_otoc, _state_level,
+                           _state_quench)
 
 TOL = 1e-9
 
@@ -197,3 +200,88 @@ def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, commutator):
         for a, b in zip(serial, split):
             assert np.array_equal(a, b)
 
+
+def _single_state(kind, n):
+    """(frame, psi) of a quench or of a mid-spectrum level at alpha = 0.4."""
+    params = LmgParams(0.4, SpinSector(n))
+    if kind == "quench":
+        return _state_quench(QuenchSpec(params, 1.0))
+    return _state_level(params, n // 3)
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("grid", ["uniform", "scattered"])
+@pytest.mark.parametrize("n", [200, 201])
+@pytest.mark.parametrize("kind", ["quench", "level"])
+def test_reachable_levels_move_each_sample_by_at_most_the_bound(kind, n, grid,
+                                                                 commutator):
+    frame, psi = _single_state(kind, n)
+    kept, psi_kept, bound = _reachable(frame, psi)
+    assert psi_kept.size < psi.size / 2          # the restriction does act here
+    assert 0.0 < bound <= _DROP_BOUND
+    times = _grid(grid)
+    full = _single_state_otoc(frame, psi, times, commutator=commutator)
+    got = _single_state_otoc(kept, psi_kept, times, commutator=commutator)
+    # F and A move by at most the bound, C and the norm by four times it
+    scale = (1, 1, 4, 4) if commutator else (1,)
+    if not commutator:
+        full, got = (full,), (got,)
+    for want, have, k in zip(full, got, scale):
+        assert np.max(np.abs(have - want)) <= k * bound + 1e-13
+
+
+@pytest.mark.parametrize("kind", ["quench", "level"])
+def test_every_single_state_entry_point_traces_the_reachable_levels(kind):
+    params = LmgParams(0.4, SpinSector(200))
+    times = _grid("uniform")
+    if kind == "quench":
+        spec = QuenchSpec(params, 1.0)
+        state = _state_quench(spec)
+        series = commutator_series(spec, times)
+        f_only = quench_otoc(spec, times).values
+    else:
+        state = _state_level(params, 66)
+        series = commutator_series_micro(params, 66, times)
+        f_only = micro_otoc(params, 66, times).values
+    kept, psi_kept, bound = _reachable(*state)
+    want = _single_state_otoc(kept, psi_kept, times, commutator=True)
+    got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(f_only, _single_state_otoc(kept, psi_kept, times))
+    assert series.kept_levels == kept.w_block.shape
+    assert series.truncation_bound == bound
+    assert series.a_values.dtype == np.float64
+
+
+def test_a_trace_with_nothing_to_drop_runs_on_the_full_frame():
+    spec = QuenchSpec(LmgParams(0.4, SpinSector(10)), 1.0)
+    frame, psi = _state_quench(spec)
+    kept, psi_kept, bound = _reachable(frame, psi)
+    assert kept is frame and psi_kept is psi and bound == 0.0
+    times = _grid("uniform")
+    series = commutator_series(spec, times)
+    want = _single_state_otoc(frame, psi, times, commutator=True)
+    got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(quench_otoc(spec, times).values,
+                          _single_state_otoc(frame, psi, times))
+    assert series.kept_levels == (6, 5) and series.truncation_bound == 0.0
+
+
+def test_each_parity_block_keeps_a_level():
+    # with W = 0 no level reaches the result, yet each block keeps one
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(41)), 1.0))
+    frame = dataclasses.replace(frame, w_block=np.zeros_like(frame.w_block))
+    kept, psi_kept, bound = _reachable(frame, psi)
+    assert kept.w_block.shape == (1, 1) and psi_kept.size == 2
+    assert bound == 0.0
+
+
+def test_the_bare_quench_keeps_few_levels_per_block():
+    # at lambda = 0 the state is a level of the evolving Hamiltonian
+    series = commutator_series(QuenchSpec(LmgParams(0.4, SpinSector(400)), 0.0),
+                               make_time_grid(10.0, 0.5))
+    assert max(series.kept_levels) <= 10
+    assert series.truncation_bound <= _DROP_BOUND
