@@ -141,13 +141,13 @@ def test_otoc_eigenstate_protocol(tmp_path):
 
 @pytest.mark.parametrize("state", [[], ["--state", "level", "--level", "3"]])
 def test_otoc_manifest_records_the_kept_levels_and_their_bound(tmp_path, state):
-    rc, out = run(tmp_path, "otoc", "--n", "40", "--alpha", "0.4", "--tmax", "2",
+    rc, out = run(tmp_path, "otoc", "--n", "100", "--alpha", "0.4", "--tmax", "2",
                   "--dt", "0.5", *state)
     assert rc == 0
     diag = manifest_of(out)["diagnostics"]
     kept = diag["kept_levels"]
-    assert kept["dimension"] == 41
-    assert 1 <= kept["even"] <= 21 and 1 <= kept["odd"] <= 20
+    assert kept["dimension"] == 101
+    assert 1 <= kept["even"] <= 51 and 1 <= kept["odd"] <= 50
     assert kept["even"] + kept["odd"] < kept["dimension"]
     assert 0.0 < diag["truncation_bound"] <= 1e-14
 

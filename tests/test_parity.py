@@ -214,7 +214,10 @@ def _single_state(kind, n):
 @pytest.mark.parametrize("n", [200, 201])
 @pytest.mark.parametrize("kind", ["quench", "level"])
 def test_reachable_levels_move_each_sample_by_at_most_the_bound(kind, n, grid,
-                                                                 commutator):
+                                                                 commutator,
+                                                                 monkeypatch):
+    # without the per-block floor, so that the bound alone picks the levels
+    monkeypatch.setattr("lmg_otoc.otoc._KEEP_SCALE", 0.0)
     frame, psi = _single_state(kind, n)
     kept, psi_kept, bound = _reachable(frame, psi)
     assert psi_kept.size < psi.size / 2          # the restriction does act here
@@ -270,18 +273,37 @@ def test_a_trace_with_nothing_to_drop_runs_on_the_full_frame():
     assert series.kept_levels == (6, 5) and series.truncation_bound == 0.0
 
 
-def test_each_parity_block_keeps_a_level():
-    # with W = 0 no level reaches the result, yet each block keeps one
+def test_each_parity_block_keeps_its_floor():
+    # with W = 0 no level reaches the result, yet each block keeps its floor
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(400)), 1.0))
+    frame = dataclasses.replace(frame, w_block=np.zeros_like(frame.w_block))
+    kept, psi_kept, bound = _reachable(frame, psi)
+    assert kept.w_block.shape == (103, 103) and psi_kept.size == 206
+    assert bound == 0.0
+    # a block of 21 levels is its own floor
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(41)), 1.0))
     frame = dataclasses.replace(frame, w_block=np.zeros_like(frame.w_block))
     kept, psi_kept, bound = _reachable(frame, psi)
-    assert kept.w_block.shape == (1, 1) and psi_kept.size == 2
-    assert bound == 0.0
+    assert kept is frame and psi_kept is psi and bound == 0.0
 
 
-def test_the_bare_quench_keeps_few_levels_per_block():
-    # at lambda = 0 the state is a level of the evolving Hamiltonian
-    series = commutator_series(QuenchSpec(LmgParams(0.4, SpinSector(400)), 0.0),
+def test_the_floor_only_adds_levels(monkeypatch):
+    state = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(400)), 1.0))
+    kept, _, bound = _reachable(*state)
+    monkeypatch.setattr("lmg_otoc.otoc._KEEP_SCALE", 0.0)
+    reached, _, reached_bound = _reachable(*state)
+    assert reached.w_block.shape == (78, 77)
+    assert kept.w_block.shape == (103, 103)
+    assert np.isin(reached.energies, kept.energies).all()
+    assert bound <= reached_bound <= _DROP_BOUND
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.4, 0.0), (0.1, 0.3), (0.2, 1.0),
+                                        (0.4, 1.5), (0.7, 2.0), (0.1, 2.0)])
+def test_quenches_at_one_size_run_on_the_same_levels(alpha, lam):
+    # at N = 400 no quench of alpha 0.1-0.7, lambda <= 2 reaches more levels
+    # of a block than its floor, so each runs on the floor and costs the same
+    series = commutator_series(QuenchSpec(LmgParams(alpha, SpinSector(400)), lam),
                                make_time_grid(10.0, 0.5))
-    assert max(series.kept_levels) <= 10
+    assert series.kept_levels == (103, 103)
     assert series.truncation_bound <= _DROP_BOUND
