@@ -19,7 +19,7 @@ from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
 from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
                    commutator_series, commutator_series_micro,
                    long_time_average, make_time_grid, micro_fbar_all,
-                   micro_otoc, micro_otoc_all, quench_otoc)
+                   quench_otoc)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",
     "dn_diagnostic",
     "eigh", "fit_power_law", "long_time_average", "make_time_grid",
-    "micro_fbar_all", "micro_otoc", "micro_otoc_all", "microcanonical_scan",
+    "micro_fbar_all", "microcanonical_scan",
     "quench_fbar", "quench_otoc", "quench_sweep", "rescale_energies",
     "scaling_gamma_epsilon", "scaling_gamma_lambda", "scaling_mu",
 ]

@@ -7,7 +7,7 @@ fits for the three scaling exponents.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,9 +242,7 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
 
     fbars = _fan_out(job, sizes, max_workers)
     fit = fit_power_law(np.array(sizes, dtype=float), np.array(fbars))
-    return FitResult(exponent=-fit.exponent, exponent_stderr=fit.exponent_stderr,
-                     amplitude=fit.amplitude, window=fit.window,
-                     n_points=fit.n_points, xs=fit.xs, ys=fit.ys)
+    return replace(fit, exponent=-fit.exponent)
 
 
 def scaling_gamma_lambda(alpha: float, n_spins: int,
@@ -269,7 +267,6 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
     else:
         lambdas = np.asarray(lambdas, dtype=float)
         distances = lam_c - lambdas
-    lambdas = np.asarray(lambdas, dtype=float)
     if np.any(lambdas >= lam_c):
         raise DomainError("field grid must stay strictly below the critical field")
     if np.any(lambdas < 0):

@@ -22,9 +22,10 @@ from .eigensolver import eigh
 from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     rescale_energies)
-from .otoc import (WORKERS_ENV, commutator_series, commutator_series_micro,
-                   make_time_grid, resolve_workers)
-from .output import (ResultTable, Stopwatch, emit_heatmap_dat, emit_line_dat,
+from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
+                   DEFAULT_DYNAMICS_DT, WORKERS_ENV, commutator_series,
+                   commutator_series_micro, make_time_grid, resolve_workers)
+from .output import (ResultTable, emit_heatmap_dat, emit_line_dat,
                      format_column, write_csv, write_manifest, write_svg_line)
 
 RUNS_ENV = "LMG_OTOC_RUNS"
@@ -77,8 +78,8 @@ _N = "number of spins"
 _ALPHA = "model parameter in [0, 1]"
 _TAVG = "averaging horizon"
 _DT = "averaging step"
-_WORKERS = (f"worker-thread count (default ${WORKERS_ENV}, else the cores this process "
-            "may use divided by the BLAS thread count)")
+_WORKERS = (f"worker-thread count (default ${WORKERS_ENV}, else the number of cores "
+            "this process may run on)")
 
 # per command: option name -> (config cast, default, required, help); the
 # argparse flags are generated from this table. A dict default is keyed by
@@ -93,7 +94,7 @@ _OPTIONS = {
         "alpha": (float, None, True, _ALPHA),
         "lambda": (float, 0.0, False, "quench field strength"),
         "tmax": (float, 200.0, False, "trace horizon"),
-        "dt": (float, 0.05, False, "sample spacing"),
+        "dt": (float, DEFAULT_DYNAMICS_DT, False, "sample spacing"),
         "state": (_choice("ground", "level"), "ground", False,
                   "initial state: the bare ground state or the eigenstate "
                   "picked by --level"),
@@ -103,8 +104,8 @@ _OPTIONS = {
     "micro": {
         "n": (int, None, True, _N),
         "alpha": (float, None, True, _ALPHA),
-        "tavg": (float, 1.0e4, False, _TAVG),
-        "dt": (float, 0.5, False, _DT),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
         "sizes": (_parse_int_list, None, False,
                   "comma-separated sizes for the near-critical spread summary"),
         "plot": (_parse_bool, False, False, "also write an SVG of the level profile"),
@@ -113,8 +114,8 @@ _OPTIONS = {
         "alphas": (_parse_float_list, None, True, "comma-separated alpha values"),
         "lambdas": (_parse_float_list, None, True, "comma-separated field strengths"),
         "n": (int, None, True, _N),
-        "tavg": (float, 1.0e4, False, _TAVG),
-        "dt": (float, 0.5, False, _DT),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
         "resume": (_parse_bool, False, False,
                    "reuse per-cell results already checkpointed in --out"),
         "workers": (int, None, False, _WORKERS),
@@ -130,8 +131,8 @@ _OPTIONS = {
         "window": (_parse_window, {"gamma-lambda": DEFAULT_FIELD_FIT_WINDOW,
                                    "gamma-epsilon": DEFAULT_ENERGY_FIT_WINDOW}, False,
                    "fit window lo,hi on the fitting abscissa"),
-        "tavg": (float, 1.0e4, False, _TAVG),
-        "dt": (float, 0.5, False, _DT),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
         "workers": (int, {"mu": None, "gamma-lambda": None}, False,
                     _WORKERS + "; used by the mu and gamma-lambda fits"),
     },
@@ -208,10 +209,12 @@ def _show(default):
     return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _workers(requested):
+    """resolve_workers, with a non-integer $LMG_OTOC_WORKERS a usage error."""
+    try:
+        return resolve_workers(requested)
+    except ValueError:
+        raise UsageError(f"{WORKERS_ENV}: invalid int value: {os.environ[WORKERS_ENV]!r}") from None
 
 
 def _run_spectrum(opts, run_dir):
@@ -232,7 +235,7 @@ def _run_spectrum(opts, run_dir):
 def _run_otoc(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     times = make_time_grid(opts["tmax"], opts["dt"])
-    opts["workers"] = resolve_workers(None)
+    opts["workers"] = _workers(None)
     if opts["state"] == "level":
         if opts["level"] is None:
             raise UsageError("--state level needs --level")
@@ -368,7 +371,7 @@ def _run_sweep(opts, run_dir):
     if resume:
         precomputed = _load_checkpoint(cells_path, settings)
 
-    opts["workers"] = resolve_workers(opts["workers"])
+    opts["workers"] = _workers(opts["workers"])
     with open(cells_path, "a" if resume else "w") as checkpoint:
         def on_cell(alpha, lam, raw, halfwidth):
             checkpoint.write(json.dumps(
@@ -423,7 +426,7 @@ def _run_fit(opts, run_dir):
     config = AveragingConfig(opts["tavg"], opts["dt"])
     kind = opts["kind"]
     if kind != "gamma-epsilon":
-        opts["workers"] = resolve_workers(opts["workers"])
+        opts["workers"] = _workers(opts["workers"])
     if kind == "mu":
         fit = scaling_mu(opts["alpha"], opts["sizes"], config,
                          max_workers=opts["workers"])
@@ -518,12 +521,12 @@ def main(argv=None) -> int:
         opts = _resolve_options(args.command, args, config)
         run_dir = _make_run_dir(args.command, args.out)
         runner = _RUNNERS[args.command]
-        with Stopwatch() as watch:
-            outputs, time_grid, diagnostics = runner(opts, run_dir)
-        resolved = {k: _json_safe(v) for k, v in opts.items()}
-        resolved["config_file"] = args.config
+        start = time.monotonic()
+        outputs, time_grid, diagnostics = runner(opts, run_dir)
+        duration = time.monotonic() - start
+        resolved = {**opts, "config_file": args.config}    # tuples dump as lists
         write_manifest(os.path.join(run_dir, "manifest.json"), args.command,
-                       resolved, time_grid, diagnostics, watch.elapsed, outputs)
+                       resolved, time_grid, diagnostics, duration, outputs)
         print(run_dir)
         return 0
     except tuple(_EXIT_CODES) as exc:

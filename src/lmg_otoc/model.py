@@ -40,10 +40,6 @@ class SpinSector:
             raise DomainError(f"n_spins must be a positive integer, got {self.n_spins!r}")
 
     @property
-    def twice_spin(self) -> int:
-        return self.n_spins
-
-    @property
     def total_spin(self) -> float:
         return self.n_spins / 2
 

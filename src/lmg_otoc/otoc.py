@@ -160,7 +160,6 @@ class OtocSeries:
     state_label: str
     params: LmgParams
     field_strength: float = 0.0
-    level: int | None = None
 
 
 @dataclass(frozen=True)
@@ -486,17 +485,6 @@ def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
         params=p, field_strength=spec.field_strength)
 
 
-def micro_otoc(params: LmgParams, n: int, times) -> OtocSeries:
-    """F_n(t) in the n-th eigenstate, evolution under the bare Hamiltonian."""
-    t = _validate_grid(times)
-    frame, psi, _ = _reachable(*_state_level(params, n))
-    values = _single_state_otoc(frame, psi, t)
-    return OtocSeries(
-        times=t, values=values, protocol="microcanonical",
-        state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})",
-        params=params, level=n)
-
-
 def _all_levels(params: LmgParams, t: np.ndarray):
     """Yield F_n(t_j) for every level n, one time sample j after another.
 
@@ -520,19 +508,6 @@ def _all_levels(params: LmgParams, t: np.ndarray):
         m2 = np.concatenate([np.einsum("ij,ji->i", m_even, m_even),
                              np.einsum("ij,ji->i", m_odd, m_odd)])
         yield _matmul_real_complex(weights.T, m2[:, None])[:, 0]
-
-
-def micro_otoc_all(params: LmgParams, times) -> list[OtocSeries]:
-    """F_n(t) for every level at once."""
-    t = _validate_grid(times)
-    d = params.sector.dimension
-    values = np.empty((d, t.size), dtype=np.complex128)
-    for j, f in enumerate(_all_levels(params, t)):
-        values[:, j] = f
-    return [OtocSeries(times=t, values=values[n].copy(), protocol="microcanonical",
-                       state_label=f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})",
-                       params=params, level=n)
-            for n in range(d)]
 
 
 def micro_fbar_all(params: LmgParams, times):

@@ -8,7 +8,6 @@ exactly, so no precision is lost between runs and re-parses.
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ _ROWS_PER_WRITE = 4096
 def format_number(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     v = float(value)
@@ -148,16 +145,6 @@ def write_manifest(path, command: str, parameters: dict, time_grid: dict,
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return str(path)
-
-
-class Stopwatch:
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.monotonic() - self._t0
-        return False
 
 
 def emit_line_dat(path, xs, ys) -> str:

@@ -16,13 +16,20 @@ import pytest
 from lmg_otoc import (AveragingConfig, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, commutator_series,
                       commutator_series_micro, critical_lambda, eigh,
-                      long_time_average, make_time_grid, micro_otoc,
-                      micro_otoc_all, microcanonical_scan, quench_fbar,
-                      quench_otoc, scaling_gamma_epsilon,
-                      scaling_gamma_lambda, scaling_mu)
+                      long_time_average, make_time_grid,
+                      microcanonical_scan, quench_fbar, quench_otoc,
+                      scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
+from lmg_otoc.otoc import (OtocSeries, _all_levels, _reachable,
+                           _single_state_otoc, _state_level)
 
 AVG = AveragingConfig(1.0e4, 0.5)
 TRACE_DT = 0.05
+
+
+def level_trace(params, n, times):
+    """F_n(t) from the F-only single-state kernel, on the level's reachable frame."""
+    frame, psi, _ = _reachable(*_state_level(params, n))
+    return _single_state_otoc(frame, psi, times)
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +255,7 @@ def test_c10b_engine_matches_dense_exponentials(criterion):
     q_got = quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0),
                         times).values
     q_want = oracles.expm_otoc_series(4, 0.4, 1.0, times)["f"]
-    m_got = micro_otoc(LmgParams(0.4, SpinSector(4)), 2, times).values
+    m_got = level_trace(LmgParams(0.4, SpinSector(4)), 2, times)
     m_want = oracles.expm_otoc_series(4, 0.4, 0.0, times, level=2)["f"]
     worst = max(float(np.abs(q_got - q_want)[1:].max()),
                 float(np.abs(m_got - m_want)[1:].max()))
@@ -259,14 +266,17 @@ def test_c10b_engine_matches_dense_exponentials(criterion):
 
 
 def test_c10c_two_level_closed_form(criterion):
+    params = LmgParams(0.3, SpinSector(1))
     times = make_time_grid(100.0, TRACE_DT)
     worst = 0.0
     for level in (0, 1):
-        got = micro_otoc(LmgParams(0.3, SpinSector(1)), level, times).values
+        got = level_trace(params, level, times)
         want = oracles.two_level_micro_f(0.3, times, level)
         worst = max(worst, float(np.abs(got - want).max()))
-    long_avg = long_time_average(
-        micro_otoc(LmgParams(0.3, SpinSector(1)), 0, AVG.time_grid()))
+    long_times = AVG.time_grid()
+    long_avg = long_time_average(OtocSeries(
+        times=long_times, values=level_trace(params, 0, long_times),
+        protocol="microcanonical", state_label="level(n=0)", params=params))
     ok = worst < 1e-12 and abs(long_avg.value) < 2e-4
     criterion("10c two-level closed form", ok,
               f"max |diff| = {worst:.2e}, |mean| = {abs(long_avg.value):.1e}")
@@ -277,9 +287,9 @@ def test_c10c_two_level_closed_form(criterion):
 def test_c10d_free_model_constancy(criterion):
     times = make_time_grid(50.0, 0.25)
     worst = 0.0
-    for series in micro_otoc_all(LmgParams(0.0, SpinSector(10)), times):
-        worst = max(worst, float(np.abs(series.values
-                                        - series.values[0]).max()))
+    traces = np.array(list(_all_levels(LmgParams(0.0, SpinSector(10)), times))).T
+    for values in traces:
+        worst = max(worst, float(np.abs(values - values[0]).max()))
     ok = worst < 1e-12
     criterion("10d free-model constancy", ok, f"max drift = {worst:.2e}")
     assert worst < 1e-12
@@ -311,7 +321,12 @@ def test_c11_commutator_relation_consistency(criterion, strong_weak_traces):
     params = LmgParams(0.4, SpinSector(300))
     n_c = int(np.argmin(np.abs(eigh(build_hamiltonian(params)).values)))
     micro = commutator_series_micro(params, n_c, times)
-    indep_m = micro_otoc(params, n_c, times).values
+    # the level trace's F comes from the dense-frame oracle, which shares no
+    # kernel with the series under test
+    diag, off = build_hamiltonian(params)
+    h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    indep_m = oracles.dense_single_state_otoc(
+        h, h, params.sector.m_values() / params.sector.total_spin, times, level=n_c)
     worst_rel = max(worst_rel, float(np.abs(
         micro.c_values - (2.0 * micro.a_values.real - 2.0 * indep_m.real)).max()))
     worst_zero = max(worst_zero, abs(float(micro.c_values[0])))

@@ -350,6 +350,27 @@ def test_workers_is_an_option_of_sweep_and_fit_only(tmp_path, monkeypatch):
         assert manifest_of(out)["parameters"]["workers"] == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"],
+    ["sweep", "--alphas", "0.4", "--lambdas", "0,0.5", "--n", "8", "--tavg", "20",
+     "--dt", "0.5"]], ids=["otoc", "sweep"])
+def test_a_non_integer_workers_variable_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                          argv):
+    monkeypatch.setenv("LMG_OTOC_WORKERS", "two")
+    rc, _ = run(tmp_path, *argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "LMG_OTOC_WORKERS" in err and "'two'" in err
+
+
+def test_workers_help_states_the_default_the_code_uses(capsys):
+    assert main(["sweep", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("default $LMG_OTOC_WORKERS, else the number of cores this process may "
+            "run on" in text)
+    assert "BLAS" not in text
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("n=10\nalpha=0.4   # comment\ntmax=2\ndt=0.5\n")

@@ -7,8 +7,15 @@ import pytest
 from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
                       SpinSector, commutator_series, commutator_series_micro,
                       long_time_average, make_time_grid, micro_fbar_all,
-                      micro_otoc, micro_otoc_all, quench_fbar, quench_otoc)
-from lmg_otoc.otoc import OtocSeries
+                      quench_fbar, quench_otoc)
+from lmg_otoc.otoc import (OtocSeries, _all_levels, _reachable,
+                           _single_state_otoc, _state_level)
+
+
+def level_trace(params, n, times):
+    """F_n(t) from the F-only single-state kernel, on the level's reachable frame."""
+    frame, psi, _ = _reachable(*_state_level(params, n))
+    return _single_state_otoc(frame, psi, times)
 
 
 def test_time_grid_construction():
@@ -72,43 +79,34 @@ def test_engine_matches_dense_exponential_oracle(protocol):
         got = quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0), times).values
         want = oracles.expm_otoc_series(4, 0.4, 1.0, times)["f"]
     else:
-        got = micro_otoc(LmgParams(0.4, SpinSector(4)), 2, times).values
+        got = commutator_series_micro(LmgParams(0.4, SpinSector(4)), 2, times).f_values
         want = oracles.expm_otoc_series(4, 0.4, 0.0, times, level=2)["f"]
     assert np.max(np.abs(got - want)) < 1e-9
-
-
-def test_micro_levels_all_matches_single_level_calls():
-    params = LmgParams(0.4, SpinSector(12))
-    times = make_time_grid(5.0, 0.5)
-    stacked = micro_otoc_all(params, times)
-    assert len(stacked) == 13
-    for n in (0, 5, 12):
-        single = micro_otoc(params, n, times)
-        assert np.max(np.abs(stacked[n].values - single.values)) < 1e-10
-        assert stacked[n].level == n
 
 
 def test_micro_level_bounds():
     params = LmgParams(0.4, SpinSector(6))
     with pytest.raises(DomainError):
-        micro_otoc(params, -1, make_time_grid(1.0, 0.5))
+        commutator_series_micro(params, -1, make_time_grid(1.0, 0.5))
     with pytest.raises(DomainError):
-        micro_otoc(params, 7, make_time_grid(1.0, 0.5))
+        commutator_series_micro(params, 7, make_time_grid(1.0, 0.5))
 
 
 def test_free_model_gives_constant_traces():
     # alpha=0 commutes with W, so every eigenstate trace is frozen
     params = LmgParams(0.0, SpinSector(10))
     times = make_time_grid(20.0, 0.25)
-    for series in micro_otoc_all(params, times):
-        assert np.max(np.abs(series.values - series.values[0])) < 1e-12
+    traces = np.array(list(_all_levels(params, times))).T
+    assert traces.shape == (11, times.size)
+    for values in traces:
+        assert np.max(np.abs(values - values[0])) < 1e-12
 
 
 def test_two_level_closed_form():
     params = LmgParams(0.3, SpinSector(1))
     times = make_time_grid(10.0, 0.05)
     for level in (0, 1):
-        got = micro_otoc(params, level, times).values
+        got = level_trace(params, level, times)
         want = oracles.two_level_micro_f(0.3, times, level)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -180,8 +178,13 @@ def test_streamed_level_averages_match_series_route():
                            (LmgParams(0.2, SpinSector(60)), (0, 1, 17, 60))):
         times = make_time_grid(100.0, 0.5)
         fbar, halfwidth = micro_fbar_all(params, times)
+        traces = np.array(list(_all_levels(params, times))).T
         for n in levels:
-            direct = long_time_average(micro_otoc(params, n, times))
+            single = level_trace(params, n, times)
+            assert np.max(np.abs(traces[n] - single)) < 1e-10
+            direct = long_time_average(OtocSeries(
+                times=times, values=single, protocol="microcanonical",
+                state_label=f"level(n={n})", params=params))
             assert abs(fbar[n] - direct.value) < 1e-12
             assert abs(halfwidth[n] - direct.estimator_halfwidth) < 1e-12
 
@@ -199,6 +202,5 @@ def test_series_metadata():
     assert s.protocol == "quench"
     assert s.field_strength == 1.0
     assert "N=6" in s.state_label
-    m = micro_otoc(spec.params, 3, make_time_grid(1.0, 0.5))
+    m = commutator_series_micro(spec.params, 3, make_time_grid(1.0, 0.5))
     assert m.protocol == "microcanonical"
-    assert m.level == 3

@@ -8,8 +8,7 @@ import pytest
 
 from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
-                      commutator_series_micro, make_time_grid, micro_otoc,
-                      quench_otoc)
+                      commutator_series_micro, make_time_grid, quench_otoc)
 from lmg_otoc import otoc
 from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _all_levels, _chunks,
                            _fold, _reachable, _single_state_otoc, _state_level,
@@ -32,6 +31,12 @@ def _dense(params, times, lam=0.0, level=None, commutator=False):
     w = params.sector.m_values() / params.sector.total_spin
     return oracles.dense_single_state_otoc(
         bare, evolving, w, times, level=level or 0, commutator=commutator)
+
+
+def _level_trace(params, n, times):
+    """F_n(t) from the F-only kernel, on the level's reachable frame."""
+    frame, psi, _ = _reachable(*_state_level(params, n))
+    return _single_state_otoc(frame, psi, times)
 
 
 def _grid(kind):
@@ -108,7 +113,7 @@ def test_level_states_match_dense_kernel(n, grid):
     mixed = np.abs(_parity(np.linalg.eigh(_matrix(build_hamiltonian(params)))[1])) < 0.5
     assert mixed[0]
     for level in (0, 7, 30, n):
-        got = micro_otoc(params, level, times).values
+        got = _level_trace(params, level, times)
         assert np.max(np.abs(got - _dense(params, times, level=level))) < TOL
         cs = commutator_series_micro(params, level, times)
         want = _dense(params, times, level=level, commutator=True)
@@ -145,7 +150,7 @@ def test_commutator_branch_gives_the_f_of_the_f_only_branch(n, grid):
     assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
     for level in (0, 7, 30, n):
         cs = commutator_series_micro(params, level, times)
-        want = micro_otoc(params, level, times).values
+        want = _level_trace(params, level, times)
         assert np.max(np.abs(cs.f_values - want)) < 1e-13
         assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
 
@@ -241,17 +246,17 @@ def test_every_single_state_entry_point_traces_the_reachable_levels(kind):
         spec = QuenchSpec(params, 1.0)
         state = _state_quench(spec)
         series = commutator_series(spec, times)
-        f_only = quench_otoc(spec, times).values
     else:
         state = _state_level(params, 66)
         series = commutator_series_micro(params, 66, times)
-        f_only = micro_otoc(params, 66, times).values
     kept, psi_kept, bound = _reachable(*state)
     want = _single_state_otoc(kept, psi_kept, times, commutator=True)
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert np.array_equal(f_only, _single_state_otoc(kept, psi_kept, times))
+    if kind == "quench":        # a level trace has no F-only entry point
+        f_only = quench_otoc(spec, times).values
+        assert np.array_equal(f_only, _single_state_otoc(kept, psi_kept, times))
     assert series.kept_levels == kept.w_block.shape
     assert series.truncation_bound == bound
     assert series.a_values.dtype == np.float64

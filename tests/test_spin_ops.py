@@ -33,7 +33,6 @@ def _frame_ops(sec, basis):
 
 def test_sector_basics():
     sec = SpinSector(5)
-    assert sec.twice_spin == 5
     assert sec.total_spin == 2.5
     assert sec.dimension == 6
     assert np.array_equal(sec.m_values(), np.arange(6) - 2.5)
