@@ -30,9 +30,8 @@ __all__ = [
     "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
     "build_hamiltonian", "build_postquench", "commutator_series",
     "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",
-    "dn_diagnostic",
-    "eigh", "fit_power_law", "long_time_average", "make_time_grid",
-    "micro_fbar_all", "microcanonical_scan",
-    "quench_fbar", "quench_otoc", "quench_sweep", "rescale_energies",
+    "dn_diagnostic", "eigh", "fit_power_law", "long_time_average",
+    "make_time_grid", "micro_fbar_all", "microcanonical_scan", "quench_fbar",
+    "quench_otoc", "quench_sweep", "rescale_energies",
     "scaling_gamma_epsilon", "scaling_gamma_lambda", "scaling_mu",
 ]

@@ -15,7 +15,7 @@ from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, _bare_levels, _fan_out, long_time_average,
+                   LongTimeAverage, _bare_frame, _fan_out, long_time_average,
                    make_time_grid, micro_fbar_all, quench_otoc)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
@@ -178,9 +178,9 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
 def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan:
     """Normalized long-time average for every eigenstate of one model.
 
-    The energies come from the same dense solve as the levels that
-    micro_fbar_all averages over."""
-    energies = _bare_levels(params)[0].values
+    The energies are those of the blocks that micro_fbar_all takes its
+    levels from, sorted: doublet partners can sit ~1e-13 out of order."""
+    energies = np.sort(_bare_frame(params)[0].energies)
     fbar, halfwidths = micro_fbar_all(params, config.time_grid())
     ref = fbar[0]
     if abs(ref) < REFERENCE_FLOOR:

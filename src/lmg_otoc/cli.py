@@ -8,22 +8,22 @@ compute; all file writes stay on the main thread.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
                        DEFAULT_SIZES, AveragingConfig, dn_diagnostic,
                        microcanonical_scan, quench_sweep,
                        scaling_gamma_epsilon, scaling_gamma_lambda,
                        scaling_mu)
-from .eigensolver import eigh
 from .errors import DomainError, NumericalError
-from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
-                    rescale_energies)
+from .model import LmgParams, QuenchSpec, SpinSector, rescale_energies
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   DEFAULT_DYNAMICS_DT, WORKERS_ENV, commutator_series,
+                   DEFAULT_DYNAMICS_DT, WORKERS_ENV, _bare_frame, commutator_series,
                    commutator_series_micro, make_time_grid, resolve_workers)
 from .output import (ResultTable, emit_heatmap_dat, emit_line_dat,
                      format_column, write_csv, write_manifest, write_svg_line)
@@ -185,19 +185,21 @@ def _resolve_options(command, args, config):
 
 
 def _make_run_dir(command, out_flag):
-    if out_flag:
-        os.makedirs(out_flag, exist_ok=True)
-        return out_flag
-    root = os.environ.get(RUNS_ENV, "runs")
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    base = os.path.join(root, f"{command}-{stamp}")
-    path = base
-    k = 1
-    while os.path.exists(path):
-        path = f"{base}-{k}"
-        k += 1
-    os.makedirs(path)
-    return path
+    """Make the run directory; return it and the directories made for it."""
+    path = out_flag
+    if not out_flag:
+        root = os.environ.get(RUNS_ENV, "runs")
+        stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+        base = os.path.join(root, f"{command}-{stamp}")
+        path = base
+        k = 1
+        while os.path.exists(path):
+            path = f"{base}-{k}"
+            k += 1
+    full = Path(path).absolute()
+    made = [p for p in (full, *full.parents) if not p.exists()]     # deepest first
+    os.makedirs(path, exist_ok=True)
+    return path, made
 
 
 def _show(default):
@@ -219,13 +221,13 @@ def _workers(requested):
 
 def _run_spectrum(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
-    energies = eigh(build_hamiltonian(params)).values
-    rescaled = rescale_energies(energies)
+    energies = _bare_frame(params)[0].energies.copy()
+    energies.sort()                 # doublet partners can sit ~1e-13 out of order
     n = opts["n"]
     table = ResultTable(
         columns=("n", "energy", "energy_per_spin", "rescaled_energy"),
         units=("index", "model units", "model units", "dimensionless"),
-        data=(range(energies.size), energies, energies / n, rescaled))
+        data=(range(energies.size), energies, energies / n, rescale_energies(energies)))
     write_csv(os.path.join(run_dir, "spectrum.csv"), table)
     return (["spectrum.csv"], {},
             {"dimension": params.sector.dimension,
@@ -519,10 +521,16 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         opts = _resolve_options(args.command, args, config)
-        run_dir = _make_run_dir(args.command, args.out)
-        runner = _RUNNERS[args.command]
+        run_dir, made = _make_run_dir(args.command, args.out)
         start = time.monotonic()
-        outputs, time_grid, diagnostics = runner(opts, run_dir)
+        try:
+            outputs, time_grid, diagnostics = _RUNNERS[args.command](opts, run_dir)
+        except BaseException:
+            # a failed run leaves none of its directories behind empty
+            with contextlib.suppress(OSError):
+                for directory in made:
+                    directory.rmdir()           # refuses a directory not empty
+            raise
         duration = time.monotonic() - start
         resolved = {**opts, "config_file": args.config}    # tuples dump as lists
         write_manifest(os.path.join(run_dir, "manifest.json"), args.command,

@@ -15,8 +15,8 @@ W chi is already formed for the commutator norm |phi - W chi|^2.
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
 is parity-odd. Both kernels therefore work in a folded frame: the even
 and odd tridiagonal blocks are solved separately and W is the one block
-B coupling them, so every product is half-size. The states themselves
-still come from the dense solve of the bare Hamiltonian.
+B coupling them, so every product is half-size. Bare levels are block
+levels (_bare_frame); only the quench state comes from a dense solve.
 
 Protocols:
   * quench: |psi> is the ground state of the bare Hamiltonian, evolution
@@ -271,10 +271,8 @@ def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
                         w_block=b)
 
 
-# Bare dense solves are kept: the ground vector per (alpha, N), which every
-# field of a sweep row or field fit starts from, and the last whole solve,
-# from which a micro scan reads both its energies and its levels. The lock
-# keeps two concurrent cells from solving one key twice.
+# The bare ground vector is kept per (alpha, N), as every field of a sweep
+# row or field fit starts from it; the lock keeps two cells from solving it.
 _BARE_LOCK = threading.Lock()
 
 
@@ -295,24 +293,28 @@ def _state_quench(spec: QuenchSpec):
 
 
 @functools.lru_cache(maxsize=1)
-def _bare_levels(params: LmgParams):
-    """Dense eigendecomposition of the bare Hamiltonian and its folded frame.
+def _bare_frame(params: LmgParams):
+    """Folded frame of the bare Hamiltonian, and the frame index of each level.
 
-    Levels are taken from the dense eigendecomposition rather than from a
-    block, so inside a degenerate doublet each is the same mixture as before
-    folding.
+    For alpha > 0 the bare Hamiltonian is an unreduced persymmetric Jacobi
+    matrix, so its levels are simple and alternately symmetric and skew
+    from a symmetric top level (Cantoni and Butler, Linear Algebra Appl. 13,
+    275 (1976)): level n has parity (-1)^(D-1-n) and is level n // 2 of its
+    block, whatever a dense solve picks inside a degenerate doublet. At
+    alpha = 0 (every +-m pair exactly degenerate) it picks a valid basis.
     """
-    h = build_hamiltonian(params)
-    return eigh(h), _parity_frame(params.sector, h)
+    frame = _parity_frame(params.sector, build_hamiltonian(params))
+    n = np.arange(params.sector.dimension)
+    return frame, n // 2 + frame.even_vectors.shape[1] * ((n.size - 1 - n) % 2)
 
 
 def _state_level(params: LmgParams, n: int):
-    """Folded bare frame and its n-th level, as the dense solve returns it."""
+    """Folded bare frame and its n-th level, a unit vector of the frame."""
     d = params.sector.dimension
     if not 0 <= n < d:
         raise DomainError(f"level index {n} outside [0, {d - 1}]")
-    bare, frame = _bare_levels(params)
-    return frame, frame.state(bare.vectors[:, n])
+    frame, index = _bare_frame(params)
+    return frame, (np.arange(d) == index[n]).astype(float)
 
 
 def _reachable(frame: _ParityFrame, psi: np.ndarray):
@@ -490,13 +492,10 @@ def _all_levels(params: LmgParams, t: np.ndarray):
 
     With M(t) = W(t) V, F_n(t) = <n|M(t)^2|n>. M is parity-even, so in the
     frame it is two diagonal blocks, P_e B P_o^* B^T and P_o B^T P_e^* B
-    with P = exp(iEt): one half-size product each per sample. The dense
-    solve mixes frame levels only of opposite parity, inside degenerate
-    doublets, and M^2 does not couple those, so with c_an = <a|n>,
-    F_n(t) = sum_a c_an^2 [M(t)^2]_aa exactly.
+    with P = exp(iEt): one half-size product each per sample. Level n is a
+    frame level (_bare_frame), so F_n is that diagonal entry of M(t)^2.
     """
-    bare, frame = _bare_levels(params)
-    weights = frame.state(bare.vectors) ** 2
+    frame, index = _bare_frame(params)
     b = frame.w_block
     bt = np.ascontiguousarray(b.T)
     he = b.shape[0]
@@ -507,7 +506,7 @@ def _all_levels(params: LmgParams, t: np.ndarray):
         m_odd = po[:, None] * _matmul_real_complex(bt, np.conj(pe)[:, None] * b)
         m2 = np.concatenate([np.einsum("ij,ji->i", m_even, m_even),
                              np.einsum("ij,ji->i", m_odd, m_odd)])
-        yield _matmul_real_complex(weights.T, m2[:, None])[:, 0]
+        yield m2[index]
 
 
 def micro_fbar_all(params: LmgParams, times):
@@ -517,15 +516,9 @@ def micro_fbar_all(params: LmgParams, times):
     D x len(times) series. halfwidth mirrors LongTimeAverage.
     """
     t = _validate_grid(times)
-    w_full, w_half = _average_weights(t)
-    d = params.sector.dimension
-    acc_full = np.zeros(d)
-    acc_half = np.zeros(d)
-    for j, f in enumerate(_all_levels(params, t)):
-        re = f.real
-        acc_full += w_full[j] * re
-        acc_half += w_half[j] * re
-    return acc_full, np.abs(acc_full - acc_half)
+    weights = np.array(_average_weights(t))          # full and half horizon
+    acc = sum(np.outer(weights[:, j], f.real) for j, f in enumerate(_all_levels(params, t)))
+    return acc[0], np.abs(acc[0] - acc[1])
 
 
 def _average_weights(t: np.ndarray):

@@ -4,8 +4,10 @@ Everything here is deliberately built through routes the library does not
 use: operators are assembled in the Z-basis from raw ladder algebra, time
 evolution goes through dense matrix exponentials, eigenvalues come from
 Sturm-sequence bisection, long-time averages from a closed-form
-spectral sum, and single-state and all-levels traces from the dense
-D x D kernels the package used before it folded by parity. Agreement
+spectral sum, single-state and all-levels traces from the dense
+D x D kernels the package used before it folded by parity, and
+parity-definite levels from a dense solve with the reflection
+diagonalised inside each degenerate cluster. Agreement
 between these routes and the library is the point of the tests; nothing
 in this module imports the package.
 """
@@ -147,18 +149,46 @@ def _matmul_real_complex(a, x):
     return (a @ x.view(np.float64).reshape(rows, -1)).view(np.complex128)
 
 
-def dense_single_state_otoc(h_bare, h_evolving, w_diag, times, level=0,
-                            commutator=False):
-    """Single-state OTOC through the dense eigenframe of h_evolving.
+def parity_definite(h, energies, vectors, rtol=1e-8):
+    """(energies, vectors): eigenpairs of a persymmetric h from a dense solve
+    of it, each vector of definite parity.
 
-    The state is column `level` of the dense eigendecomposition of h_bare;
-    W = V = diag(w_diag) in the basis both matrices are written in. Returns
-    F, or with commutator=True the tuple (F, A, relation-C, commutator
-    norm). Three (four) D x D products per time batch, as the package did
-    before it folded by parity.
+    Inside a numerically degenerate cluster (neighbours closer than rtol
+    times the spectral radius) a dense solve returns any basis, often
+    mixtures of the two parities. There the reflection P: m -> -m is
+    diagonalised. Which parity comes first inside a cluster a dense solve
+    cannot resolve; the parities are placed as (-1)^(D-1-n), the order of
+    an unreduced persymmetric Jacobi matrix (Cantoni and Butler, Linear
+    Algebra Appl. 13, 275 (1976)). A resolved level whose parity breaks
+    that order raises. A trace in this basis turns with each doublet's
+    splitting, which the dense solve leaves to rounding, so the energies
+    are the Rayleigh quotients of the vectors in extended precision.
+    """
+    d = energies.size
+    out = np.empty_like(vectors)
+    cuts = np.flatnonzero(np.diff(energies) > rtol * max(1.0, np.abs(energies).max()))
+    for cluster in np.split(np.arange(d), cuts + 1):
+        v = vectors[:, cluster]
+        p, rot = np.linalg.eigh(v.T @ v[::-1])
+        even = (d - 1 - cluster) % 2 == 0
+        if np.count_nonzero(p > 0) != np.count_nonzero(even):
+            raise AssertionError(f"levels {cluster} do not alternate in parity")
+        out[:, cluster[even]] = v @ rot[:, p > 0]
+        out[:, cluster[~even]] = v @ rot[:, p < 0]
+    wide = out.astype(np.longdouble)
+    quotients = (wide * (h.astype(np.longdouble) @ wide)).sum(axis=0) / (wide * wide).sum(axis=0)
+    return quotients.astype(float), out
+
+
+def dense_single_state_otoc(psi0, h_evolving, w_diag, times, commutator=False):
+    """Single-state OTOC of psi0 through the dense eigenframe of h_evolving.
+
+    psi0, h_evolving and W = V = diag(w_diag) are written in one basis.
+    Returns F, or with commutator=True the tuple (F, A, relation-C,
+    commutator norm). Three (four) D x D products per time batch, as the
+    package did before it folded by parity.
     """
     block = 2048
-    psi0 = np.linalg.eigh(h_bare)[1][:, level]
     energies, vectors = np.linalg.eigh(h_evolving)
     w_eig = vectors.T @ (w_diag[:, None] * vectors)
     psi_eig = vectors.T @ psi0
@@ -195,16 +225,14 @@ def dense_single_state_otoc(h_bare, h_evolving, w_diag, times, level=0,
     return f, a_term, 2.0 * a_term.real - 2.0 * f.real, c_norm
 
 
-def dense_all_levels_otoc(h, w_diag, times):
-    """F_n(t) for every level n of h, evolving under h, through its dense frame.
+def dense_all_levels_otoc(energies, vectors, w_diag, times):
+    """F_n(t) for every level n of an eigendecomposition, through its frame.
 
-    W = V = diag(w_diag) in the basis h is written in. Returns a
-    D x len(times) array, row n the trace of column n of the dense
-    eigendecomposition: with M(t) = W(t) V in the eigenbasis,
-    F_n(t) = [M(t)^2]_nn, one D x D product pair per sample, as the
-    package did before it folded by parity.
+    W = V = diag(w_diag) in the basis the eigenvectors are written in.
+    Returns a D x len(times) array, row n the trace of column n: with
+    M(t) = W(t) V in the eigenbasis, F_n(t) = [M(t)^2]_nn, one D x D
+    product pair per sample, as the package did before it folded by parity.
     """
-    energies, vectors = np.linalg.eigh(h)
     w_eig = vectors.T @ (w_diag[:, None] * vectors)
     times = np.asarray(times, dtype=float)
     out = np.empty((energies.size, times.size), dtype=np.complex128)

@@ -325,8 +325,10 @@ def test_c11_commutator_relation_consistency(criterion, strong_weak_traces):
     # kernel with the series under test
     diag, off = build_hamiltonian(params)
     h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    _, levels = oracles.parity_definite(h, *np.linalg.eigh(h))
     indep_m = oracles.dense_single_state_otoc(
-        h, h, params.sector.m_values() / params.sector.total_spin, times, level=n_c)
+        levels[:, n_c], h,
+        params.sector.m_values() / params.sector.total_spin, times)
     worst_rel = max(worst_rel, float(np.abs(
         micro.c_values - (2.0 * micro.a_values.real - 2.0 * indep_m.real)).max()))
     worst_zero = max(worst_zero, abs(float(micro.c_values[0])))

@@ -123,7 +123,7 @@ def _count_solves(monkeypatch):
     solve = otoc.eigh
     monkeypatch.setattr(otoc, "eigh", lambda pair: dims.append(len(pair[0])) or solve(pair))
     otoc._bare_ground.cache_clear()
-    otoc._bare_levels.cache_clear()
+    otoc._bare_frame.cache_clear()
     return dims
 
 
@@ -137,7 +137,7 @@ def test_quench_sweep_solves_the_bare_model_once_per_row(monkeypatch):
 def test_microcanonical_scan_solves_the_bare_model_once(monkeypatch):
     dims = _count_solves(monkeypatch)
     microcanonical_scan(LmgParams(0.4, SpinSector(20)), FAST)
-    assert sorted(dims) == [10, 11, 21]
+    assert sorted(dims) == [10, 11]      # the two parity blocks, no dense solve
 
 
 def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lmg_otoc import NumericalError
+from lmg_otoc import NumericalError, otoc
 from lmg_otoc.cli import _OPTIONS, build_parser, main
 from lmg_otoc.output import read_csv
 
@@ -64,7 +64,8 @@ def test_io_error_exits_with_code_5(tmp_path, capsys):
 def test_numerical_error_exits_with_code_3(tmp_path, capsys, monkeypatch):
     def failing_eigh(pair):
         raise NumericalError("eigensolver did not converge")
-    monkeypatch.setattr("lmg_otoc.cli.eigh", failing_eigh)
+    monkeypatch.setattr("lmg_otoc.otoc.eigh", failing_eigh)
+    otoc._bare_frame.cache_clear()       # the spectrum's block solves must run
     rc = main(["spectrum", "--n", "4", "--alpha", "0.4",
                "--out", str(tmp_path / "x")])
     assert rc == 3
@@ -363,6 +364,47 @@ def test_a_non_integer_workers_variable_is_a_usage_error(tmp_path, monkeypatch, 
     assert err.startswith("error: ") and "LMG_OTOC_WORKERS" in err and "'two'" in err
 
 
+_OTOC = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"]
+
+
+@pytest.mark.parametrize("workers, argv, code", [
+    ("two", _OTOC, 2),
+    (None, _OTOC + ["--state", "level"], 2),
+    (None, _OTOC + ["--state", "level", "--level", "50"], 4)],
+    ids=["workers-variable", "level-missing", "level-out-of-range"])
+@pytest.mark.parametrize("out", ["new", "nested", "existing", "default"])
+def test_a_failed_run_leaves_no_empty_directory_it_made(tmp_path, monkeypatch, workers,
+                                                        argv, code, out):
+    if workers:
+        monkeypatch.setenv("LMG_OTOC_WORKERS", workers)
+    else:
+        monkeypatch.delenv("LMG_OTOC_WORKERS", raising=False)
+    monkeypatch.setenv("LMG_OTOC_RUNS", str(tmp_path / "runs"))
+    target = {"new": tmp_path / "x", "nested": tmp_path / "x" / "y",
+              "existing": tmp_path / "x", "default": None}[out]
+    if out == "existing":
+        target.mkdir()
+    assert main(argv + (["--out", str(target)] if target else [])) == code
+    # an --out directory that was there before stays; nothing else is left
+    assert sorted(os.listdir(tmp_path)) == (["x"] if out == "existing" else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "20", "--alpha", "0.4"],
+    ["micro", "--n", "20", "--alpha", "0.4", "--tavg", "10", "--dt", "0.5"],
+    ["otoc", "--n", "20", "--alpha", "0.4", "--tmax", "1", "--state", "level",
+     "--level", "7"]], ids=["spectrum", "micro", "otoc-level"])
+def test_level_commands_solve_only_the_parity_blocks(tmp_path, monkeypatch, argv):
+    dims = []
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: dims.append(len(a)) or solve(a))
+    otoc._bare_ground.cache_clear()
+    otoc._bare_frame.cache_clear()
+    rc, _ = run(tmp_path, *argv)
+    assert rc == 0
+    assert sorted(dims) == [10, 11]      # no dense 21 x 21 solve
+
+
 def test_workers_help_states_the_default_the_code_uses(capsys):
     assert main(["sweep", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -425,8 +467,8 @@ def test_default_run_directory_uses_env_root(tmp_path, monkeypatch):
 def test_csv_numbers_round_trip(tmp_path):
     rc, out = run(tmp_path, "spectrum", "--n", "40", "--alpha", "0.37")
     assert rc == 0
-    from lmg_otoc import LmgParams, SpinSector, build_hamiltonian, eigh
-    want = eigh(build_hamiltonian(LmgParams(0.37, SpinSector(40)))).values
+    from lmg_otoc import LmgParams, SpinSector
+    want = np.sort(otoc._bare_frame(LmgParams(0.37, SpinSector(40)))[0].energies)
     _, rows = read_csv(out / "spectrum.csv")
     got = np.array([r[1] for r in rows])
     assert np.array_equal(got, want)       # exact, not merely close

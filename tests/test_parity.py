@@ -10,6 +10,8 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
                       commutator_series_micro, make_time_grid, quench_otoc)
 from lmg_otoc import otoc
+from lmg_otoc.cli import main
+from lmg_otoc.output import read_csv
 from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _all_levels, _chunks,
                            _fold, _reachable, _single_state_otoc, _state_level,
                            _state_quench)
@@ -23,14 +25,19 @@ def _matrix(pair):
 
 
 def _dense(params, times, lam=0.0, level=None, commutator=False):
+    """The dense oracle's trace of the quench from the dense solve's ground
+    vector, or of the parity-definite level `level`."""
     bare = _matrix(build_hamiltonian(params))
+    energies, vectors = np.linalg.eigh(bare)
     if level is None:
+        psi0 = vectors[:, 0]
         evolving = _matrix(build_postquench(QuenchSpec(params, lam)))
     else:
+        psi0 = oracles.parity_definite(bare, energies, vectors)[1][:, level]
         evolving = bare
     w = params.sector.m_values() / params.sector.total_spin
-    return oracles.dense_single_state_otoc(
-        bare, evolving, w, times, level=level or 0, commutator=commutator)
+    return oracles.dense_single_state_otoc(psi0, evolving, w, times,
+                                           commutator=commutator)
 
 
 def _level_trace(params, n, times):
@@ -89,6 +96,53 @@ def test_time_grid_takes_the_tabulated_phase_path():
         assert np.array_equal(t, np.arange(t.size) * t[1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 10])
+@pytest.mark.parametrize("alpha", [0.0, 0.4])
+def test_level_n_has_parity_set_by_its_index(tmp_path, n, alpha):
+    # at alpha = 0 the blocks are diagonal and every +-m pair is exactly
+    # degenerate; N = 1 and 2 are the smallest blocks; D = n + 1 odd and even
+    params = LmgParams(alpha, SpinSector(n))
+    h = _matrix(build_hamiltonian(params))
+    want = np.linalg.eigvalsh(h)
+    rc = main(["spectrum", "--n", str(n), "--alpha", str(alpha), "--out", str(tmp_path)])
+    if want[-1] == want[0]:          # N = 1, alpha = 0: nothing to rescale by
+        assert rc == 4
+    else:
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        energies = np.array([r[1] for r in rows])
+        assert np.max(np.abs(energies - want)) < 1e-12 * max(1.0, np.abs(want).max())
+    d = n + 1
+    for level in range(d):
+        frame, psi = _state_level(params, level)
+        x = frame.state(np.eye(d)).T @ psi           # the level in the X-basis
+        assert np.max(np.abs(x[::-1] - (-1) ** (d - 1 - level) * x)) < 1e-14
+        assert np.max(np.abs(h @ x - want[level] * x)) < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_parity_definite_levels_do_not_depend_on_the_basis_inside_a_doublet():
+    params = LmgParams(0.4, SpinSector(60))
+    h = _matrix(build_hamiltonian(params))
+    energies, vectors = np.linalg.eigh(h)
+    rotated = vectors.copy()
+    rng = np.random.default_rng(3)
+    doublets = np.flatnonzero(np.diff(energies) < 1e-9)
+    assert doublets.size > 5
+    for k in doublets:
+        angle = rng.uniform(0, np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        rotated[:, [k, k + 1]] = vectors[:, [k, k + 1]] @ np.array([[c, -s], [s, c]])
+    times = _grid("uniform")
+    w = params.sector.m_values() / params.sector.total_spin
+    f = [oracles.dense_all_levels_otoc(*oracles.parity_definite(h, energies, v), w, times)
+         for v in (vectors, rotated)]
+    assert np.max(np.abs(f[1] - f[0])) < 1e-12
+    # without the oracle's parity basis the rotation moves those levels by far
+    # more than that
+    raw = [oracles.dense_all_levels_otoc(energies, v, w, times) for v in (vectors, rotated)]
+    assert np.max(np.abs(raw[1] - raw[0])) > 1e-9
+
+
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])
 @pytest.mark.parametrize("n", [60, 61])
 @pytest.mark.parametrize("alpha, lam", [(0.4, 1.0), (0.2, 0.5)])
@@ -109,7 +163,8 @@ def test_quench_matches_dense_kernel(n, alpha, lam, grid):
 def test_level_states_match_dense_kernel(n, grid):
     params = LmgParams(0.4, SpinSector(n))
     times = _grid(grid)
-    # deep levels come out of the dense solve as localised doublet mixtures
+    # deep levels come out of the dense solve as localised doublet mixtures,
+    # which the oracle makes parity-definite as the package's levels are
     mixed = np.abs(_parity(np.linalg.eigh(_matrix(build_hamiltonian(params)))[1])) < 0.5
     assert mixed[0]
     for level in (0, 7, 30, n):
@@ -129,11 +184,14 @@ def test_all_levels_match_dense_kernel(n, alpha, grid):
     params = LmgParams(alpha, SpinSector(n))
     times = _grid(grid)
     h = _matrix(build_hamiltonian(params))
-    # the dense solve returns localised doublet mixtures deep in the spectrum
-    assert np.abs(_parity(np.linalg.eigh(h)[1])).min() < 1e-6
+    energies, vectors = np.linalg.eigh(h)
+    # the dense solve returns localised doublet mixtures deep in the spectrum;
+    # the oracle traces the parity-definite levels instead
+    assert np.abs(_parity(vectors)).min() < 1e-6
     got = np.array(list(_all_levels(params, times))).T
     w = params.sector.m_values() / params.sector.total_spin
-    want = oracles.dense_all_levels_otoc(h, w, times)
+    want = oracles.dense_all_levels_otoc(*oracles.parity_definite(h, energies, vectors),
+                                         w, times)
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -3,10 +3,11 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs twelve invocations of the command line (spectrum twice, otoc
+Runs thirteen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
-threads, and an otoc quench and a 2 x 3 sweep at N = 100), each in a
+threads, an otoc quench and a 2 x 3 sweep at N = 100, and an otoc trace
+of a level inside a degenerate parity doublet), each in a
 fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
 per run (1 unless WORKERS says otherwise) and the package imported from
 SRC (default: the src/ next to this script).
@@ -61,6 +62,11 @@ RUNS["otoc-quench-n100"] = ["otoc", "--n", "100", "--alpha", "0.4", "--lambda", 
                             "--tmax", "50", "--dt", "0.05"]
 RUNS["sweep-n100"] = ["sweep", "--alphas", "0.2,0.4", "--lambdas", "0,0.5,1",
                       "--n", "100", "--tavg", "200", "--dt", "0.5"]
+# Level 12 of otoc-level has a resolved parity; levels 0-3 at N = 30 form
+# two numerically degenerate doublets, which a dense solve returns as
+# parity mixtures.
+RUNS["otoc-level-doublet"] = ["otoc", "--n", "30", "--alpha", "0.4", "--state", "level",
+                              "--level", "3"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
