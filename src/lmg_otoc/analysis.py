@@ -15,8 +15,8 @@ from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, _bare_frame, _fan_out, long_time_average,
-                   make_time_grid, micro_fbar_all, quench_otoc)
+                   LongTimeAverage, _bare_frame, _closed_form_average, _fan_out,
+                   _state_quench, make_time_grid, micro_fbar_all)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -61,12 +61,19 @@ class NormalizedAverage:
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """Normalized cells of an (alpha, lambda) grid.
+
+    truncation_bound is the largest truncation bound of the cells this run
+    computed (LongTimeAverage); cells taken from `precomputed` add none.
+    """
+
     alphas: tuple
     lambdas: tuple
     n_spins: int
     cells: list = field(repr=False)            # cells[i][j] or None on row abort
     lambda_c: tuple = ()                       # per alpha; None where undefined
     row_errors: dict = field(default_factory=dict)
+    truncation_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,9 @@ class FitResult:
     """OLS power-law fit on log-log axes.
 
     window records the abscissa range of the points actually used, not the
-    requested bounds. xs/ys carry those points for reporting.
+    requested bounds. xs/ys carry those points for reporting, and
+    truncation_bound the largest truncation bound of the averages behind
+    them (LongTimeAverage), 0 for averages over sampled values.
     """
 
     exponent: float
@@ -100,6 +109,7 @@ class FitResult:
     n_points: int
     xs: np.ndarray = field(repr=False, default=None)
     ys: np.ndarray = field(repr=False, default=None)
+    truncation_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,8 +122,9 @@ class DnDiagnostic:
 
 
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
-    """Long-time average of Re F for one quench."""
-    return long_time_average(quench_otoc(spec, config.time_grid()))
+    """Long-time average of Re F for one quench: the trapezoid rule on the
+    configured grid, evaluated in closed form with no time steps."""
+    return _closed_form_average(*_state_quench(spec), config.time_grid())
 
 
 def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
@@ -136,15 +147,14 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
               if (a, lam) not in precomputed]
 
     def job(cell):
-        avg = quench_fbar(QuenchSpec(LmgParams(cell[0], sector), cell[1]), config)
-        return avg.value, avg.estimator_halfwidth
+        return quench_fbar(QuenchSpec(LmgParams(cell[0], sector), cell[1]), config)
 
-    def settle(cell, result):
-        precomputed[cell] = result
+    def settle(cell, avg):
+        precomputed[cell] = (avg.value, avg.estimator_halfwidth)
         if on_cell is not None:
-            on_cell(*cell, *result)
+            on_cell(*cell, *precomputed[cell])
 
-    _fan_out(job, wanted, max_workers, settle)
+    fresh = _fan_out(job, wanted, max_workers, settle)
 
     critical = []
     for a in alphas:
@@ -172,7 +182,8 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
                 flagged=not halfwidth < 0.01 * abs(ref)))
         cells.append(row)
     return SweepGrid(alphas=alphas, lambdas=lambdas, n_spins=n_spins,
-                     cells=cells, lambda_c=tuple(critical), row_errors=row_errors)
+                     cells=cells, lambda_c=tuple(critical), row_errors=row_errors,
+                     truncation_bound=max((a.truncation_bound for a in fresh), default=0.0))
 
 
 def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan:
@@ -238,11 +249,12 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
     sizes = tuple(int(s) for s in sizes)
 
     def job(n):
-        return quench_fbar(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c), config).value
+        return quench_fbar(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c), config)
 
-    fbars = _fan_out(job, sizes, max_workers)
-    fit = fit_power_law(np.array(sizes, dtype=float), np.array(fbars))
-    return replace(fit, exponent=-fit.exponent)
+    avgs = _fan_out(job, sizes, max_workers)
+    fit = fit_power_law(np.array(sizes, dtype=float), np.array([a.value for a in avgs]))
+    return replace(fit, exponent=-fit.exponent,
+                   truncation_bound=max(a.truncation_bound for a in avgs))
 
 
 def scaling_gamma_lambda(alpha: float, n_spins: int,
@@ -274,14 +286,15 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
     sector = SpinSector(n_spins)
 
     def job(lam):
-        return quench_fbar(QuenchSpec(LmgParams(alpha, sector), float(lam)), config).value
+        return quench_fbar(QuenchSpec(LmgParams(alpha, sector), float(lam)), config)
 
-    out = _fan_out(job, [0.0] + list(lambdas), max_workers)
-    ref = out[0]
+    avgs = _fan_out(job, [0.0] + list(lambdas), max_workers)
+    ref = avgs[0].value
     if abs(ref) < REFERENCE_FLOOR:
         raise NumericalError("zero-field reference is numerically zero")
-    norm = np.array(out[1:]) / ref
-    return fit_power_law(distances, norm, window=window)
+    norm = np.array([a.value for a in avgs[1:]]) / ref
+    return replace(fit_power_law(distances, norm, window=window),
+                   truncation_bound=max(a.truncation_bound for a in avgs))
 
 
 def scaling_gamma_epsilon(alpha: float, n_spins: int,

@@ -224,10 +224,15 @@ def _run_spectrum(opts, run_dir):
     energies = _bare_frame(params)[0].energies.copy()
     energies.sort()                 # doublet partners can sit ~1e-13 out of order
     n = opts["n"]
+    try:
+        rescaled = rescale_energies(energies)
+    except DomainError as exc:      # a flat spectrum: N = 1 at alpha = 0
+        print(f"warning: {exc}; rescaled_energy left blank", file=sys.stderr)
+        rescaled = [None] * energies.size
     table = ResultTable(
         columns=("n", "energy", "energy_per_spin", "rescaled_energy"),
         units=("index", "model units", "model units", "dimensionless"),
-        data=(range(energies.size), energies, energies / n, rescale_energies(energies)))
+        data=(range(energies.size), energies, energies / n, rescaled))
     write_csv(os.path.join(run_dir, "spectrum.csv"), table)
     return (["spectrum.csv"], {},
             {"dimension": params.sector.dimension,
@@ -420,7 +425,8 @@ def _run_sweep(opts, run_dir):
                  "samples": int(config.time_grid().size)}
     diag = {"cells": len(grid.alphas) * len(grid.lambdas),
             "flagged_cells": flagged,
-            "aborted_alphas": sorted(grid.row_errors)}
+            "aborted_alphas": sorted(grid.row_errors),
+            "truncation_bound": grid.truncation_bound}
     return outputs, grid_spec, diag
 
 
@@ -456,7 +462,8 @@ def _run_fit(opts, run_dir):
     grid_spec = {"total_time": opts["tavg"], "dt": opts["dt"],
                  "samples": int(config.time_grid().size)}
     return (["fit.json", "points.csv"], grid_spec,
-            {"exponent": fit.exponent, "n_points": fit.n_points})
+            {"exponent": fit.exponent, "n_points": fit.n_points,
+             "truncation_bound": fit.truncation_bound})
 
 
 # A runner writes the worker count it settles back into opts, so the

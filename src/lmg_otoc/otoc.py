@@ -6,11 +6,16 @@ Both protocols evolve W = V = S_x/S in the Heisenberg picture and read off
 
 with everything expressed in the eigenbasis of the evolving Hamiltonian:
 the heavy objects are the real matrix of W in that basis and the real
-coefficient vector of |psi>, prepared once; each time sample then costs
-diagonal phase sandwiches plus three products with W. The commutator
-trace needs no fourth: W is real and symmetric in the frame, so
+coefficient vector of |psi>, prepared once; each time sample of a trace
+then costs diagonal phase sandwiches plus three products with W. The
+commutator needs no fourth: W is real and symmetric in the frame, so
 <chi|W phi> = <W chi|phi> with phi = W(t)V|psi> and chi = W(t)|psi>, and
 W chi is already formed for the commutator norm |phi - W chi|^2.
+
+A quench's long-time average takes no time steps at all: the trapezoid
+rule on a uniform grid is summed in closed form over the paths of the
+banded W (_closed_form_average), so its cost does not depend on the
+horizon.
 
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
 is parity-odd. Both kernels therefore work in a folded frame: the even
@@ -45,8 +50,9 @@ Each parity block of D_b levels keeps at least 2.5 D_b^0.7 of them
 however few reach the result, so that a trace's cost depends on N rather
 than on the quench: no quench with alpha in [0.1, 0.7] and lambda <= 2
 reaches more (at N = 400 at most 98 of the 201 levels of a block, against
-a floor of 103), so each of them runs on exactly the floor, and the cells
-of a sweep all cost the same.
+a floor of 103), so each of their traces runs on exactly the floor. The
+floor serves traces only; a closed-form average costs what its quench
+reaches.
 Where nothing can be dropped the kernel sees the full frame unchanged.
 The all-levels kernel always runs on every level.
 """
@@ -70,7 +76,8 @@ DEFAULT_DYNAMICS_DT = 0.05
 
 WORKERS_ENV = "LMG_OTOC_WORKERS"
 
-# largest summed path weight (see _reachable) a single-state trace may drop
+# largest summed path weight a single-state trace (_reachable) or a
+# closed-form average (_closed_form_average) may drop
 _DROP_BOUND = 1e-14
 # a parity block of D_b levels keeps at least _KEEP_SCALE * D_b**_KEEP_POWER
 # of them, more than the studied quenches reach at N = 50..3200 (see the
@@ -82,6 +89,8 @@ _BLOCK = 512
 # time samples per product; a divisor of _BLOCK, and fixed, so no sample's
 # arithmetic depends on how many workers share a trace
 _CHUNK = 256
+# paths a closed-form average sums at once (_closed_form_average)
+_PATH_BATCH = 1 << 15
 
 
 def resolve_workers(requested=None) -> int:
@@ -168,12 +177,16 @@ class LongTimeAverage:
 
     estimator_halfwidth is the absolute difference between the means over
     the full horizon and over its first half, a cheap convergence gauge.
+    truncation_bound bounds how far the paths a closed-form average left
+    out could move either mean (_closed_form_average); it is 0 for a mean
+    over sampled values.
     """
 
     value: float
     total_time: float
     sample_count: int
     estimator_halfwidth: float
+    truncation_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -409,15 +422,12 @@ def _sum_squares(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
-                       commutator: bool = False, workers: int = 1):
-    """F(t) for one state on the grid, in a parity frame.
+                       workers: int = 1):
+    """(f, a_term, c_rel, c_norm) for one state on the grid, in a parity frame:
+    F(t), the A term, relation-C and the commutator norm.
 
-    With commutator=True also returns the A term, relation-C and the
-    commutator norm: (f, a_term, c_rel, c_norm). Each W is two half-size
-    products, so a state with both parities costs half the dense flops.
-
-    Either way a sample costs three W products. F alone takes W(t)V|psi>
-    and then W and W(t) once more. With the commutator, phi = W(t)V|psi>,
+    A sample costs three W products, each two half-size products, so a
+    state with both parities costs half the dense flops: phi = W(t)V|psi>,
     chi = W(t)|psi> and v = W chi give A = |phi|^2 and the norm
     |phi - v|^2, and since W is real and symmetric,
     F = <chi|W phi> = <W chi|phi> = <v|phi> needs no further product.
@@ -434,9 +444,8 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
     u = _apply_w(b, psi[:, None], np.empty((d, 1)))     # V |psi>
     table = _phase_table(e, times)
     f = np.empty(n, dtype=np.complex128)
-    if commutator:
-        a_term = np.empty(n)
-        c_norm = np.empty(n)
+    a_term = np.empty(n)
+    c_norm = np.empty(n)
     chunks = _chunks(n)
     workers = min(workers, len(chunks))
 
@@ -450,13 +459,6 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
             np.multiply(cj, u, out=x)
             _apply_w(b, x, y)
             y *= ph                                   # phi = W(t) V |psi>
-            if not commutator:
-                _apply_w(b, y, x)                     # x = V W(t) V |psi>
-                x *= cj
-                _apply_w(b, x, y)
-                y *= ph
-                np.matmul(psi, y, out=f[cols])
-                continue
             np.multiply(cj, psi[:, None], out=x)
             chi = _apply_w(b, x, cj)
             chi *= ph                                 # W(t) |psi>
@@ -469,20 +471,18 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
         _fan_out(run, range(workers), workers)
     else:
         run(0)
-    if not commutator:
-        return f
     return f, a_term, 2.0 * a_term - 2.0 * f.real, c_norm
 
 
 def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
     """F(t) for the quench protocol: ground state of the bare Hamiltonian,
-    Heisenberg evolution under the field-shifted one."""
+    Heisenberg evolution under the field-shifted one. The F of
+    commutator_series, traced on the same levels."""
     t = _validate_grid(times)
     frame, psi, _ = _reachable(*_state_quench(spec))
-    values = _single_state_otoc(frame, psi, t)
     p = spec.params
     return OtocSeries(
-        times=t, values=values, protocol="quench",
+        times=t, values=_single_state_otoc(frame, psi, t)[0], protocol="quench",
         state_label=f"ground(alpha={p.alpha}, N={p.sector.n_spins})",
         params=p, field_strength=spec.field_strength)
 
@@ -521,15 +521,20 @@ def micro_fbar_all(params: LmgParams, times):
     return acc[0], np.abs(acc[0] - acc[1])
 
 
-def _average_weights(t: np.ndarray):
-    """Weights (full, half) whose dot products with samples on t give the
-    trapezoidal means over the whole grid and over its first half, which
-    ends at the last sample at or below t_end / 2 (at least the second)."""
+def _half_end(t: np.ndarray) -> int:
+    """Sample count of the first half of the grid t, which ends at the last
+    sample at or below t_end / 2 (at least the second)."""
     if t.size < 2:
         raise DomainError("averaging needs at least two time samples")
-    half_end = max(int(np.searchsorted(t, t[-1] / 2.0, side="right")), 2)
+    return max(int(np.searchsorted(t, t[-1] / 2.0, side="right")), 2)
+
+
+def _average_weights(t: np.ndarray):
+    """Weights (full, half) whose dot products with samples on t give the
+    trapezoidal means over the whole grid and over its first half
+    (_half_end)."""
     weights = []
-    for end in (t.size, half_end):
+    for end in (t.size, _half_end(t)):
         w = np.zeros(t.size)
         dt = np.diff(t[:end])
         w[:end - 1] += dt / 2
@@ -547,6 +552,227 @@ def long_time_average(series: OtocSeries) -> LongTimeAverage:
     return LongTimeAverage(value=value, total_time=float(t[-1]),
                            sample_count=int(t.size),
                            estimator_halfwidth=abs(value - half))
+
+
+def _uniform_steps(t: np.ndarray):
+    """(dt, K, K_half) of a grid t_k = k dt, k = 0..K, as make_time_grid
+    builds it; K_half is the step count of its first half (_half_end)."""
+    half = _half_end(t)
+    if not np.array_equal(t, np.arange(t.size) * t[1]):
+        raise DomainError("a closed-form average needs a uniform grid t_k = k dt")
+    return float(t[1]), t.size - 1, half - 1
+
+
+def _reduce_pi(x: np.ndarray) -> np.ndarray:
+    """x less its nearest multiple of pi, in place; tan(x) keeps its value."""
+    multiple = np.rint(x * (1.0 / np.pi))
+    multiple *= np.pi
+    x -= multiple
+    return x
+
+
+def _trapezoid_means(omega: np.ndarray, dt: float, steps) -> np.ndarray:
+    """Trapezoid mean of cos(omega t) on t_k = k dt, k = 0..K, one row per
+    K in steps: sin(K theta) / (2K tan(theta/2)) with theta = omega dt, and
+    1 where tan(theta/2) = 0.
+
+    theta/2 is first reduced modulo pi, which moves neither tan(theta/2)
+    nor tan(K theta/2), so that next to an aliased resonance (theta/2 near
+    a nonzero multiple of pi) both tangents see the same small angle. With
+    tau = tan(K theta/2) the mean is tau / (K tan(theta/2) (1 + tau^2)):
+    numpy's tangent is several times faster than its sine while its
+    argument stays below ~6e4 in modulus, so K theta/2 is reduced as well
+    and the cost does not grow with K. That reduction rounds at ~1e-16 of
+    K theta/2, where the mean is ~1 / (K theta/2): it moves the mean by
+    ~1e-16 of itself.
+    """
+    half = _reduce_pi(omega * (dt / 2.0))
+    t1 = np.tan(half)
+    flat = t1 == 0.0                            # theta/2 = 0: tau = 0 as well
+    k = np.array(steps, dtype=float)[:, None]
+    tau = np.tan(_reduce_pi(half * k))
+    den = tau * tau
+    den += 1.0
+    den *= t1
+    den *= k
+    den += flat
+    tau += flat
+    return np.divide(tau, den, out=tau)
+
+
+def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float):
+    """(keep, loss): which entries of |B| the closed-form average keeps, and
+    the summed modulus of the paths through the others.
+
+    The paths psi_a W_ab W_bc W_cd u_d with at least one cut factor sum, in
+    modulus, to at most |psi| (|W|^3 - |W_cut|^3) |u| = l_0 R r_2 + l_1 R r_1
+    + l_2 R r_0 with R = |W| - |W_cut|, l_k = |W_cut|^k |psi| and r_k =
+    |W|^k |u|, a sum of nonnegative terms. The entries below the largest
+    power of two whose loss stays within budget are cut.
+    """
+    r = [right]
+    for _ in range(2):
+        r.append(_apply_w(ab, r[-1], np.empty_like(right)))
+
+    def cut(j):
+        keep = ab >= 2.0 ** -j
+        kept = np.where(keep, ab, 0.0)
+        rest = ab - kept
+        loss, left_k = 0.0, left
+        for r_k in r[::-1]:
+            loss += left_k @ _apply_w(rest, r_k, np.empty_like(r_k))
+            left_k = _apply_w(kept, left_k, np.empty_like(left_k))
+        return keep, float(loss)
+
+    lo, hi = 0, 1074                    # 2.0 ** -1074: only zeros are cut
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cut(mid)[1] <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cut(lo)
+
+
+def _expand(counts: np.ndarray):
+    """(owner, slot) of the slots 0..counts[k] - 1 of every item k, in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
+
+
+def _sum_paths(triples, y_t, omega_t, dt: float, steps) -> np.ndarray:
+    """Sum over the paths of the triples (c, g, omega_ab, count) of
+    g y_t[c, k] times _trapezoid_means at omega_ab + omega_t[c, k], for
+    k < count: a triple's paths are the first `count` entries of row c.
+
+    The triples are taken a count at a time (a radix sort on 16 bits),
+    so that each product is a dense block of rows, at most _PATH_BATCH
+    paths at once.
+    """
+    tc, tg, t_omega, counts = (np.concatenate(a) for a in zip(*triples))
+    acc = np.zeros(len(steps))
+    order = np.argsort(counts.astype(np.uint16), kind="stable")
+    bounds = np.searchsorted(counts[order], np.arange(1, y_t.shape[1] + 2))
+    for count in range(1, y_t.shape[1] + 1):
+        group = order[bounds[count - 1]:bounds[count]]
+        for k in range(0, group.size, max(_PATH_BATCH // count, 1)):
+            g = group[k:k + max(_PATH_BATCH // count, 1)]
+            coef = tg[g, None] * y_t[tc[g], :count]
+            omega = t_omega[g, None] + omega_t[tc[g], :count]
+            acc += _trapezoid_means(omega.ravel(), dt, steps) @ coef.ravel()
+    return acc
+
+
+def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTimeAverage:
+    """Trapezoidal mean of Re F over a uniform grid and over its first half,
+    for the state psi of a parity frame, with no time steps.
+
+    With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
+    W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
+    trapezoid mean on t_k = k dt, k = 0..K, is the sum of those weights
+    times _trapezoid_means at Omega: the program's own rule, evaluated
+    exactly. Omega is formed from energy differences, so a doublet's
+    splitting keeps its digits at any horizon, and the cost does not
+    depend on K.
+
+    Only paths that can reach the result are summed; those left out sum,
+    in modulus, to at most _DROP_BOUND, which bounds how far either mean
+    can move and is returned as truncation_bound:
+      * W entries are cut first (_cut_w), within a quarter of the bound;
+      * then pairs (a, b), triples (a, b, c) and paths (a, b, c, d) each
+        drop the candidates whose weight times the envelope |W_cut|^k |u|
+        of their completions is below the stage's share of what is left
+        divided by its candidate count. Pairs take a third of it,
+        triples and paths half of the rest each; the path stage counts
+        the candidates of all triples before their cut.
+    Each row of the cut W is ordered by |W_cd u_d|, so a triple's paths
+    above the threshold are a prefix of its row. Triples are made for
+    _PATH_BATCH // L pairs at a time (L the longest row); the kept ones
+    wait until they hold 8 _PATH_BATCH paths, which _sum_paths then sums
+    at most _PATH_BATCH at a time, so memory does not grow with the
+    number of paths.
+    """
+    t = _validate_grid(times)
+    dt, steps, half_steps = _uniform_steps(t)
+    b, e = frame.w_block, frame.energies
+    d, he = psi.size, b.shape[0]
+    u = _apply_w(b, psi, np.empty(d))
+    keep, spent = _cut_w(np.abs(b), np.abs(psi), np.abs(u), _DROP_BOUND / 4)
+
+    # rows of the cut W over the frame's levels, padded to L entries, each
+    # in descending |W_cd u_d|: columns, W_cd, W_cd u_d and E_c - E_d
+    i, j = np.nonzero(keep)
+    jt, it = np.nonzero(keep.T)
+    rows = np.concatenate([i, he + jt])
+    cols = np.concatenate([he + j, it])
+    vals = np.concatenate([b[i, j], b[it, jt]])
+    order = np.lexsort((-np.abs(vals * u[cols]), rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    lengths = np.bincount(rows, minlength=d)
+    width = max(int(lengths.max(initial=0)), 1)
+    slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
+    col_t = np.zeros((d, width), dtype=np.intp)
+    w_t = np.zeros((d, width))
+    col_t[rows, slot] = cols
+    w_t[rows, slot] = vals
+    y_t = w_t * u[col_t]
+    ay_t = np.abs(y_t)
+    omega_t = e[:, None] - e[col_t]
+    tails = np.zeros((d, width + 1))            # tails[c, k]: |y| summed from slot k
+    tails[:, :width] = np.cumsum(ay_t[:, ::-1], axis=1)[:, ::-1]
+    env1 = tails[:, 0]                          # |W_cut| |u|
+    env2 = (np.abs(w_t) * env1[col_t]).sum(axis=1)
+
+    a, s = _expand(lengths)                     # pairs (a, b)
+    pb, px = col_t[a, s], psi[a] * w_t[a, s]
+    weight = np.abs(px) * env2[pb]
+    kept = weight >= (_DROP_BOUND - spent) / 3.0 / max(weight.size, 1)
+    spent += float(weight[~kept].sum())
+    pa, pb, px = a[kept], pb[kept], px[kept]
+    p_omega = e[pa] - e[pb]
+    share = (_DROP_BOUND - spent) / 2.0
+    tau2 = share / max(int(lengths[pb].sum()), 1)
+    paths = np.where(w_t != 0.0, lengths[col_t], 0).sum(axis=1)   # per b, of its triples
+    tau3 = share / max(int(paths[pb].sum()), 1)
+    # above[c, x - x_lo]: the entries of row c at or above 2^(x - 1). As
+    # |g| <= 1, no triple keeps an entry below tau3, so smaller ones (and
+    # zeros) count from 2^(x_lo - 1) < tau3
+    x = np.frexp(np.maximum(ay_t[rows, slot], tau3 / 2.0))[1]
+    x_lo = int(np.frexp(tau3 / 2.0)[1])
+    above = np.zeros((d, int(x.max(initial=x_lo)) - x_lo + 2), dtype=np.intp)
+    np.add.at(above, (rows, x - x_lo), 1)
+    above = np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+
+    acc = np.zeros(2)
+    pending, held = [], 0                       # kept triples not yet summed
+    pairs = max(_PATH_BATCH // width, 1)
+    for lo in range(0, pb.size, pairs):
+        sel = slice(lo, lo + pairs)
+        owner, s = _expand(lengths[pb[sel]])     # triples (a, b, c)
+        tb = pb[sel][owner]
+        tc = col_t[tb, s]
+        tg = px[sel][owner] * w_t[tb, s]
+        weight = np.abs(tg) * env1[tc]
+        kept = weight >= tau2
+        spent += float(weight[~kept].sum())
+        tc, tg = tc[kept], tg[kept]
+        t_omega = p_omega[sel][owner][kept]
+        ag = np.abs(tg)
+        # a triple keeps the paths at or above 2^(x - 1) <= tau3 / |g|, a
+        # prefix of its row
+        x = np.clip(np.frexp(tau3 / ag)[1] - x_lo, 0, above.shape[1] - 1)
+        counts = above[tc, x]
+        spent += float(ag @ tails[tc, counts])
+        some = counts > 0
+        pending.append((tc[some], tg[some], t_omega[some], counts[some]))
+        held += int(counts.sum())
+        if held >= 8 * _PATH_BATCH or lo + pairs >= pb.size:
+            acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
+            pending, held = [], 0
+    value, half = float(acc[0]), float(acc[1])
+    return LongTimeAverage(value=value, total_time=float(t[-1]), sample_count=int(t.size),
+                           estimator_halfwidth=abs(value - half), truncation_bound=spent)
 
 
 def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSeries:
@@ -569,8 +795,7 @@ def commutator_series_micro(params: LmgParams, n: int, times,
 def _commutator(state, times, workers, protocol, label) -> CommutatorSeries:
     """CommutatorSeries of a (frame, psi) pair, traced on its reachable levels."""
     frame, psi, bound = _reachable(*state)
-    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, times, commutator=True,
-                                                  workers=workers)
+    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, times, workers=workers)
     return CommutatorSeries(
         times=times, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
         protocol=protocol, state_label=label,

@@ -7,9 +7,11 @@ Sturm-sequence bisection, long-time averages from a closed-form
 spectral sum, single-state and all-levels traces from the dense
 D x D kernels the package used before it folded by parity, and
 parity-definite levels from a dense solve with the reflection
-diagonalised inside each degenerate cluster. Agreement
-between these routes and the library is the point of the tests; nothing
-in this module imports the package.
+diagonalised inside each degenerate cluster. frame_f_series is the one
+deliberate exception: it restates the package's phases, so that a
+product route can be compared with the package's on equal phases.
+Agreement between these routes and the library is the point of the
+tests; nothing in this module imports the package.
 """
 
 import numpy as np
@@ -242,6 +244,66 @@ def dense_all_levels_otoc(energies, vectors, w_diag, times):
             w_eig, np.ascontiguousarray(np.conj(p)[:, None] * w_eig))
         out[:, j] = np.einsum("ij,ji->i", m, m)
     return out
+
+
+def folded_w(b):
+    """The dense W = [[0, B], [B^T, 0]] of a parity frame's coupling block B."""
+    he, ho = b.shape
+    w = np.zeros((he + ho, he + ho))
+    w[:he, he:] = b
+    w[he:, :he] = b.T
+    return w
+
+
+def frame_f_series(energies, w, psi, times, extended=False):
+    """F(t) = <psi| W(t) W W(t) W |psi> in the eigenbasis of energies, with W
+    the dense matrix w in that basis, by the route the package took before
+    it traced the commutator: u = W psi, then W, W(t) and W once more on
+    exp(-iEt) u. The package forms <W W(t) psi| W(t) W psi> instead.
+
+    The phases exp(iEt) are the package's own, restated here so that the
+    two product routes meet on equal phases: a table of exp(iE k t_1) for
+    k < 512 times exp(iE t_lo) per block of 512 samples on a grid
+    t_k = k t_1, exp(iEt) elsewhere. With extended=True they are formed in
+    np.longdouble instead and only then rounded to double, so that long
+    horizons keep their digits. The products are plain double throughout.
+    """
+    times = np.asarray(times, dtype=float)
+    block = 512
+    n = times.size
+    tabulated = n > 1 and np.array_equal(times, np.arange(n) * times[1])
+    if extended:
+        wide = np.asarray(energies).astype(np.longdouble)
+    elif tabulated:
+        table = np.exp(1j * energies[:, None] * (np.arange(min(n, block)) * times[1])[None, :])
+    u = w @ psi
+    f = np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, block):
+        t = times[lo:lo + block]
+        if extended:
+            ph = np.exp(1j * wide[:, None] * t.astype(np.longdouble)[None, :])
+            ph = ph.astype(np.complex128)
+        elif tabulated:
+            ph = table[:, :t.size] * np.exp(1j * energies * times[lo])[:, None]
+        else:
+            ph = np.exp(1j * energies[:, None] * t[None, :])
+        x = _matmul_real_complex(w, np.conj(ph) * u[:, None])
+        x = _matmul_real_complex(w, ph * x)
+        x = _matmul_real_complex(w, np.conj(ph) * x)
+        f[lo:lo + t.size] = psi @ (ph * x)
+    return f
+
+
+def trapezoid_means_longdouble(energies, w, psi, times):
+    """Trapezoidal means of Re F over the grid and over its first half, F
+    sampled by frame_f_series on phases formed in np.longdouble. The first
+    half ends at the last sample at or below t_end / 2, and holds at least
+    two samples."""
+    times = np.asarray(times, dtype=float)
+    f = frame_f_series(energies, w, psi, times, extended=True).real
+    half_end = max(int(np.count_nonzero(times <= times[-1] / 2.0)), 2)
+    return (trapezoid_mean(f, times),
+            trapezoid_mean(f[:half_end], times[:half_end]))
 
 
 def two_level_micro_f(alpha, times, level):

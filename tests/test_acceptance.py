@@ -19,17 +19,23 @@ from lmg_otoc import (AveragingConfig, LmgParams, QuenchSpec, SpinSector,
                       long_time_average, make_time_grid,
                       microcanonical_scan, quench_fbar, quench_otoc,
                       scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
-from lmg_otoc.otoc import (OtocSeries, _all_levels, _reachable,
-                           _single_state_otoc, _state_level)
+from lmg_otoc.otoc import OtocSeries, _all_levels, _reachable, _state_quench
 
 AVG = AveragingConfig(1.0e4, 0.5)
 TRACE_DT = 0.05
 
 
 def level_trace(params, n, times):
-    """F_n(t) from the F-only single-state kernel, on the level's reachable frame."""
-    frame, psi, _ = _reachable(*_state_level(params, n))
-    return _single_state_otoc(frame, psi, times)
+    """F_n(t) of the level's commutator trace."""
+    return commutator_series_micro(params, n, times).f_values
+
+
+def f_only_route(spec, times):
+    """F of a quench by the oracle's F-only product route, on the frame
+    levels and phases of the package's trace."""
+    frame, psi, _ = _reachable(*_state_quench(spec))
+    return oracles.frame_f_series(frame.energies, oracles.folded_w(frame.w_block),
+                                  psi, times)
 
 
 @pytest.fixture(scope="module")
@@ -298,12 +304,12 @@ def test_c10d_free_model_constancy(criterion):
 def test_c11_commutator_relation_consistency(criterion, strong_weak_traces):
     worst_rel = 0.0
     worst_zero = 0.0
-    # quench traces at N=400: the relation is re-checked against the
-    # independent plain-series engine, not the series the relation came from
+    # quench traces at N=400: the relation is re-checked against F by the
+    # F-only product route, not the series the relation came from
     for lam in (0.1, 1.0, 2.0):
         series, _ = strong_weak_traces[lam]
-        indep = quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(400)), lam),
-                            series.times).values
+        indep = f_only_route(QuenchSpec(LmgParams(0.4, SpinSector(400)), lam),
+                             series.times)
         relation = 2.0 * series.a_values.real - 2.0 * indep.real
         worst_rel = max(worst_rel, float(np.abs(series.c_values
                                                 - relation).max()))
@@ -312,8 +318,7 @@ def test_c11_commutator_relation_consistency(criterion, strong_weak_traces):
     times = make_time_grid(20.0, TRACE_DT)
     small = commutator_series(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0),
                               times)
-    indep = quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0),
-                        times).values
+    indep = f_only_route(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0), times)
     worst_rel = max(worst_rel, float(np.abs(
         small.c_values - (2.0 * small.a_values.real - 2.0 * indep.real)).max()))
     worst_zero = max(worst_zero, abs(float(small.c_values[0])))

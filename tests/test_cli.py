@@ -41,6 +41,17 @@ def test_spectrum_free_model_levels(tmp_path):
     assert np.allclose(energies, [-2.0, -2.0, 0.0], atol=1e-12)
 
 
+def test_flat_spectrum_is_written_with_the_rescaled_column_blank(tmp_path, capsys):
+    # N = 1 at alpha = 0: both levels sit at -1, so nothing rescales them
+    rc, out = run(tmp_path, "spectrum", "--n", "1", "--alpha", "0")
+    assert rc == 0
+    assert "warning:" in capsys.readouterr().err
+    header, rows = read_csv(out / "spectrum.csv")
+    assert header[-1] == "rescaled_energy"
+    assert [r[1] for r in rows] == [-1.0, -1.0]
+    assert [r[3] for r in rows] == [None, None]
+
+
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     rc = main(["spectrum", "--n", "10", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -194,6 +205,7 @@ def test_sweep_table_and_overlay(tmp_path, capsys):
         blocks = fh.read().strip().split("\n\n")
     assert len(blocks) == 2
     assert all(len(b.splitlines()) == 2 for b in blocks)
+    assert 0.0 <= manifest_of(out)["diagnostics"]["truncation_bound"] <= otoc._DROP_BOUND
 
 
 def test_sweep_resume_reuses_cells(tmp_path):
@@ -288,6 +300,8 @@ def test_fit_commands(tmp_path):
     assert doc["kind"] == "mu" and doc["n_points"] == 3
     _, rows = read_csv(out / "points.csv")
     assert len(rows) == doc["n_points"]
+    # the largest bound of the averages behind the points
+    assert 0.0 < manifest_of(out)["diagnostics"]["truncation_bound"] <= otoc._DROP_BOUND
 
     rc, out = run(tmp_path / "gl", "fit", "--kind", "gamma-lambda",
                   "--alpha", "0.4", "--n", "40", "--tavg", "200",
@@ -302,6 +316,7 @@ def test_fit_commands(tmp_path):
     assert rc == 0
     doc = json.loads((out / "fit.json").read_text())
     assert doc["kind"] == "gamma-epsilon" and doc["n_points"] >= 3
+    assert manifest_of(out)["diagnostics"]["truncation_bound"] == 0.0
 
 
 def test_fit_manifest_records_the_defaults_it_used(tmp_path, capsys):

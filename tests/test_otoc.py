@@ -8,14 +8,14 @@ from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
                       SpinSector, commutator_series, commutator_series_micro,
                       long_time_average, make_time_grid, micro_fbar_all,
                       quench_fbar, quench_otoc)
-from lmg_otoc.otoc import (OtocSeries, _all_levels, _reachable,
-                           _single_state_otoc, _state_level)
+from lmg_otoc import otoc
+from lmg_otoc.otoc import (OtocSeries, _all_levels, _closed_form_average,
+                           _reachable, _state_quench, _trapezoid_means)
 
 
 def level_trace(params, n, times):
-    """F_n(t) from the F-only single-state kernel, on the level's reachable frame."""
-    frame, psi, _ = _reachable(*_state_level(params, n))
-    return _single_state_otoc(frame, psi, times)
+    """F_n(t) of the level's commutator trace."""
+    return commutator_series_micro(params, n, times).f_values
 
 
 def test_time_grid_construction():
@@ -115,9 +115,11 @@ def test_commutator_relation_and_norm():
     times = make_time_grid(10.0, 0.1)
     spec = QuenchSpec(LmgParams(0.4, SpinSector(20)), 0.8)
     cs = commutator_series(spec, times)
-    # internal relation holds by construction; cross-check against the
-    # independently computed series from the plain engine
-    f_other = quench_otoc(spec, times).values
+    # internal relation holds by construction; cross-check against F by the
+    # oracle's F-only route on the same frame
+    kept, psi, _ = _reachable(*_state_quench(spec))
+    f_other = oracles.frame_f_series(kept.energies, oracles.folded_w(kept.w_block),
+                                     psi, times)
     relation = 2.0 * cs.a_values.real - 2.0 * f_other.real
     assert np.max(np.abs(cs.c_values - relation)) < 1e-9
     assert abs(cs.c_values[0]) < 1e-10
@@ -204,3 +206,86 @@ def test_series_metadata():
     assert "N=6" in s.state_label
     m = commutator_series_micro(spec.params, 3, make_time_grid(1.0, 0.5))
     assert m.protocol == "microcanonical"
+
+
+def _closed_form_and_oracle(n, alpha, lam, times):
+    """The closed-form average of a quench, and the long-double oracle's
+    (full, half) trapezoid means on the same frame."""
+    frame, psi = _state_quench(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam))
+    avg = _closed_form_average(frame, psi, times)
+    return avg, oracles.trapezoid_means_longdouble(
+        frame.energies, oracles.folded_w(frame.w_block), psi, times)
+
+
+@pytest.mark.parametrize("n, alpha, lam",
+                         [(30, a, lam) for a in (0.0, 0.2, 0.4, 1.0) for lam in (0.0, 0.5, 1.5)]
+                         + [(100, 0.0, 1.5), (100, 0.2, 1.5), (100, 0.4, 0.5), (100, 1.0, 0.5)])
+def test_closed_form_average_matches_the_long_double_oracle(n, alpha, lam):
+    # alpha = 0 has exactly degenerate doublets, so exact Omega = 0 paths
+    avg, (full, half) = _closed_form_and_oracle(n, alpha, lam, make_time_grid(1e4, 0.5))
+    assert abs(avg.value - full) <= 1e-14
+    assert abs(avg.estimator_halfwidth - abs(full - half)) <= 1e-14
+    assert 0.0 <= avg.truncation_bound <= otoc._DROP_BOUND
+    assert avg.total_time == 1e4 and avg.sample_count == 20001
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.2, 1.5), (0.4, 1.0), (0.0, 0.5)])
+def test_closed_form_average_matches_the_sampled_average(alpha, lam):
+    spec = QuenchSpec(LmgParams(alpha, SpinSector(100)), lam)
+    config = AveragingConfig(1e4, 0.5)
+    avg = quench_fbar(spec, config)
+    sampled = long_time_average(quench_otoc(spec, config.time_grid()))
+    assert abs(avg.value - sampled.value) <= avg.truncation_bound + 1e-11
+    assert abs(avg.estimator_halfwidth - sampled.estimator_halfwidth) <= (
+        2 * avg.truncation_bound + 1e-11)
+    assert sampled.truncation_bound == 0.0
+
+
+@pytest.mark.parametrize("tmax", [10.5, 0.5])
+def test_closed_form_average_on_short_grids(tmax):
+    # 22 samples: an odd step count, whose first half ends at k = 10; and
+    # the 2-sample grid, whose half is the whole grid
+    times = make_time_grid(tmax, 0.5)
+    avg, (full, half) = _closed_form_and_oracle(20, 0.4, 1.0, times)
+    assert abs(avg.value - full) <= 1e-14
+    assert abs(avg.estimator_halfwidth - abs(full - half)) <= 1e-14
+    if times.size == 2:
+        assert avg.estimator_halfwidth == 0.0
+
+
+def test_closed_form_average_refuses_a_grid_that_is_not_uniform():
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(10)), 1.0))
+    for times in (np.array([0.0, 0.3, 1.0]), np.array([0.0])):
+        with pytest.raises(DomainError):
+            _closed_form_average(frame, psi, times)
+
+
+def test_trapezoid_means_sum_the_samples():
+    # against the samples themselves, with theta = 0 exactly, a tiny
+    # frequency, and aliased resonances (theta a multiple of 2 pi, and next
+    # to one) among the frequencies
+    dt, k = 0.5, 21
+    omega = np.array([0.0, -0.0, 1e-13, 0.7, -3.1, 12.9, 4 * np.pi / dt,
+                      6 * np.pi / dt + 1e-9, -2 * np.pi / dt - 3e-12])
+    got = _trapezoid_means(omega, dt, (k, 10))
+    for row, steps in zip(got, (k, 10)):
+        t = np.arange(steps + 1) * dt
+        want = [oracles.trapezoid_mean(np.cos(w * t), t) for w in omega]
+        assert np.max(np.abs(row - want)) < 1e-14
+    assert np.array_equal(got[:, :2], np.ones((2, 2)))
+
+
+def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(100)), 1.0))
+    times = make_time_grid(1e4, 0.5)
+    whole = _closed_form_average(frame, psi, times)
+    calls = []
+    means = otoc._trapezoid_means
+    monkeypatch.setattr(otoc, "_trapezoid_means",
+                        lambda *args: calls.append(None) or means(*args))
+    monkeypatch.setattr(otoc, "_PATH_BATCH", 64)
+    split = _closed_form_average(frame, psi, times)
+    assert len(calls) > 100
+    assert abs(split.value - whole.value) <= 1e-15
+    assert abs(split.estimator_halfwidth - whole.estimator_halfwidth) <= 1e-15
+    assert split.truncation_bound == pytest.approx(whole.truncation_bound, rel=1e-12)

@@ -40,17 +40,19 @@ def _dense(params, times, lam=0.0, level=None, commutator=False):
                                            commutator=commutator)
 
 
-def _level_trace(params, n, times):
-    """F_n(t) from the F-only kernel, on the level's reachable frame."""
-    frame, psi, _ = _reachable(*_state_level(params, n))
-    return _single_state_otoc(frame, psi, times)
-
-
 def _grid(kind):
     if kind == "uniform":
         return make_time_grid(300.0, 0.25)
     rng = np.random.default_rng(7)
     return np.concatenate([[0.0], np.sort(rng.uniform(0.0, 300.0, 700))])
+
+
+def _single_state(kind, n):
+    """(frame, psi) of a quench or of a mid-spectrum level at alpha = 0.4."""
+    params = LmgParams(0.4, SpinSector(n))
+    if kind == "quench":
+        return _state_quench(QuenchSpec(params, 1.0))
+    return _state_level(params, n // 3)
 
 
 def _parity(vectors):
@@ -105,13 +107,10 @@ def test_level_n_has_parity_set_by_its_index(tmp_path, n, alpha):
     h = _matrix(build_hamiltonian(params))
     want = np.linalg.eigvalsh(h)
     rc = main(["spectrum", "--n", str(n), "--alpha", str(alpha), "--out", str(tmp_path)])
-    if want[-1] == want[0]:          # N = 1, alpha = 0: nothing to rescale by
-        assert rc == 4
-    else:
-        assert rc == 0
-        _, rows = read_csv(tmp_path / "spectrum.csv")
-        energies = np.array([r[1] for r in rows])
-        assert np.max(np.abs(energies - want)) < 1e-12 * max(1.0, np.abs(want).max())
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    energies = np.array([r[1] for r in rows])
+    assert np.max(np.abs(energies - want)) < 1e-12 * max(1.0, np.abs(want).max())
     d = n + 1
     for level in range(d):
         frame, psi = _state_level(params, level)
@@ -168,8 +167,6 @@ def test_level_states_match_dense_kernel(n, grid):
     mixed = np.abs(_parity(np.linalg.eigh(_matrix(build_hamiltonian(params)))[1])) < 0.5
     assert mixed[0]
     for level in (0, 7, 30, n):
-        got = _level_trace(params, level, times)
-        assert np.max(np.abs(got - _dense(params, times, level=level))) < TOL
         cs = commutator_series_micro(params, level, times)
         want = _dense(params, times, level=level, commutator=True)
         got = (cs.f_values, cs.a_values, cs.c_values, cs.c_norm_values)
@@ -198,23 +195,24 @@ def test_all_levels_match_dense_kernel(n, alpha, grid):
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])
 @pytest.mark.parametrize("n", [60, 61])
 def test_commutator_branch_gives_the_f_of_the_f_only_branch(n, grid):
-    # the two branches form F through different products: <psi|W(t) V W(t) V|psi>
-    # against <W W(t) psi|W(t) V psi>
+    # the kernel forms F as <W W(t) psi|W(t) V psi>; the oracle takes the
+    # F-only route <psi|W(t) V W(t) V|psi> on the same frame and phases
     params = LmgParams(0.4, SpinSector(n))
     times = _grid(grid)
     spec = QuenchSpec(params, 1.0)
-    cs = commutator_series(spec, times)
-    assert np.max(np.abs(cs.f_values - quench_otoc(spec, times).values)) < 1e-13
-    assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
-    for level in (0, 7, 30, n):
-        cs = commutator_series_micro(params, level, times)
-        want = _level_trace(params, level, times)
+    series = [(_state_quench(spec), commutator_series(spec, times))]
+    series += [(_state_level(params, level), commutator_series_micro(params, level, times))
+               for level in (0, 7, 30, n)]
+    for state, cs in series:
+        kept, psi, _ = _reachable(*state)
+        want = oracles.frame_f_series(kept.energies, oracles.folded_w(kept.w_block), psi, times)
         assert np.max(np.abs(cs.f_values - want)) < 1e-13
         assert cs.c_norm_values.min() >= 0.0 and abs(cs.c_norm_values[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("commutator", [False, True])
 def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commutator):
+    # through either entry point: quench_otoc's F or commutator_series
     calls = []
     apply_w = otoc._apply_w
 
@@ -224,8 +222,8 @@ def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commut
 
     monkeypatch.setattr(otoc, "_apply_w", counted)
     times = _grid("uniform")
-    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(61)), 1.0))
-    _single_state_otoc(frame, psi, times, commutator=commutator)
+    spec = QuenchSpec(LmgParams(0.4, SpinSector(61)), 1.0)
+    (commutator_series if commutator else quench_otoc)(spec, times)
     assert len(_chunks(times.size)) > 1
     assert len(calls) == 1 + 3 * len(_chunks(times.size))
 
@@ -237,11 +235,11 @@ def test_long_horizon_quench_at_production_size():
     assert np.max(np.abs(got - _dense(params, times, 1.0))) < TOL
 
 
-@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("level", [False, True])
 @pytest.mark.parametrize("n", [60, 61])
 @pytest.mark.parametrize("grid", ["uniform", "scattered", "one chunk", "tail 1",
                                   "tail 1 + chunk", "single sample"])
-def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, commutator):
+def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, level):
     samples = {"one chunk": _CHUNK - 3, "tail 1": 2 * _BLOCK + 1,
                "tail 1 + chunk": _BLOCK + _CHUNK + 1, "single sample": 1}
     if grid in samples:
@@ -249,12 +247,10 @@ def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, commutator):
         assert times.size == samples[grid]
     else:
         times = _grid(grid)
-    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(n)), 1.0))
+    frame, psi = _single_state("level" if level else "quench", n)
 
     def trace(workers):
-        got = _single_state_otoc(frame, psi, times, commutator=commutator,
-                                 workers=workers)
-        return got if commutator else (got,)
+        return _single_state_otoc(frame, psi, times, workers=workers)
 
     serial = trace(1)
     for workers in (2, 3):
@@ -264,35 +260,24 @@ def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, commutator):
             assert np.array_equal(a, b)
 
 
-def _single_state(kind, n):
-    """(frame, psi) of a quench or of a mid-spectrum level at alpha = 0.4."""
-    params = LmgParams(0.4, SpinSector(n))
-    if kind == "quench":
-        return _state_quench(QuenchSpec(params, 1.0))
-    return _state_level(params, n // 3)
-
-
-@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("floor", [False, True])
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])
 @pytest.mark.parametrize("n", [200, 201])
 @pytest.mark.parametrize("kind", ["quench", "level"])
-def test_reachable_levels_move_each_sample_by_at_most_the_bound(kind, n, grid,
-                                                                 commutator,
+def test_reachable_levels_move_each_sample_by_at_most_the_bound(kind, n, grid, floor,
                                                                  monkeypatch):
-    # without the per-block floor, so that the bound alone picks the levels
-    monkeypatch.setattr("lmg_otoc.otoc._KEEP_SCALE", 0.0)
+    if not floor:       # so that the bound alone picks the levels
+        monkeypatch.setattr("lmg_otoc.otoc._KEEP_SCALE", 0.0)
     frame, psi = _single_state(kind, n)
     kept, psi_kept, bound = _reachable(frame, psi)
-    assert psi_kept.size < psi.size / 2          # the restriction does act here
+    # the restriction does act here
+    assert psi_kept.size < (psi.size if floor else psi.size / 2)
     assert 0.0 < bound <= _DROP_BOUND
     times = _grid(grid)
-    full = _single_state_otoc(frame, psi, times, commutator=commutator)
-    got = _single_state_otoc(kept, psi_kept, times, commutator=commutator)
+    full = _single_state_otoc(frame, psi, times)
+    got = _single_state_otoc(kept, psi_kept, times)
     # F and A move by at most the bound, C and the norm by four times it
-    scale = (1, 1, 4, 4) if commutator else (1,)
-    if not commutator:
-        full, got = (full,), (got,)
-    for want, have, k in zip(full, got, scale):
+    for want, have, k in zip(full, got, (1, 1, 4, 4)):
         assert np.max(np.abs(have - want)) <= k * bound + 1e-13
 
 
@@ -308,13 +293,12 @@ def test_every_single_state_entry_point_traces_the_reachable_levels(kind):
         state = _state_level(params, 66)
         series = commutator_series_micro(params, 66, times)
     kept, psi_kept, bound = _reachable(*state)
-    want = _single_state_otoc(kept, psi_kept, times, commutator=True)
+    want = _single_state_otoc(kept, psi_kept, times)
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     if kind == "quench":        # a level trace has no F-only entry point
-        f_only = quench_otoc(spec, times).values
-        assert np.array_equal(f_only, _single_state_otoc(kept, psi_kept, times))
+        assert np.array_equal(quench_otoc(spec, times).values, series.f_values)
     assert series.kept_levels == kept.w_block.shape
     assert series.truncation_bound == bound
     assert series.a_values.dtype == np.float64
@@ -327,12 +311,11 @@ def test_a_trace_with_nothing_to_drop_runs_on_the_full_frame():
     assert kept is frame and psi_kept is psi and bound == 0.0
     times = _grid("uniform")
     series = commutator_series(spec, times)
-    want = _single_state_otoc(frame, psi, times, commutator=True)
+    want = _single_state_otoc(frame, psi, times)
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert np.array_equal(quench_otoc(spec, times).values,
-                          _single_state_otoc(frame, psi, times))
+    assert np.array_equal(quench_otoc(spec, times).values, series.f_values)
     assert series.kept_levels == (6, 5) and series.truncation_bound == 0.0
 
 
