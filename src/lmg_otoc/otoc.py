@@ -50,9 +50,9 @@ Each parity block of D_b levels keeps at least 2.5 D_b^0.7 of them
 however few reach the result, so that a trace's cost depends on N rather
 than on the quench: no quench with alpha in [0.1, 0.7] and lambda <= 2
 reaches more (at N = 400 at most 98 of the 201 levels of a block, against
-a floor of 103), so each of their traces runs on exactly the floor. The
-floor serves traces only; a closed-form average costs what its quench
-reaches.
+a floor of 103), so each of their traces runs on exactly the floor. A
+closed-form average keeps floors of its own, in W entries, pairs and
+paths (_closed_form_average), for the same reason.
 Where nothing can be dropped the kernel sees the full frame unchanged.
 The all-levels kernel always runs on every level.
 """
@@ -91,6 +91,19 @@ _BLOCK = 512
 _CHUNK = 256
 # paths a closed-form average sums at once (_closed_form_average)
 _PATH_BATCH = 1 << 15
+# a closed-form average over a frame of D levels keeps at least
+# scale * D**power entries of |B|, pairs (a, b) and paths (see
+# _closed_form_average)
+_ENTRY_FLOOR = (15.0, 1.0)
+_PAIR_FLOOR = (13.0, 1.0)
+_PATH_FLOOR = (1800.0, 1.1)
+# path weights are compared in bins of 1/_BINS octave, the lowest at
+# 2^(_BIN_FLOOR / _BINS)
+_BINS = 2
+_BIN_FLOOR = -320
+# a stage drops at most this fraction of its share, so that summing the
+# dropped weights in another order cannot round past _DROP_BOUND
+_SLACK = 1.0 - 1e-9
 
 
 def resolve_workers(requested=None) -> int:
@@ -600,7 +613,8 @@ def _trapezoid_means(omega: np.ndarray, dt: float, steps) -> np.ndarray:
     return np.divide(tau, den, out=tau)
 
 
-def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float):
+def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float,
+           floor: int):
     """(keep, loss): which entries of |B| the closed-form average keeps, and
     the summed modulus of the paths through the others.
 
@@ -608,14 +622,15 @@ def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float):
     modulus, to at most |psi| (|W|^3 - |W_cut|^3) |u| = l_0 R r_2 + l_1 R r_1
     + l_2 R r_0 with R = |W| - |W_cut|, l_k = |W_cut|^k |psi| and r_k =
     |W|^k |u|, a sum of nonnegative terms. The entries below the largest
-    power of two whose loss stays within budget are cut.
+    power of two whose loss stays within budget are cut, but at least the
+    floor largest entries are kept.
     """
     r = [right]
     for _ in range(2):
         r.append(_apply_w(ab, r[-1], np.empty_like(right)))
 
-    def cut(j):
-        keep = ab >= 2.0 ** -j
+    def cut(threshold):
+        keep = ab >= threshold
         kept = np.where(keep, ab, 0.0)
         rest = ab - kept
         loss, left_k = 0.0, left
@@ -627,11 +642,49 @@ def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float):
     lo, hi = 0, 1074                    # 2.0 ** -1074: only zeros are cut
     while lo < hi:
         mid = (lo + hi) // 2
-        if cut(mid)[1] <= budget:
+        if cut(2.0 ** -mid)[1] <= budget:
             hi = mid
         else:
             lo = mid + 1
-    return cut(lo)
+    return cut(_floor_cut(ab.ravel(), 2.0 ** -lo, floor))
+
+
+def _floor(d: int, scale: float, power: float) -> int:
+    """ceil(scale * d**power): a count that grows with the frame size d."""
+    return int(np.ceil(scale * d ** power))
+
+
+def _floor_cut(weight: np.ndarray, cut: float, floor: int) -> float:
+    """The smaller of cut and the floor-th largest weight: keeping the
+    weights at or above it keeps those cut keeps and at least floor."""
+    if floor == 0:
+        return cut
+    if weight.size <= floor:
+        return 0.0
+    return min(cut, float(np.partition(weight, weight.size - floor)[weight.size - floor]))
+
+
+def _lightest_cut(weight: np.ndarray, share: float) -> float:
+    """The least weight to keep so that the lighter ones, dropped, sum to at
+    most share: as many of the lightest go as fit."""
+    order = np.sort(weight)
+    n = int(np.searchsorted(np.cumsum(order), share, side="right"))
+    return float(order[n]) if n < order.size else np.inf
+
+
+def _highest(holds, lo: int, hi: int) -> int:
+    """The highest x in [lo, hi] where holds(x), for holds true at lo and
+    true up to some x, false above."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
+    return lo
+
+
+def _bins(x, rounding) -> np.ndarray:
+    """rounding(_BINS log2 x) as integers, x raised to at least 2^(_BIN_FLOOR / _BINS)."""
+    x = np.maximum(x, 2.0 ** (_BIN_FLOOR / _BINS))
+    return rounding(_BINS * np.log2(x)).astype(np.intp)
 
 
 def _expand(counts: np.ndarray):
@@ -646,21 +699,20 @@ def _sum_paths(triples, y_t, omega_t, dt: float, steps) -> np.ndarray:
     g y_t[c, k] times _trapezoid_means at omega_ab + omega_t[c, k], for
     k < count: a triple's paths are the first `count` entries of row c.
 
-    The triples are taken a count at a time (a radix sort on 16 bits),
-    so that each product is a dense block of rows, at most _PATH_BATCH
-    paths at once.
+    The paths are gathered about _PATH_BATCH at a time (whole triples), so
+    each product is one flat array however the counts fall.
     """
     tc, tg, t_omega, counts = (np.concatenate(a) for a in zip(*triples))
+    splits = np.searchsorted(np.cumsum(counts), np.arange(_PATH_BATCH, counts.sum(), _PATH_BATCH),
+                             side="right")
     acc = np.zeros(len(steps))
-    order = np.argsort(counts.astype(np.uint16), kind="stable")
-    bounds = np.searchsorted(counts[order], np.arange(1, y_t.shape[1] + 2))
-    for count in range(1, y_t.shape[1] + 1):
-        group = order[bounds[count - 1]:bounds[count]]
-        for k in range(0, group.size, max(_PATH_BATCH // count, 1)):
-            g = group[k:k + max(_PATH_BATCH // count, 1)]
-            coef = tg[g, None] * y_t[tc[g], :count]
-            omega = t_omega[g, None] + omega_t[tc[g], :count]
-            acc += _trapezoid_means(omega.ravel(), dt, steps) @ coef.ravel()
+    for lo, hi in zip(np.r_[0, splits], np.r_[splits, counts.size]):
+        owner, slot = _expand(counts[lo:hi])
+        owner += lo
+        flat = tc[owner] * y_t.shape[1] + slot
+        coef = tg[owner] * np.take(y_t, flat)
+        omega = t_omega[owner] + np.take(omega_t, flat)
+        acc += _trapezoid_means(omega, dt, steps) @ coef
     return acc
 
 
@@ -680,25 +732,38 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTim
     in modulus, to at most _DROP_BOUND, which bounds how far either mean
     can move and is returned as truncation_bound:
       * W entries are cut first (_cut_w), within a quarter of the bound;
-      * then pairs (a, b), triples (a, b, c) and paths (a, b, c, d) each
-        drop the candidates whose weight times the envelope |W_cut|^k |u|
-        of their completions is below the stage's share of what is left
-        divided by its candidate count. Pairs take a third of it,
-        triples and paths half of the rest each; the path stage counts
-        the candidates of all triples before their cut.
-    Each row of the cut W is ordered by |W_cd u_d|, so a triple's paths
-    above the threshold are a prefix of its row. Triples are made for
-    _PATH_BATCH // L pairs at a time (L the longest row); the kept ones
-    wait until they hold 8 _PATH_BATCH paths, which _sum_paths then sums
-    at most _PATH_BATCH at a time, so memory does not grow with the
-    number of paths.
+      * a pair (a, b) weighs |psi_a W_ab| times the envelope |W_cut|^2 |u|
+        of its completions, and the lightest pairs go while they sum to
+        at most a third of what is left (_lightest_cut);
+      * a triple (a, b, c) with g = psi_a W_ab W_bc keeps a prefix of row
+        c, whose entries are ordered by |W_cd u_d|: those in bin
+        x - bin(|g|) or higher (bins of 1/_BINS octave, _bins), so that
+        every path it drops weighs below 2^(x / _BINS). The level x is
+        shared by all triples and is the highest whose dropped paths sum
+        to at most the rest of the bound. A first pass over the triples
+        counts them and sums their |g| per (c, bin of |g|), which gives
+        the paths any level keeps and the weight it drops.
+    Each stage also keeps a floor that grows with the frame size D, its
+    heaviest candidates: at least _ENTRY_FLOOR entries of |B|,
+    _PAIR_FLOOR pairs and _PATH_FLOOR paths. No quench with alpha in
+    [0.1, 0.7] and lambda <= 2 needs more pairs or paths at N = 50..1600,
+    and at N = 400 none keeps more entries, which gives quenches of a
+    narrow band (alpha near 0.7) or a small field enough candidates to
+    fill the path floor. So each of their averages sums about the same
+    number of paths and costs about the same at one N, whatever its
+    field. A floor only keeps more, so it only lowers the bound.
+    Triples are made for _PATH_BATCH // L pairs at a time (L the longest
+    row), in both passes; the kept ones wait until they hold 2
+    _PATH_BATCH paths, which _sum_paths then sums about _PATH_BATCH at a
+    time, so memory does not grow with the number of paths.
     """
     t = _validate_grid(times)
     dt, steps, half_steps = _uniform_steps(t)
     b, e = frame.w_block, frame.energies
     d, he = psi.size, b.shape[0]
     u = _apply_w(b, psi, np.empty(d))
-    keep, spent = _cut_w(np.abs(b), np.abs(psi), np.abs(u), _DROP_BOUND / 4)
+    keep, spent = _cut_w(np.abs(b), np.abs(psi), np.abs(u), _DROP_BOUND / 4,
+                         _floor(d, *_ENTRY_FLOOR))
 
     # rows of the cut W over the frame's levels, padded to L entries, each
     # in descending |W_cd u_d|: columns, W_cd, W_cd u_d and E_c - E_d
@@ -727,49 +792,71 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTim
     a, s = _expand(lengths)                     # pairs (a, b)
     pb, px = col_t[a, s], psi[a] * w_t[a, s]
     weight = np.abs(px) * env2[pb]
-    kept = weight >= (_DROP_BOUND - spent) / 3.0 / max(weight.size, 1)
+    cut = _lightest_cut(weight, (_DROP_BOUND - spent) / 3.0 * _SLACK)
+    kept = (weight >= _floor_cut(weight, cut, _floor(d, *_PAIR_FLOOR))) & (weight > 0.0)
     spent += float(weight[~kept].sum())
     pa, pb, px = a[kept], pb[kept], px[kept]
     p_omega = e[pa] - e[pb]
-    share = (_DROP_BOUND - spent) / 2.0
-    tau2 = share / max(int(lengths[pb].sum()), 1)
-    paths = np.where(w_t != 0.0, lengths[col_t], 0).sum(axis=1)   # per b, of its triples
-    tau3 = share / max(int(paths[pb].sum()), 1)
-    # above[c, x - x_lo]: the entries of row c at or above 2^(x - 1). As
-    # |g| <= 1, no triple keeps an entry below tau3, so smaller ones (and
-    # zeros) count from 2^(x_lo - 1) < tau3
-    x = np.frexp(np.maximum(ay_t[rows, slot], tau3 / 2.0))[1]
-    x_lo = int(np.frexp(tau3 / 2.0)[1])
-    above = np.zeros((d, int(x.max(initial=x_lo)) - x_lo + 2), dtype=np.intp)
-    np.add.at(above, (rows, x - x_lo), 1)
-    above = np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+
+    def triples():
+        """(pair, c, g) of the triples (a, b, c), _PATH_BATCH // L pairs at a time."""
+        step = max(_PATH_BATCH // width, 1)
+        for lo in range(0, pb.size, step):
+            owner, s = _expand(lengths[pb[lo:lo + step]])
+            owner += lo
+            tb = pb[owner]
+            yield owner, col_t[tb, s], px[owner] * w_t[tb, s]
+
+    # above[c, k]: the entries of row c in bin y_lo + k or higher
+    yb = _bins(ay_t[rows, slot], np.floor)
+    y_lo = int(yb.min(initial=0))
+    n_y = int(yb.max(initial=0)) - y_lo + 2
+    above = np.bincount(rows * n_y + (yb - y_lo), minlength=d * n_y).reshape(d, n_y)
+    above = np.cumsum(above[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+
+    def prefix(c, g_bin, x):
+        """Paths each triple keeps at level x: the entries of row c in bin
+        x - g_bin or higher, a prefix of the row."""
+        return above[c, np.clip(x - g_bin - y_lo, 0, n_y - 1)]
+
+    # the triples per (c, bin of |g|), counted and with their |g| summed,
+    # give the paths any level keeps and the weight it drops
+    n_g = 2 - _BIN_FLOOR
+    count, mass = np.zeros(d * n_g), np.zeros(d * n_g)
+    for _, tc, tg in triples():
+        ag = np.abs(tg)
+        key = tc * n_g + (_bins(ag, np.ceil) - _BIN_FLOOR)
+        count += np.bincount(key, minlength=count.size)
+        mass += np.bincount(key, ag, minlength=mass.size)
+    nz = np.flatnonzero(count)
+    nc, ng, count, mass = nz // n_g, nz % n_g + _BIN_FLOOR, count[nz], mass[nz]
+    # the level: the highest whose dropped paths fit what is left of the
+    # bound, lowered, if it keeps fewer, until it keeps the path floor (the
+    # floor counts no path whose factors both sit in the lowest bins)
+    share = (_DROP_BOUND - spent) * _SLACK
+    lo = int(ng.min(initial=0)) + y_lo          # keeps every path
+    hi = int(ng.max(initial=0)) + y_lo + n_y    # keeps none
+    x = _highest(lambda x: mass @ tails[nc, prefix(nc, ng, x)] <= share, lo, hi)
+    floor = _floor(d, *_PATH_FLOOR)
+    if count @ prefix(nc, ng, x) < floor:
+        lo = min(x, max(lo, 2 * _BIN_FLOOR + 1))
+        x = _highest(lambda x: count @ prefix(nc, ng, x) >= floor, lo, x)
+    del nc, ng, count, mass
 
     acc = np.zeros(2)
     pending, held = [], 0                       # kept triples not yet summed
-    pairs = max(_PATH_BATCH // width, 1)
-    for lo in range(0, pb.size, pairs):
-        sel = slice(lo, lo + pairs)
-        owner, s = _expand(lengths[pb[sel]])     # triples (a, b, c)
-        tb = pb[sel][owner]
-        tc = col_t[tb, s]
-        tg = px[sel][owner] * w_t[tb, s]
-        weight = np.abs(tg) * env1[tc]
-        kept = weight >= tau2
-        spent += float(weight[~kept].sum())
-        tc, tg = tc[kept], tg[kept]
-        t_omega = p_omega[sel][owner][kept]
+    for owner, tc, tg in triples():
         ag = np.abs(tg)
-        # a triple keeps the paths at or above 2^(x - 1) <= tau3 / |g|, a
-        # prefix of its row
-        x = np.clip(np.frexp(tau3 / ag)[1] - x_lo, 0, above.shape[1] - 1)
-        counts = above[tc, x]
+        counts = prefix(tc, _bins(ag, np.ceil), x)
         spent += float(ag @ tails[tc, counts])
         some = counts > 0
-        pending.append((tc[some], tg[some], t_omega[some], counts[some]))
+        pending.append((tc[some], tg[some], p_omega[owner[some]], counts[some]))
         held += int(counts.sum())
-        if held >= 8 * _PATH_BATCH or lo + pairs >= pb.size:
+        if held >= 2 * _PATH_BATCH:
             acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
             pending, held = [], 0
+    if pending:
+        acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
     value, half = float(acc[0]), float(acc[1])
     return LongTimeAverage(value=value, total_time=float(t[-1]), sample_count=int(t.size),
                            estimator_halfwidth=abs(value - half), truncation_bound=spent)

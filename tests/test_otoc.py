@@ -289,3 +289,55 @@ def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
     assert abs(split.value - whole.value) <= 1e-15
     assert abs(split.estimator_halfwidth - whole.estimator_halfwidth) <= 1e-15
     assert split.truncation_bound == pytest.approx(whole.truncation_bound, rel=1e-12)
+
+
+_SUM_PATHS = otoc._sum_paths
+
+
+def _summed_paths(monkeypatch, spec, config):
+    """(average, paths summed) of quench_fbar."""
+    paths = []
+    monkeypatch.setattr(otoc, "_sum_paths", lambda triples, *args: paths.append(
+        sum(int(c.sum()) for *_, c in triples)) or _SUM_PATHS(triples, *args))
+    return quench_fbar(spec, config), sum(paths)
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.2, 0.0), (0.5, 0.01), (0.1, 1.75),
+                                        (0.4, 1.0), (0.7, 1.25), (0.3, 2.0)])
+def test_averages_at_one_size_sum_about_the_same_paths(monkeypatch, alpha, lam):
+    # at N = 400 no quench of alpha 0.1-0.7, lambda <= 2 needs more paths
+    # than the floor, so each sums the floor (up to one bin) and costs the same
+    spec = QuenchSpec(LmgParams(alpha, SpinSector(400)), lam)
+    avg, paths = _summed_paths(monkeypatch, spec, AveragingConfig())
+    floor = otoc._floor(401, *otoc._PATH_FLOOR)
+    assert floor == 1314412
+    assert floor <= paths <= 1.05 * floor
+    assert avg.truncation_bound <= otoc._DROP_BOUND
+
+
+def test_the_average_floors_only_add_paths(monkeypatch):
+    spec = QuenchSpec(LmgParams(0.7, SpinSector(400)), 1.25)
+    config = AveragingConfig()
+    floored, paths = _summed_paths(monkeypatch, spec, config)
+    floor = otoc._floor(401, *otoc._PATH_FLOOR)
+    for name in ("_ENTRY_FLOOR", "_PAIR_FLOOR", "_PATH_FLOOR"):
+        monkeypatch.setattr(otoc, name, (0.0, 1.0))
+    reached, reached_paths = _summed_paths(monkeypatch, spec, config)
+    assert reached_paths < floor <= paths
+    assert floored.truncation_bound <= reached.truncation_bound <= otoc._DROP_BOUND
+    assert abs(floored.value - reached.value) <= (
+        floored.truncation_bound + reached.truncation_bound)
+
+
+def test_cuts_keep_the_heaviest_within_their_share():
+    weight = np.array([4.0, 1.0, 0.5, 2.0, 0.25, 8.0])
+    # 0.25 + 0.5 + 1 fits 2, adding 2 does not: keep 2 and up
+    assert otoc._lightest_cut(weight, 2.0) == 2.0
+    assert otoc._lightest_cut(weight, 100.0) == np.inf
+    assert otoc._lightest_cut(weight, 0.1) == 0.25
+    # a floor of 4 keeps 1 and up; a floor at or past the size keeps all
+    assert otoc._floor_cut(weight, 2.0, 4) == 1.0
+    assert otoc._floor_cut(weight, 0.5, 4) == 0.5
+    assert otoc._floor_cut(weight, 2.0, 6) == 0.0
+    assert otoc._floor_cut(weight, 2.0, 0) == 2.0
+    assert otoc._highest(lambda x: x * x <= 50, -3, 20) == 7
