@@ -16,7 +16,7 @@ from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
                    LongTimeAverage, _bare_frame, _closed_form_average, _fan_out,
-                   _state_quench, make_time_grid, micro_fbar_all)
+                   _level_averages, _state_quench, _uniform_steps, make_time_grid)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -31,14 +31,21 @@ REFERENCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AveragingConfig:
-    """Horizon and sampling step used for long-time averages."""
+    """Horizon and sampling step used for long-time averages.
+
+    steps is (dt, K, K_half) of the time grid, which the closed-form
+    averages take; the grid is built and checked once, when the config is
+    made, not for every cell or level.
+    """
 
     total_time: float = DEFAULT_AVERAGING_TIME
     dt: float = DEFAULT_AVERAGING_DT
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.total_time <= 0 or self.dt <= 0 or self.dt > self.total_time:
             raise DomainError(f"invalid averaging config: T={self.total_time}, dt={self.dt}")
+        object.__setattr__(self, "steps", _uniform_steps(self.time_grid()))
 
     def time_grid(self) -> np.ndarray:
         return make_time_grid(self.total_time, self.dt)
@@ -63,8 +70,8 @@ class NormalizedAverage:
 class SweepGrid:
     """Normalized cells of an (alpha, lambda) grid.
 
-    truncation_bound is the largest truncation bound of the cells this run
-    computed (LongTimeAverage); cells taken from `precomputed` add none.
+    truncation_bound is the largest truncation bound of its cells
+    (LongTimeAverage), those taken from `precomputed` included.
     """
 
     alphas: tuple
@@ -78,7 +85,8 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class MicroScan:
-    """Per-level long-time averages over the whole spectrum."""
+    """Per-level long-time averages over the whole spectrum, and the
+    largest truncation bound among them (LongTimeAverage)."""
 
     alpha: float
     n_spins: int
@@ -90,6 +98,7 @@ class MicroScan:
     halfwidths: np.ndarray = field(repr=False)
     flagged: np.ndarray = field(repr=False)
     critical_rescaled: float = 0.0
+    truncation_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class DnDiagnostic:
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
     """Long-time average of Re F for one quench: the trapezoid rule on the
     configured grid, evaluated in closed form with no time steps."""
-    return _closed_form_average(*_state_quench(spec), config.time_grid())
+    return _closed_form_average(*_state_quench(spec), config.steps)
 
 
 def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
@@ -133,9 +142,10 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
 
     Each cell is an independent job; rows are normalized by their own
     lambda=0 average and abort (cells None) when that reference is
-    numerically zero. precomputed maps (alpha, lambda) to (raw, halfwidth)
-    pairs and lets interrupted runs resume; on_cell, when given, is called
-    with (alpha, lambda, raw, halfwidth) as each fresh cell completes.
+    numerically zero. precomputed maps (alpha, lambda) to (raw, halfwidth,
+    truncation_bound) triples and lets interrupted runs resume; on_cell,
+    when given, is called with (alpha, lambda, raw, halfwidth,
+    truncation_bound) as each fresh cell completes.
     """
     alphas = tuple(float(a) for a in alphas)
     lambdas = tuple(float(lam) for lam in lambdas)
@@ -150,11 +160,11 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
         return quench_fbar(QuenchSpec(LmgParams(cell[0], sector), cell[1]), config)
 
     def settle(cell, avg):
-        precomputed[cell] = (avg.value, avg.estimator_halfwidth)
+        precomputed[cell] = (avg.value, avg.estimator_halfwidth, avg.truncation_bound)
         if on_cell is not None:
             on_cell(*cell, *precomputed[cell])
 
-    fresh = _fan_out(job, wanted, max_workers, settle)
+    _fan_out(job, wanted, max_workers, settle)
 
     critical = []
     for a in alphas:
@@ -176,23 +186,24 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
             continue
         row = []
         for lam in lambdas:
-            raw, halfwidth = precomputed[(a, lam)]
+            raw, halfwidth, _ = precomputed[(a, lam)]
             row.append(NormalizedAverage(
                 raw=raw, reference=ref, value=raw / ref, halfwidth=halfwidth,
                 flagged=not halfwidth < 0.01 * abs(ref)))
         cells.append(row)
     return SweepGrid(alphas=alphas, lambdas=lambdas, n_spins=n_spins,
                      cells=cells, lambda_c=tuple(critical), row_errors=row_errors,
-                     truncation_bound=max((a.truncation_bound for a in fresh), default=0.0))
+                     truncation_bound=max((precomputed[(a, lam)][2]
+                                           for a in alphas for lam in lams_todo), default=0.0))
 
 
 def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan:
     """Normalized long-time average for every eigenstate of one model.
 
-    The energies are those of the blocks that micro_fbar_all takes its
-    levels from, sorted: doublet partners can sit ~1e-13 out of order."""
+    The energies are those of the blocks that the levels are taken from,
+    sorted: doublet partners can sit ~1e-13 out of order."""
     energies = np.sort(_bare_frame(params)[0].energies)
-    fbar, halfwidths = micro_fbar_all(params, config.time_grid())
+    fbar, halfwidths, bound = _level_averages(params, config.steps)
     ref = fbar[0]
     if abs(ref) < REFERENCE_FLOOR:
         raise NumericalError(f"ground-state reference {ref:.3e} too small to normalize by")
@@ -203,7 +214,8 @@ def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan
         rescaled=rescale_energies(energies),
         fbar_raw=fbar, fbar_norm=fbar / ref, halfwidths=halfwidths,
         flagged=~(halfwidths < 0.01 * abs(ref)),
-        critical_rescaled=critical_rescaled_energy(energies))
+        critical_rescaled=critical_rescaled_energy(energies),
+        truncation_bound=bound)
 
 
 def fit_power_law(x, y, window=None) -> FitResult:
@@ -308,7 +320,8 @@ def scaling_gamma_epsilon(alpha: float, n_spins: int,
                                    config)
     below = scan.energies < 0.0
     dist = scan.critical_rescaled - scan.rescaled[below]
-    return fit_power_law(dist, scan.fbar_norm[below], window=window)
+    return replace(fit_power_law(dist, scan.fbar_norm[below], window=window),
+                   truncation_bound=scan.truncation_bound)
 
 
 def dn_diagnostic(alpha: float, sizes,

@@ -301,6 +301,7 @@ def _run_micro(opts, run_dir):
     emit_line_dat(os.path.join(run_dir, "micro.dat"),
                   scan.rescaled, scan.fbar_norm)
     outputs = ["micro.csv", "micro.dat"]
+    scans = []                      # the --sizes scans
     if opts["plot"]:
         write_svg_line(os.path.join(run_dir, "micro.svg"),
                        scan.rescaled, scan.fbar_norm,
@@ -321,12 +322,16 @@ def _run_micro(opts, run_dir):
             rows=dn_rows)
         write_csv(os.path.join(run_dir, "dn.csv"), dn_table)
         outputs.append("dn.csv")
-    grid = {"total_time": opts["tavg"], "dt": opts["dt"],
-            "samples": int(config.time_grid().size)}
     diag = {"reference_fbar": float(scan.fbar_raw[0]),
             "critical_rescaled": float(scan.critical_rescaled),
-            "flagged_levels": int(scan.flagged.sum())}
-    return outputs, grid, diag
+            "flagged_levels": int(scan.flagged.sum()),
+            "truncation_bound": max(s.truncation_bound for s in (scan, *scans))}
+    return outputs, _averaging_grid(opts, config), diag
+
+
+def _averaging_grid(opts, config):
+    """The manifest's time grid of an averaging command."""
+    return {"total_time": opts["tavg"], "dt": opts["dt"], "samples": config.steps[1] + 1}
 
 
 # run settings every checkpoint record carries; a resumed run must match them
@@ -338,8 +343,8 @@ def _load_checkpoint(path, settings):
 
     A record is written with its newline in one go, so a last line without
     one was cut short by a kill: it is cut off the file with a warning and
-    its cell is computed again. Any other unreadable line, or a record of a
-    run with other settings, is refused.
+    its cell is computed again. Any other unreadable line, a record of a
+    run with other settings, or one without a truncation bound, is refused.
     """
     with open(path, "rb") as fh:
         lines = fh.readlines()
@@ -359,13 +364,16 @@ def _load_checkpoint(path, settings):
             value = (rec["fbar_raw"], rec["halfwidth"])
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"{path}:{lineno}: malformed checkpoint record ({exc!r})") from None
+        if "truncation_bound" not in rec:
+            raise UsageError(f"{path}:{lineno}: checkpoint record has no truncation_bound; "
+                             f"use a fresh --out")
         for name in _CHECKPOINT_KEYS:
             if rec.get(name) != settings[name]:
                 raise UsageError(
                     f"{path}:{lineno}: checkpoint has {name}={rec.get(name)!r} but "
                     f"this run has {name}={settings[name]!r}; resume with the same "
                     f"settings or use a fresh --out")
-        cells[key] = value
+        cells[key] = (*value, rec["truncation_bound"])
     return cells
 
 
@@ -380,10 +388,10 @@ def _run_sweep(opts, run_dir):
 
     opts["workers"] = _workers(opts["workers"])
     with open(cells_path, "a" if resume else "w") as checkpoint:
-        def on_cell(alpha, lam, raw, halfwidth):
+        def on_cell(alpha, lam, raw, halfwidth, bound):
             checkpoint.write(json.dumps(
-                {"alpha": alpha, "lambda": lam,
-                 "fbar_raw": raw, "halfwidth": halfwidth, **settings}) + "\n")
+                {"alpha": alpha, "lambda": lam, "fbar_raw": raw, "halfwidth": halfwidth,
+                 "truncation_bound": bound, **settings}) + "\n")
             checkpoint.flush()
 
         grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,
@@ -421,13 +429,11 @@ def _run_sweep(opts, run_dir):
     outputs = ["sweep.csv", "heatmap.dat", "cells.jsonl"]
     flagged = sum(1 for row in grid.cells for c in row
                   if c is not None and c.flagged)
-    grid_spec = {"total_time": opts["tavg"], "dt": opts["dt"],
-                 "samples": int(config.time_grid().size)}
     diag = {"cells": len(grid.alphas) * len(grid.lambdas),
             "flagged_cells": flagged,
             "aborted_alphas": sorted(grid.row_errors),
             "truncation_bound": grid.truncation_bound}
-    return outputs, grid_spec, diag
+    return outputs, _averaging_grid(opts, config), diag
 
 
 def _run_fit(opts, run_dir):
@@ -459,9 +465,7 @@ def _run_fit(opts, run_dir):
     points = ResultTable(columns=point_cols, units=point_units,
                          data=(fit.xs, fit.ys))
     write_csv(os.path.join(run_dir, "points.csv"), points)
-    grid_spec = {"total_time": opts["tavg"], "dt": opts["dt"],
-                 "samples": int(config.time_grid().size)}
-    return (["fit.json", "points.csv"], grid_spec,
+    return (["fit.json", "points.csv"], _averaging_grid(opts, config),
             {"exponent": fit.exponent, "n_points": fit.n_points,
              "truncation_bound": fit.truncation_bound})
 

@@ -12,15 +12,15 @@ commutator needs no fourth: W is real and symmetric in the frame, so
 <chi|W phi> = <W chi|phi> with phi = W(t)V|psi> and chi = W(t)|psi>, and
 W chi is already formed for the commutator norm |phi - W chi|^2.
 
-A quench's long-time average takes no time steps at all: the trapezoid
-rule on a uniform grid is summed in closed form over the paths of the
-banded W (_closed_form_average), so its cost does not depend on the
-horizon.
+A long-time average, of a quench or of a level, takes no time steps at
+all: the trapezoid rule on a uniform grid is summed in closed form over
+the paths of the banded W (_closed_form_average), so its cost does not
+depend on the horizon. Time steps serve traces only.
 
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
-is parity-odd. Both kernels therefore work in a folded frame: the even
-and odd tridiagonal blocks are solved separately and W is the one block
-B coupling them, so every product is half-size. Bare levels are block
+is parity-odd. Traces and averages therefore work in a folded frame: the
+even and odd tridiagonal blocks are solved separately and W is the one
+block B coupling them, so every product is half-size. Bare levels are block
 levels (_bare_frame); only the quench state comes from a dense solve.
 
 Protocols:
@@ -54,7 +54,6 @@ a floor of 103), so each of their traces runs on exactly the floor. A
 closed-form average keeps floors of its own, in W entries, pairs and
 paths (_closed_form_average), for the same reason.
 Where nothing can be dropped the kernel sees the full frame unchanged.
-The all-levels kernel always runs on every level.
 """
 
 import functools
@@ -226,13 +225,6 @@ class CommutatorSeries:
     state_label: str
     kept_levels: tuple
     truncation_bound: float
-
-
-def _matmul_real_complex(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for real a and C-contiguous complex x via one real GEMM."""
-    rows = x.shape[0]
-    out = a @ x.view(np.float64).reshape(rows, -1)
-    return out.view(np.complex128)
 
 
 def _fold(pair):
@@ -500,38 +492,26 @@ def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
         params=p, field_strength=spec.field_strength)
 
 
-def _all_levels(params: LmgParams, t: np.ndarray):
-    """Yield F_n(t_j) for every level n, one time sample j after another.
-
-    With M(t) = W(t) V, F_n(t) = <n|M(t)^2|n>. M is parity-even, so in the
-    frame it is two diagonal blocks, P_e B P_o^* B^T and P_o B^T P_e^* B
-    with P = exp(iEt): one half-size product each per sample. Level n is a
-    frame level (_bare_frame), so F_n is that diagonal entry of M(t)^2.
-    """
-    frame, index = _bare_frame(params)
-    b = frame.w_block
-    bt = np.ascontiguousarray(b.T)
-    he = b.shape[0]
-    for tj in t:
-        p = np.exp(1j * frame.energies * tj)
-        pe, po = p[:he], p[he:]
-        m_even = pe[:, None] * _matmul_real_complex(b, np.conj(po)[:, None] * bt)
-        m_odd = po[:, None] * _matmul_real_complex(bt, np.conj(pe)[:, None] * b)
-        m2 = np.concatenate([np.einsum("ij,ji->i", m_even, m_even),
-                             np.einsum("ij,ji->i", m_odd, m_odd)])
-        yield m2[index]
+def _level_averages(params: LmgParams, grid):
+    """(fbar, halfwidth, bound): the closed-form average (_closed_form_average)
+    of every level on the grid (dt, K, K_half), and the largest truncation
+    bound among them. Level n is a unit vector of the bare frame
+    (_state_level), the state a level's trace starts from."""
+    avgs = [_closed_form_average(*_state_level(params, n), grid)
+            for n in range(params.sector.dimension)]
+    return (np.array([a.value for a in avgs]),
+            np.array([a.estimator_halfwidth for a in avgs]),
+            max(a.truncation_bound for a in avgs))
 
 
 def micro_fbar_all(params: LmgParams, times):
-    """Trapezoidal mean of Re F_n over the grid for every level, streamed.
+    """Trapezoidal mean of Re F_n over a uniform grid for every level, in
+    closed form with no time steps.
 
-    Returns (fbar, halfwidth) arrays of length D without materializing the
-    D x len(times) series. halfwidth mirrors LongTimeAverage.
+    Returns (fbar, halfwidth) arrays of length D; halfwidth mirrors
+    LongTimeAverage. A grid other than t_k = k dt raises DomainError.
     """
-    t = _validate_grid(times)
-    weights = np.array(_average_weights(t))          # full and half horizon
-    acc = sum(np.outer(weights[:, j], f.real) for j, f in enumerate(_all_levels(params, t)))
-    return acc[0], np.abs(acc[0] - acc[1])
+    return _level_averages(params, _uniform_steps(_validate_grid(times)))[:2]
 
 
 def _half_end(t: np.ndarray) -> int:
@@ -716,9 +696,10 @@ def _sum_paths(triples, y_t, omega_t, dt: float, steps) -> np.ndarray:
     return acc
 
 
-def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTimeAverage:
+def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTimeAverage:
     """Trapezoidal mean of Re F over a uniform grid and over its first half,
-    for the state psi of a parity frame, with no time steps.
+    for the state psi of a parity frame, with no time steps. The grid is
+    given as (dt, K, K_half), which _uniform_steps returns.
 
     With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
     W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
@@ -757,8 +738,7 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTim
     _PATH_BATCH paths, which _sum_paths then sums about _PATH_BATCH at a
     time, so memory does not grow with the number of paths.
     """
-    t = _validate_grid(times)
-    dt, steps, half_steps = _uniform_steps(t)
+    dt, steps, half_steps = grid
     b, e = frame.w_block, frame.energies
     d, he = psi.size, b.shape[0]
     u = _apply_w(b, psi, np.empty(d))
@@ -858,7 +838,7 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, times) -> LongTim
     if pending:
         acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
     value, half = float(acc[0]), float(acc[1])
-    return LongTimeAverage(value=value, total_time=float(t[-1]), sample_count=int(t.size),
+    return LongTimeAverage(value=value, total_time=steps * dt, sample_count=steps + 1,
                            estimator_halfwidth=abs(value - half), truncation_bound=spent)
 
 

@@ -95,7 +95,7 @@ def test_quench_sweep_undefined_critical_field():
 
 
 def test_quench_sweep_row_abort_on_zero_reference():
-    seeded = {(0.4, 0.0): (0.0, 0.0), (0.4, 0.3): (0.5, 0.001)}
+    seeded = {(0.4, 0.0): (0.0, 0.0, 0.0), (0.4, 0.3): (0.5, 0.001, 0.0)}
     with pytest.warns(UserWarning, match="aborted"):
         grid = quench_sweep([0.4], [0.3], 10, FAST, precomputed=seeded)
     assert grid.cells[0] == [None]
@@ -105,15 +105,32 @@ def test_quench_sweep_row_abort_on_zero_reference():
 def test_quench_sweep_reuses_precomputed_cells():
     calls = []
     grid1 = quench_sweep([0.4], [0.0, 0.3], 10, FAST,
-                         on_cell=lambda a, l, r, h: calls.append((a, l)))
+                         on_cell=lambda a, l, r, h, b: calls.append((a, l, r, h, b)))
     assert len(calls) == 2
-    pre = {(0.4, 0.0): (grid1.cells[0][0].raw, grid1.cells[0][0].halfwidth),
-           (0.4, 0.3): (grid1.cells[0][1].raw, grid1.cells[0][1].halfwidth)}
+    pre = {(a, lam): rest for a, lam, *rest in calls}
     calls.clear()
     grid2 = quench_sweep([0.4], [0.0, 0.3], 10, FAST, precomputed=pre,
-                         on_cell=lambda a, l, r, h: calls.append((a, l)))
+                         on_cell=lambda a, l, r, h, b: calls.append((a, l)))
     assert calls == []                    # nothing recomputed
     assert grid2.cells[0][1].value == grid1.cells[0][1].value
+    assert grid2.truncation_bound == grid1.truncation_bound
+
+
+def test_a_command_checks_its_time_grid_once(monkeypatch):
+    sizes = []
+    check = otoc._uniform_steps
+
+    def counted(t):
+        sizes.append(t.size)
+        return check(t)
+
+    monkeypatch.setattr(otoc, "_uniform_steps", counted)
+    monkeypatch.setattr(analysis, "_uniform_steps", counted)
+    config = AveragingConfig(1e3, 0.5)
+    assert sizes == [2001]                # when the config is made
+    microcanonical_scan(LmgParams(0.4, SpinSector(12)), config)
+    quench_sweep([0.2, 0.4], [0.0, 0.5, 1.0], 12, config, max_workers=2)
+    assert sizes == [2001]                # and by no level or cell
 
 
 def _count_solves(monkeypatch):
@@ -158,7 +175,7 @@ def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
     settled = []
     with pytest.raises(NumericalError, match="cell failed"):
         quench_sweep([0.4], [0.5, 1.0, 1.5], 10, FAST, max_workers=2,
-                     on_cell=lambda a, lam, r, h: settled.append(lam))
+                     on_cell=lambda a, lam, r, h, b: settled.append(lam))
     assert 0.0 in settled
     assert 1.5 not in started
     assert sorted(settled) == sorted(lam for lam in started if lam != 0.5)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from lmg_otoc import NumericalError, otoc
+from lmg_otoc import (AveragingConfig, LmgParams, NumericalError, SpinSector,
+                      microcanonical_scan, otoc)
 from lmg_otoc.cli import _OPTIONS, build_parser, main
 from lmg_otoc.output import read_csv
 
@@ -252,6 +253,33 @@ def test_sweep_resume_refuses_other_settings(tmp_path, capsys, flag, value, key)
     assert (out / "cells.jsonl").read_bytes() == before
 
 
+def test_fully_resumed_sweep_reports_the_fresh_bound(tmp_path):
+    out = tmp_path / "run"
+    argv = ["sweep", "--alphas", "0.4", "--lambdas", "0,0.5", "--n", "60",
+            "--tavg", "50", "--dt", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    fresh = manifest_of(out)["diagnostics"]["truncation_bound"]
+    assert 0.0 < fresh <= otoc._DROP_BOUND
+    records = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+    assert max(r["truncation_bound"] for r in records) == fresh
+    assert main(argv + ["--resume"]) == 0
+    assert (out / "cells.jsonl").read_text().count("\n") == 2     # nothing recomputed
+    assert manifest_of(out)["diagnostics"]["truncation_bound"] == fresh
+
+
+def test_sweep_resume_refuses_a_record_without_a_bound(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    cells = out / "cells.jsonl"
+    records = [json.loads(line) for line in cells.read_text().splitlines()]
+    del records[1]["truncation_bound"]
+    before = "".join(json.dumps(r) + "\n" for r in records)
+    cells.write_text(before)
+    assert main(SWEEP_ARGS + ["--resume", "--out", str(out)]) == 2
+    assert "cells.jsonl:2: checkpoint record has no truncation_bound" in capsys.readouterr().err
+    assert cells.read_text() == before
+
+
 def test_sweep_resume_recomputes_a_torn_last_record(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
@@ -316,7 +344,21 @@ def test_fit_commands(tmp_path):
     assert rc == 0
     doc = json.loads((out / "fit.json").read_text())
     assert doc["kind"] == "gamma-epsilon" and doc["n_points"] >= 3
-    assert manifest_of(out)["diagnostics"]["truncation_bound"] == 0.0
+    assert 0.0 <= manifest_of(out)["diagnostics"]["truncation_bound"] <= otoc._DROP_BOUND
+
+
+def test_level_average_manifests_record_the_scan_bound(tmp_path):
+    # at N = 60 some paths of some levels are cut, so the bound is not 0
+    scan = microcanonical_scan(LmgParams(0.4, SpinSector(60)), AveragingConfig(50.0, 0.5))
+    assert 0.0 < scan.truncation_bound <= otoc._DROP_BOUND
+    rc, out = run(tmp_path / "micro", "micro", "--n", "60", "--alpha", "0.4",
+                  "--tavg", "50", "--dt", "0.5", "--sizes", "10,60")
+    assert rc == 0
+    assert manifest_of(out)["diagnostics"]["truncation_bound"] == scan.truncation_bound
+    rc, out = run(tmp_path / "ge", "fit", "--kind", "gamma-epsilon", "--alpha", "0.4",
+                  "--n", "60", "--tavg", "50", "--dt", "0.5", "--window", "0.01,0.5")
+    assert rc == 0
+    assert manifest_of(out)["diagnostics"]["truncation_bound"] == scan.truncation_bound
 
 
 def test_fit_manifest_records_the_defaults_it_used(tmp_path, capsys):

@@ -5,17 +5,29 @@ import oracles
 import pytest
 
 from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
-                      SpinSector, commutator_series, commutator_series_micro,
-                      long_time_average, make_time_grid, micro_fbar_all,
+                      SpinSector, build_hamiltonian, commutator_series,
+                      commutator_series_micro, long_time_average,
+                      make_time_grid, micro_fbar_all, microcanonical_scan,
                       quench_fbar, quench_otoc)
 from lmg_otoc import otoc
-from lmg_otoc.otoc import (OtocSeries, _all_levels, _closed_form_average,
-                           _reachable, _state_quench, _trapezoid_means)
+from lmg_otoc.otoc import (OtocSeries, _closed_form_average, _reachable,
+                           _state_level, _state_quench, _trapezoid_means,
+                           _uniform_steps)
 
 
 def level_trace(params, n, times):
     """F_n(t) of the level's commutator trace."""
     return commutator_series_micro(params, n, times).f_values
+
+
+def dense_level_traces(params, times):
+    """F_n(t) of every parity-definite level, row n, by the dense all-levels
+    oracle."""
+    diag, off = build_hamiltonian(params)
+    h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    energies, vectors = oracles.parity_definite(h, *np.linalg.eigh(h))
+    w = params.sector.m_values() / params.sector.total_spin
+    return oracles.dense_all_levels_otoc(energies, vectors, w, times)
 
 
 def test_time_grid_construction():
@@ -96,9 +108,9 @@ def test_free_model_gives_constant_traces():
     # alpha=0 commutes with W, so every eigenstate trace is frozen
     params = LmgParams(0.0, SpinSector(10))
     times = make_time_grid(20.0, 0.25)
-    traces = np.array(list(_all_levels(params, times))).T
-    assert traces.shape == (11, times.size)
-    for values in traces:
+    for n in range(11):
+        values = level_trace(params, n, times)
+        assert values.shape == times.shape
         assert np.max(np.abs(values - values[0])) < 1e-12
 
 
@@ -180,7 +192,7 @@ def test_streamed_level_averages_match_series_route():
                            (LmgParams(0.2, SpinSector(60)), (0, 1, 17, 60))):
         times = make_time_grid(100.0, 0.5)
         fbar, halfwidth = micro_fbar_all(params, times)
-        traces = np.array(list(_all_levels(params, times))).T
+        traces = dense_level_traces(params, times)
         for n in levels:
             single = level_trace(params, n, times)
             assert np.max(np.abs(traces[n] - single)) < 1e-10
@@ -212,7 +224,7 @@ def _closed_form_and_oracle(n, alpha, lam, times):
     """The closed-form average of a quench, and the long-double oracle's
     (full, half) trapezoid means on the same frame."""
     frame, psi = _state_quench(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam))
-    avg = _closed_form_average(frame, psi, times)
+    avg = _closed_form_average(frame, psi, _uniform_steps(times))
     return avg, oracles.trapezoid_means_longdouble(
         frame.energies, oracles.folded_w(frame.w_block), psi, times)
 
@@ -257,7 +269,28 @@ def test_closed_form_average_refuses_a_grid_that_is_not_uniform():
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(10)), 1.0))
     for times in (np.array([0.0, 0.3, 1.0]), np.array([0.0])):
         with pytest.raises(DomainError):
-            _closed_form_average(frame, psi, times)
+            _closed_form_average(frame, psi, _uniform_steps(times))
+
+
+def test_level_averages_refuse_a_grid_that_is_not_uniform():
+    params = LmgParams(0.4, SpinSector(10))
+    for times in (np.array([0.0, 0.3, 1.0]), np.array([0.0]), np.array([0.0, -0.5, -1.0])):
+        with pytest.raises(DomainError):
+            micro_fbar_all(params, times)
+
+
+@pytest.mark.parametrize("n, alpha", [(20, 0.0), (21, 0.0), (30, 0.4)])
+def test_level_averages_match_the_long_double_oracle(n, alpha):
+    # alpha = 0 has exactly degenerate doublets, so exact Omega = 0 paths
+    params = LmgParams(alpha, SpinSector(n))
+    times = make_time_grid(1e4, 0.5)
+    fbar, halfwidth = micro_fbar_all(params, times)
+    for level in range(n + 1):
+        frame, psi = _state_level(params, level)
+        full, half = oracles.trapezoid_means_longdouble(
+            frame.energies, oracles.folded_w(frame.w_block), psi, times)
+        assert abs(fbar[level] - full) <= 1e-14
+        assert abs(halfwidth[level] - abs(full - half)) <= 1e-14
 
 
 def test_trapezoid_means_sum_the_samples():
@@ -277,14 +310,14 @@ def test_trapezoid_means_sum_the_samples():
 
 def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(100)), 1.0))
-    times = make_time_grid(1e4, 0.5)
-    whole = _closed_form_average(frame, psi, times)
+    grid = _uniform_steps(make_time_grid(1e4, 0.5))
+    whole = _closed_form_average(frame, psi, grid)
     calls = []
     means = otoc._trapezoid_means
     monkeypatch.setattr(otoc, "_trapezoid_means",
                         lambda *args: calls.append(None) or means(*args))
     monkeypatch.setattr(otoc, "_PATH_BATCH", 64)
-    split = _closed_form_average(frame, psi, times)
+    split = _closed_form_average(frame, psi, grid)
     assert len(calls) > 100
     assert abs(split.value - whole.value) <= 1e-15
     assert abs(split.estimator_halfwidth - whole.estimator_halfwidth) <= 1e-15
@@ -300,6 +333,19 @@ def _summed_paths(monkeypatch, spec, config):
     monkeypatch.setattr(otoc, "_sum_paths", lambda triples, *args: paths.append(
         sum(int(c.sum()) for *_, c in triples)) or _SUM_PATHS(triples, *args))
     return quench_fbar(spec, config), sum(paths)
+
+
+def test_a_level_scan_sums_the_same_paths_at_any_horizon(monkeypatch):
+    params = LmgParams(0.4, SpinSector(40))
+    runs = []
+    for tmax in (1e4, 1e6):
+        paths = []
+        monkeypatch.setattr(otoc, "_sum_paths", lambda triples, *args: paths.append(
+            sum(int(c.sum()) for *_, c in triples)) or _SUM_PATHS(triples, *args))
+        scan = microcanonical_scan(params, AveragingConfig(tmax, 0.5))
+        runs.append((paths, scan.truncation_bound))
+    assert len(runs[0][0]) >= params.sector.dimension and sum(runs[0][0]) > 0
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("alpha, lam", [(0.2, 0.0), (0.5, 0.01), (0.1, 1.75),

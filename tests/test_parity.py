@@ -8,13 +8,13 @@ import pytest
 
 from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
-                      commutator_series_micro, make_time_grid, quench_otoc)
+                      commutator_series_micro, make_time_grid, micro_fbar_all,
+                      quench_otoc)
 from lmg_otoc import otoc
 from lmg_otoc.cli import main
 from lmg_otoc.output import read_csv
-from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _all_levels, _chunks,
-                           _fold, _reachable, _single_state_otoc, _state_level,
-                           _state_quench)
+from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _chunks, _fold, _reachable,
+                           _single_state_otoc, _state_level, _state_quench)
 
 TOL = 1e-9
 
@@ -185,11 +185,21 @@ def test_all_levels_match_dense_kernel(n, alpha, grid):
     # the dense solve returns localised doublet mixtures deep in the spectrum;
     # the oracle traces the parity-definite levels instead
     assert np.abs(_parity(vectors)).min() < 1e-6
-    got = np.array(list(_all_levels(params, times))).T
     w = params.sector.m_values() / params.sector.total_spin
     want = oracles.dense_all_levels_otoc(*oracles.parity_definite(h, energies, vectors),
                                          w, times)
+    got = np.array([commutator_series_micro(params, level, times).f_values
+                    for level in range(n + 1)])
     assert np.max(np.abs(got - want)) < 1e-12
+    if grid != "uniform":
+        return                  # the closed form refuses it (test_otoc)
+    # the closed-form averages against the trapezoid means of those traces
+    half = max(int(np.count_nonzero(times <= times[-1] / 2.0)), 2)
+    full_mean = np.array([oracles.trapezoid_mean(f.real, times) for f in want])
+    half_mean = np.array([oracles.trapezoid_mean(f.real[:half], times[:half]) for f in want])
+    fbar, halfwidth = micro_fbar_all(params, times)
+    assert np.max(np.abs(fbar - full_mean)) < 1e-12
+    assert np.max(np.abs(halfwidth - np.abs(full_mean - half_mean))) < 1e-12
 
 
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])

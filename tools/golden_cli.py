@@ -3,12 +3,12 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs fourteen invocations of the command line (spectrum twice, otoc
+Runs fifteen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
-of a level inside a degenerate parity doublet, and a 1 x 2 sweep over a
-horizon of 1e5), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
+of a level inside a degenerate parity doublet, and a 1 x 2 sweep and a
+micro scan over a horizon of 1e5), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
 per run (1 unless WORKERS says otherwise) and the package imported from
 SRC (default: the src/ next to this script).
 Every file a run writes is hashed, except manifest.json, which carries a
@@ -56,9 +56,9 @@ RUNS = {
 RUNS["otoc-quench-3-workers"] = RUNS["otoc-quench"]
 # The otoc runs above trace every level of the frame; otoc-quench-n100
 # traces a restricted frame, 40 and 39 of the 51 and 50 levels per block.
-# The sweeps and the mu and gamma-lambda fits average in closed form over
-# the paths of the cut W, with no time steps; sweep-long does so over
-# 2e5 steps.
+# Every long-time average (the sweeps, micro and the three fits) is summed
+# in closed form over the paths of the cut W, with no time steps;
+# sweep-long and micro-long do so over 2e5 steps.
 RUNS["otoc-quench-n100"] = ["otoc", "--n", "100", "--alpha", "0.4", "--lambda", "1",
                             "--tmax", "50", "--dt", "0.05"]
 RUNS["sweep-n100"] = ["sweep", "--alphas", "0.2,0.4", "--lambdas", "0,0.5,1",
@@ -70,6 +70,7 @@ RUNS["otoc-level-doublet"] = ["otoc", "--n", "30", "--alpha", "0.4", "--state", 
                               "--level", "3"]
 RUNS["sweep-long"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
                       "--tavg", "1e5", "--dt", "0.5"]
+RUNS["micro-long"] = ["micro", "--n", "24", "--alpha", "0.4", "--tavg", "1e5", "--dt", "0.5"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
