@@ -88,7 +88,7 @@ _BLOCK = 512
 # time samples per product; a divisor of _BLOCK, and fixed, so no sample's
 # arithmetic depends on how many workers share a trace
 _CHUNK = 256
-# paths a closed-form average sums at once (_closed_form_average)
+# paths a closed-form average sums at once (_sum_paths)
 _PATH_BATCH = 1 << 15
 # a closed-form average over a frame of D levels keeps at least
 # scale * D**power entries of |B|, pairs (a, b) and paths (see
@@ -564,33 +564,48 @@ def _reduce_pi(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trapezoid_means(omega: np.ndarray, dt: float, steps) -> np.ndarray:
-    """Trapezoid mean of cos(omega t) on t_k = k dt, k = 0..K, one row per
-    K in steps: sin(K theta) / (2K tan(theta/2)) with theta = omega dt, and
-    1 where tan(theta/2) = 0.
+def _trapezoid_means(half: np.ndarray, steps) -> np.ndarray:
+    """Trapezoid means of cos(omega t) on t_k = k dt, rows (k = 0..K, k =
+    0..K_half), at the half-angles half = omega dt / 2, which are
+    overwritten; steps is (K, K_half) with K = 2 K_half + r, r in {-1, 0,
+    1}, as _uniform_steps gives it. Over k = 0..n the mean is sin(n theta)
+    / (2n tan(theta/2)) with theta = omega dt, and 1 where tan(theta/2) = 0.
 
     theta/2 is first reduced modulo pi, which moves neither tan(theta/2)
-    nor tan(K theta/2), so that next to an aliased resonance (theta/2 near
-    a nonzero multiple of pi) both tangents see the same small angle. With
-    tau = tan(K theta/2) the mean is tau / (K tan(theta/2) (1 + tau^2)):
-    numpy's tangent is several times faster than its sine while its
-    argument stays below ~6e4 in modulus, so K theta/2 is reduced as well
-    and the cost does not grow with K. That reduction rounds at ~1e-16 of
-    K theta/2, where the mean is ~1 / (K theta/2): it moves the mean by
-    ~1e-16 of itself.
+    nor tan(K_half theta/2), so that next to an aliased resonance (theta/2
+    near a nonzero multiple of pi) both tangents see the same small angle.
+    With t = tan(theta/2) and tau = tan(K_half theta/2) the half mean is m
+    = tau / (K_half t (1 + tau^2)), and with c = cos(K_half theta) = (1 -
+    tau^2) / (1 + tau^2) the double-angle identities give the full mean
+    from the same two tangents: m c where r = 0, else (2 K_half m c (1 -
+    t^2) + r (2 c^2 - 1)) / (K (1 + t^2)); a tangent of K theta/2 would
+    cost a third tangent and a third reduction. numpy's tangent is several
+    times faster than its sine while its argument stays below ~6e4 in
+    modulus, so K_half theta/2 is reduced as well and the cost does not
+    grow with K. That reduction rounds at ~1e-16 of K_half theta/2, where
+    the mean is ~1 / (K theta/2): it moves the mean by ~1e-16 of itself.
     """
-    half = _reduce_pi(omega * (dt / 2.0))
-    t1 = np.tan(half)
+    k, k_half = steps
+    t1 = np.tan(_reduce_pi(half))
     flat = t1 == 0.0                            # theta/2 = 0: tau = 0 as well
-    k = np.array(steps, dtype=float)[:, None]
-    tau = np.tan(_reduce_pi(half * k))
+    tau = np.tan(_reduce_pi(half * k_half))
     den = tau * tau
+    c = np.subtract(1.0, den)
     den += 1.0
+    c /= den                                    # cos(K_half theta)
     den *= t1
-    den *= k
-    den += flat
-    tau += flat
-    return np.divide(tau, den, out=tau)
+    den *= k_half
+    np.copyto(den, 1.0, where=flat)
+    np.copyto(tau, 1.0, where=flat)
+    means = np.empty((2, half.size))
+    m = np.divide(tau, den, out=means[1])
+    full = np.multiply(m, c, out=means[0])
+    if k != 2 * k_half:
+        t1 *= t1
+        full *= 2 * k_half * (1.0 - t1)
+        full += (k - 2 * k_half) * (2.0 * c * c - 1.0)
+        full /= k * (1.0 + t1)
+    return means
 
 
 def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float,
@@ -661,38 +676,33 @@ def _highest(holds, lo: int, hi: int) -> int:
     return lo
 
 
-def _bins(x, rounding) -> np.ndarray:
-    """rounding(_BINS log2 x) as integers, x raised to at least 2^(_BIN_FLOOR / _BINS)."""
-    x = np.maximum(x, 2.0 ** (_BIN_FLOOR / _BINS))
-    return rounding(_BINS * np.log2(x)).astype(np.intp)
+def _bins(x: np.ndarray, rounding) -> np.ndarray:
+    """rounding(_BINS log2 x) as 16-bit integers, x (overwritten) raised to
+    at least 2^(_BIN_FLOOR / _BINS)."""
+    x = np.log2(np.maximum(x, 2.0 ** (_BIN_FLOOR / _BINS), out=x), out=x)
+    return rounding(np.multiply(x, _BINS, out=x), out=x).astype(np.int16)
 
 
-def _expand(counts: np.ndarray):
-    """(owner, slot) of the slots 0..counts[k] - 1 of every item k, in order."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    return owner, np.arange(owner.size) - starts[owner]
+def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
+    """Sum over the paths of the triples (c, g, h) of g y times
+    _trapezoid_means at the half-angle h + eta: slot k of row c holds y =
+    W_cd u_d and eta = (E_c - E_d) dt/2 modulo pi (y_slots[k, c] and
+    half_slots[k, c]), and h is the triple's (E_a - E_b) dt/2 modulo pi.
+    The triples come ordered by path count, most first, and slot k serves
+    the first served[k] of them.
 
-
-def _sum_paths(triples, y_t, omega_t, dt: float, steps) -> np.ndarray:
-    """Sum over the paths of the triples (c, g, omega_ab, count) of
-    g y_t[c, k] times _trapezoid_means at omega_ab + omega_t[c, k], for
-    k < count: a triple's paths are the first `count` entries of row c.
-
-    The paths are gathered about _PATH_BATCH at a time (whole triples), so
-    each product is one flat array however the counts fall.
+    Each slot's paths are taken at most _PATH_BATCH at a time: two gathers
+    from the slot's rows, and contiguous slices of the triples.
     """
-    tc, tg, t_omega, counts = (np.concatenate(a) for a in zip(*triples))
-    splits = np.searchsorted(np.cumsum(counts), np.arange(_PATH_BATCH, counts.sum(), _PATH_BATCH),
-                             side="right")
-    acc = np.zeros(len(steps))
-    for lo, hi in zip(np.r_[0, splits], np.r_[splits, counts.size]):
-        owner, slot = _expand(counts[lo:hi])
-        owner += lo
-        flat = tc[owner] * y_t.shape[1] + slot
-        coef = tg[owner] * np.take(y_t, flat)
-        omega = t_omega[owner] + np.take(omega_t, flat)
-        acc += _trapezoid_means(omega, dt, steps) @ coef
+    acc = np.zeros(2)
+    for k, n in enumerate(served):
+        for lo in range(0, n, _PATH_BATCH):
+            sl = slice(lo, min(lo + _PATH_BATCH, n))
+            half = np.take(half_slots[k], c[sl])
+            half += h[sl]
+            coef = np.take(y_slots[k], c[sl])
+            coef *= g[sl]
+            acc += _trapezoid_means(half, steps) @ coef
     return acc
 
 
@@ -704,10 +714,11 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
     W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
     trapezoid mean on t_k = k dt, k = 0..K, is the sum of those weights
-    times _trapezoid_means at Omega: the program's own rule, evaluated
-    exactly. Omega is formed from energy differences, so a doublet's
-    splitting keeps its digits at any horizon, and the cost does not
-    depend on K.
+    times _trapezoid_means at Omega dt/2: the program's own rule, evaluated
+    exactly. Omega dt/2 is the sum of (E_a - E_b) dt/2 and (E_c - E_d)
+    dt/2, each reduced modulo pi once, per pair and per entry of W, so a
+    doublet's splitting keeps its digits at any horizon, and the cost
+    does not depend on K.
 
     Only paths that can reach the result are summed; those left out sum,
     in modulus, to at most _DROP_BOUND, which bounds how far either mean
@@ -721,9 +732,9 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
         x - bin(|g|) or higher (bins of 1/_BINS octave, _bins), so that
         every path it drops weighs below 2^(x / _BINS). The level x is
         shared by all triples and is the highest whose dropped paths sum
-        to at most the rest of the bound. A first pass over the triples
-        counts them and sums their |g| per (c, bin of |g|), which gives
-        the paths any level keeps and the weight it drops.
+        to at most the rest of the bound. Each triple is made once; counted
+        and with their |g| summed per cell (c, bin of |g|), they give the
+        paths any level keeps and the weight it drops.
     Each stage also keeps a floor that grows with the frame size D, its
     heaviest candidates: at least _ENTRY_FLOOR entries of |B|,
     _PAIR_FLOOR pairs and _PATH_FLOOR paths. No quench with alpha in
@@ -733,10 +744,10 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     fill the path floor. So each of their averages sums about the same
     number of paths and costs about the same at one N, whatever its
     field. A floor only keeps more, so it only lowers the bound.
-    Triples are made for _PATH_BATCH // L pairs at a time (L the longest
-    row), in both passes; the kept ones wait until they hold 2
-    _PATH_BATCH paths, which _sum_paths then sums about _PATH_BATCH at a
-    time, so memory does not grow with the number of paths.
+    The kept triples are ordered by path count, so that slot k of each
+    row serves a prefix of them, and _sum_paths sums them slot by slot,
+    at most _PATH_BATCH paths at a time: memory grows with the triples
+    (~0.2 million at N = 400), not with the paths (~1.3 million).
     """
     dt, steps, half_steps = grid
     b, e = frame.w_block, frame.energies
@@ -745,8 +756,9 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     keep, spent = _cut_w(np.abs(b), np.abs(psi), np.abs(u), _DROP_BOUND / 4,
                          _floor(d, *_ENTRY_FLOOR))
 
-    # rows of the cut W over the frame's levels, padded to L entries, each
-    # in descending |W_cd u_d|: columns, W_cd, W_cd u_d and E_c - E_d
+    # rows of the cut W over the frame's levels, each in descending
+    # |W_cd u_d|: their entries (a row's at starts[c] on), and tables padded
+    # to L entries of W_cd, y = W_cd u_d and (E_c - E_d) dt/2 modulo pi
     i, j = np.nonzero(keep)
     jt, it = np.nonzero(keep.T)
     rows = np.concatenate([i, he + jt])
@@ -755,88 +767,94 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     order = np.lexsort((-np.abs(vals * u[cols]), rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     lengths = np.bincount(rows, minlength=d)
+    starts = np.cumsum(lengths) - lengths
     width = max(int(lengths.max(initial=0)), 1)
-    slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
+    slot = np.arange(rows.size) - starts[rows]
     col_t = np.zeros((d, width), dtype=np.intp)
     w_t = np.zeros((d, width))
     col_t[rows, slot] = cols
     w_t[rows, slot] = vals
     y_t = w_t * u[col_t]
     ay_t = np.abs(y_t)
-    omega_t = e[:, None] - e[col_t]
+    half_t = _reduce_pi((e[:, None] - e[col_t]) * (dt / 2.0))
     tails = np.zeros((d, width + 1))            # tails[c, k]: |y| summed from slot k
     tails[:, :width] = np.cumsum(ay_t[:, ::-1], axis=1)[:, ::-1]
     env1 = tails[:, 0]                          # |W_cut| |u|
     env2 = (np.abs(w_t) * env1[col_t]).sum(axis=1)
 
-    a, s = _expand(lengths)                     # pairs (a, b)
-    pb, px = col_t[a, s], psi[a] * w_t[a, s]
-    weight = np.abs(px) * env2[pb]
+    px = psi[rows] * vals                       # the pairs (a, b) are the entries
+    weight = np.abs(px) * env2[cols]
     cut = _lightest_cut(weight, (_DROP_BOUND - spent) / 3.0 * _SLACK)
     kept = (weight >= _floor_cut(weight, cut, _floor(d, *_PAIR_FLOOR))) & (weight > 0.0)
     spent += float(weight[~kept].sum())
-    pa, pb, px = a[kept], pb[kept], px[kept]
-    p_omega = e[pa] - e[pb]
+    pb, px = cols[kept], px[kept]
+    p_half = _reduce_pi((e[rows[kept]] - e[pb]) * (dt / 2.0))
 
-    def triples():
-        """(pair, c, g) of the triples (a, b, c), _PATH_BATCH // L pairs at a time."""
-        step = max(_PATH_BATCH // width, 1)
-        for lo in range(0, pb.size, step):
-            owner, s = _expand(lengths[pb[lo:lo + step]])
-            owner += lo
-            tb = pb[owner]
-            yield owner, col_t[tb, s], px[owner] * w_t[tb, s]
-
-    # above[c, k]: the entries of row c in bin y_lo + k or higher
+    # above[c, k]: the entries of row c in bin y_lo + k or higher; a count
+    # of one row's entries fits 16 bits below N = 65534
     yb = _bins(ay_t[rows, slot], np.floor)
     y_lo = int(yb.min(initial=0))
     n_y = int(yb.max(initial=0)) - y_lo + 2
     above = np.bincount(rows * n_y + (yb - y_lo), minlength=d * n_y).reshape(d, n_y)
-    above = np.cumsum(above[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+    above = np.cumsum(above[:, ::-1], axis=1, dtype=np.int16)[:, ::-1].ravel()
 
-    def prefix(c, g_bin, x):
-        """Paths each triple keeps at level x: the entries of row c in bin
-        x - g_bin or higher, a prefix of the row."""
-        return above[c, np.clip(x - g_bin - y_lo, 0, n_y - 1)]
+    # every triple (a, b, c) once, pair by pair (the entries of row b):
+    # g = psi_a W_ab W_bc, and its cell (c, bin of |g|)
+    per_pair = lengths[pb]
+    flat = np.repeat(starts[pb] - (np.cumsum(per_pair) - per_pair), per_pair)
+    flat += np.arange(flat.size)
+    cell, tg = cols[flat], vals[flat]
+    del flat
+    tg *= np.repeat(px, per_pair)
+    gb = _bins(np.abs(tg), np.ceil)
+    g_lo = int(gb.min(initial=0))
+    n_g = int(gb.max(initial=0)) - g_lo + 1
+    cell *= n_g
+    cell += gb - g_lo
+    del gb
 
-    # the triples per (c, bin of |g|), counted and with their |g| summed,
-    # give the paths any level keeps and the weight it drops
-    n_g = 2 - _BIN_FLOOR
-    count, mass = np.zeros(d * n_g), np.zeros(d * n_g)
-    for _, tc, tg in triples():
-        ag = np.abs(tg)
-        key = tc * n_g + (_bins(ag, np.ceil) - _BIN_FLOOR)
-        count += np.bincount(key, minlength=count.size)
-        mass += np.bincount(key, ag, minlength=mass.size)
+    # the triples per cell, counted and with their |g| summed, give the
+    # paths any level keeps and the weight it drops
+    count = np.bincount(cell, minlength=d * n_g)
+    mass = np.bincount(cell, np.abs(tg), minlength=d * n_g)
     nz = np.flatnonzero(count)
-    nc, ng, count, mass = nz // n_g, nz % n_g + _BIN_FLOOR, count[nz], mass[nz]
+    nc, ng, count, mass = nz // n_g, nz % n_g + g_lo, count[nz], mass[nz]
+    first, shift, ends = nc * n_y, ng + y_lo, nc * (width + 1)
+
+    def prefix(x):
+        """Paths each cell's triples keep at level x: the entries of row c
+        in bin x - bin(|g|) or higher, a prefix of the row."""
+        return np.take(above, first + np.clip(x - shift, 0, n_y - 1))
+
     # the level: the highest whose dropped paths fit what is left of the
     # bound, lowered, if it keeps fewer, until it keeps the path floor (the
     # floor counts no path whose factors both sit in the lowest bins)
     share = (_DROP_BOUND - spent) * _SLACK
     lo = int(ng.min(initial=0)) + y_lo          # keeps every path
     hi = int(ng.max(initial=0)) + y_lo + n_y    # keeps none
-    x = _highest(lambda x: mass @ tails[nc, prefix(nc, ng, x)] <= share, lo, hi)
+    x = _highest(lambda x: mass @ np.take(tails, ends + prefix(x)) <= share, lo, hi)
     floor = _floor(d, *_PATH_FLOOR)
-    if count @ prefix(nc, ng, x) < floor:
+    if count @ prefix(x) < floor:
         lo = min(x, max(lo, 2 * _BIN_FLOOR + 1))
-        x = _highest(lambda x: count @ prefix(nc, ng, x) >= floor, lo, x)
-    del nc, ng, count, mass
+        x = _highest(lambda x: count @ prefix(x) >= floor, lo, x)
+    per_cell = np.zeros(d * n_g, dtype=np.int16)
+    per_cell[nz] = prefix(x)
+    spent += float(mass @ np.take(tails, ends + per_cell[nz]))
+    counts = np.take(per_cell, cell)            # the paths of each triple
+    del nz, nc, ng, count, mass, first, shift, ends, per_cell
 
-    acc = np.zeros(2)
-    pending, held = [], 0                       # kept triples not yet summed
-    for owner, tc, tg in triples():
-        ag = np.abs(tg)
-        counts = prefix(tc, _bins(ag, np.ceil), x)
-        spent += float(ag @ tails[tc, counts])
-        some = counts > 0
-        pending.append((tc[some], tg[some], p_omega[owner[some]], counts[some]))
-        held += int(counts.sum())
-        if held >= 2 * _PATH_BATCH:
-            acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
-            pending, held = [], 0
-    if pending:
-        acc += _sum_paths(pending, y_t, omega_t, dt, (steps, half_steps))
+    # the kept triples, most paths first (a radix sort of 16-bit counts),
+    # so that slot k of a row serves the first served[k]: those with more
+    # than k paths
+    order = np.flatnonzero(counts)
+    counts = counts[order]
+    order = order[np.argsort(counts, kind="stable")[::-1]]
+    served = np.cumsum(np.bincount(counts, minlength=width + 1)[::-1])[::-1][1:]
+    tc, tg = cell[order] // n_g, tg[order]
+    del cell
+    acc = _sum_paths(tc, tg, np.repeat(p_half, per_pair)[order], served,
+                     np.ascontiguousarray(y_t.T), np.ascontiguousarray(half_t.T),
+                     (steps, half_steps))
     value, half = float(acc[0]), float(acc[1])
     return LongTimeAverage(value=value, total_time=steps * dt, sample_count=steps + 1,
                            estimator_halfwidth=abs(value - half), truncation_bound=spent)

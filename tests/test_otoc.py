@@ -1,5 +1,7 @@
 """OTOC engine: protocol correctness, symmetries, and averaging."""
 
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -293,18 +295,37 @@ def test_level_averages_match_the_long_double_oracle(n, alpha):
         assert abs(halfwidth[level] - abs(full - half)) <= 1e-14
 
 
+# theta = 0 exactly, a tiny frequency, and aliased resonances (theta a
+# multiple of 2 pi, and next to one) among the frequencies
+_DT = 0.5
+_OMEGAS = np.array([0.0, -0.0, 1e-13, 0.7, -3.1, 12.9, 4 * np.pi / _DT,
+                    6 * np.pi / _DT + 1e-9, -2 * np.pi / _DT - 3e-12])
+
+
 def test_trapezoid_means_sum_the_samples():
-    # against the samples themselves, with theta = 0 exactly, a tiny
-    # frequency, and aliased resonances (theta a multiple of 2 pi, and next
-    # to one) among the frequencies
-    dt, k = 0.5, 21
-    omega = np.array([0.0, -0.0, 1e-13, 0.7, -3.1, 12.9, 4 * np.pi / dt,
-                      6 * np.pi / dt + 1e-9, -2 * np.pi / dt - 3e-12])
-    got = _trapezoid_means(omega, dt, (k, 10))
+    # against the samples themselves
+    k = 21
+    got = _trapezoid_means(_OMEGAS * (_DT / 2), (k, 10))
     for row, steps in zip(got, (k, 10)):
-        t = np.arange(steps + 1) * dt
-        want = [oracles.trapezoid_mean(np.cos(w * t), t) for w in omega]
+        t = np.arange(steps + 1) * _DT
+        want = [oracles.trapezoid_mean(np.cos(w * t), t) for w in _OMEGAS]
         assert np.max(np.abs(row - want)) < 1e-14
+    assert np.array_equal(got[:, :2], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("k", [200_000, 200_001])
+def test_trapezoid_means_hold_at_long_horizons(k):
+    # the full mean comes from the half's tangents by the double-angle
+    # identities, for an even and an odd step count; against samples
+    # formed in long double
+    got = _trapezoid_means(_OMEGAS * (_DT / 2), (k, k // 2))
+    t = np.arange(k + 1, dtype=np.longdouble) * _DT
+    for w, means in zip(_OMEGAS, got.T):
+        samples = np.cos(np.longdouble(w) * t)
+        for steps, mean in zip((k, k // 2), means):
+            v = samples[:steps + 1]
+            want = (v.sum() - (v[0] + v[-1]) / 2) / steps
+            assert abs(mean - float(want)) < 1e-14
     assert np.array_equal(got[:, :2], np.ones((2, 2)))
 
 
@@ -324,14 +345,32 @@ def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
     assert split.truncation_bound == pytest.approx(whole.truncation_bound, rel=1e-12)
 
 
+def test_an_average_at_n400_stays_within_its_memory():
+    # every triple is held at once; this bounds what that costs
+    frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(400)), 1.0))
+    tracemalloc.start()
+    try:
+        _closed_form_average(frame, psi, AveragingConfig().steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11e6
+
+
 _SUM_PATHS = otoc._sum_paths
+
+
+def _spy_paths(monkeypatch, paths):
+    """Append to paths the paths each _sum_paths call sums: slot k serves
+    served[k] triples."""
+    monkeypatch.setattr(otoc, "_sum_paths", lambda c, g, h, served, *args: paths.append(
+        int(served.sum())) or _SUM_PATHS(c, g, h, served, *args))
 
 
 def _summed_paths(monkeypatch, spec, config):
     """(average, paths summed) of quench_fbar."""
     paths = []
-    monkeypatch.setattr(otoc, "_sum_paths", lambda triples, *args: paths.append(
-        sum(int(c.sum()) for *_, c in triples)) or _SUM_PATHS(triples, *args))
+    _spy_paths(monkeypatch, paths)
     return quench_fbar(spec, config), sum(paths)
 
 
@@ -340,8 +379,7 @@ def test_a_level_scan_sums_the_same_paths_at_any_horizon(monkeypatch):
     runs = []
     for tmax in (1e4, 1e6):
         paths = []
-        monkeypatch.setattr(otoc, "_sum_paths", lambda triples, *args: paths.append(
-            sum(int(c.sum()) for *_, c in triples)) or _SUM_PATHS(triples, *args))
+        _spy_paths(monkeypatch, paths)
         scan = microcanonical_scan(params, AveragingConfig(tmax, 0.5))
         runs.append((paths, scan.truncation_bound))
     assert len(runs[0][0]) >= params.sector.dimension and sum(runs[0][0]) > 0

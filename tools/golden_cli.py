@@ -3,12 +3,13 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs fifteen invocations of the command line (spectrum twice, otoc
+Runs sixteen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
-of a level inside a degenerate parity doublet, and a 1 x 2 sweep and a
-micro scan over a horizon of 1e5), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
+of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
+micro scan over a horizon of 1e5, and a 1 x 2 sweep over an odd step
+count), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
 per run (1 unless WORKERS says otherwise) and the package imported from
 SRC (default: the src/ next to this script).
 Every file a run writes is hashed, except manifest.json, which carries a
@@ -58,7 +59,8 @@ RUNS["otoc-quench-3-workers"] = RUNS["otoc-quench"]
 # traces a restricted frame, 40 and 39 of the 51 and 50 levels per block.
 # Every long-time average (the sweeps, micro and the three fits) is summed
 # in closed form over the paths of the cut W, with no time steps;
-# sweep-long and micro-long do so over 2e5 steps.
+# sweep-long and micro-long do so over 2e5 steps, and sweep-odd over 401,
+# an odd count, whose full mean takes the odd double-angle identity.
 RUNS["otoc-quench-n100"] = ["otoc", "--n", "100", "--alpha", "0.4", "--lambda", "1",
                             "--tmax", "50", "--dt", "0.05"]
 RUNS["sweep-n100"] = ["sweep", "--alphas", "0.2,0.4", "--lambdas", "0,0.5,1",
@@ -71,6 +73,8 @@ RUNS["otoc-level-doublet"] = ["otoc", "--n", "30", "--alpha", "0.4", "--state", 
 RUNS["sweep-long"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
                       "--tavg", "1e5", "--dt", "0.5"]
 RUNS["micro-long"] = ["micro", "--n", "24", "--alpha", "0.4", "--tavg", "1e5", "--dt", "0.5"]
+RUNS["sweep-odd"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
+                     "--tavg", "200.5", "--dt", "0.5"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
