@@ -15,8 +15,9 @@ from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, _bare_frame, _closed_form_average, _fan_out,
-                   _level_averages, _state_quench, _uniform_steps, make_time_grid)
+                   LongTimeAverage, _bare_frame, _bare_ground, _closed_form_average,
+                   _fan_out, _level_averages, _state_quench, _uniform_steps,
+                   make_time_grid)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -164,6 +165,9 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
         if on_cell is not None:
             on_cell(*cell, *precomputed[cell])
 
+    # each row's bare ground state, solved once before its cells
+    _fan_out(lambda a: _bare_ground(LmgParams(a, sector)),
+             dict.fromkeys(a for a, _ in wanted), max_workers)
     _fan_out(job, wanted, max_workers, settle)
 
     critical = []
@@ -295,11 +299,12 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
         raise DomainError("field grid must stay strictly below the critical field")
     if np.any(lambdas < 0):
         raise DomainError("field strengths must be nonnegative")
-    sector = SpinSector(n_spins)
+    params = LmgParams(alpha, SpinSector(n_spins))
 
     def job(lam):
-        return quench_fbar(QuenchSpec(LmgParams(alpha, sector), float(lam)), config)
+        return quench_fbar(QuenchSpec(params, float(lam)), config)
 
+    _bare_ground(params)                        # once, before the cells
     avgs = _fan_out(job, [0.0] + list(lambdas), max_workers)
     ref = avgs[0].value
     if abs(ref) < REFERENCE_FLOOR:

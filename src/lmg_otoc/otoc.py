@@ -58,7 +58,6 @@ Where nothing can be dropped the kernel sees the full frame unchanged.
 
 import functools
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -289,14 +288,11 @@ def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
                         w_block=b)
 
 
-# The bare ground vector is kept per (alpha, N), as every field of a sweep
-# row or field fit starts from it; the lock keeps two cells from solving it.
-_BARE_LOCK = threading.Lock()
-
-
 @functools.lru_cache(maxsize=64)
 def _bare_ground(params: LmgParams) -> np.ndarray:
-    """Ground vector of the bare Hamiltonian, as the dense solve returns it."""
+    """Ground vector of the bare Hamiltonian, as the dense solve returns it,
+    kept per (alpha, N) for the fields of a sweep row or field fit. Two
+    threads may solve it at once, so those solve it before their cells."""
     psi0 = eigh(build_hamiltonian(params)).vectors[:, 0].copy()
     psi0.setflags(write=False)
     return psi0
@@ -304,8 +300,7 @@ def _bare_ground(params: LmgParams) -> np.ndarray:
 
 def _state_quench(spec: QuenchSpec):
     """Folded post-quench frame and the bare ground state in it."""
-    with _BARE_LOCK:
-        psi0 = _bare_ground(spec.params)
+    psi0 = _bare_ground(spec.params)
     frame = _parity_frame(spec.params.sector, build_postquench(spec))
     return frame, frame.state(psi0)
 
@@ -564,48 +559,52 @@ def _reduce_pi(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trapezoid_means(half: np.ndarray, steps) -> np.ndarray:
-    """Trapezoid means of cos(omega t) on t_k = k dt, rows (k = 0..K, k =
-    0..K_half), at the half-angles half = omega dt / 2, which are
-    overwritten; steps is (K, K_half) with K = 2 K_half + r, r in {-1, 0,
-    1}, as _uniform_steps gives it. Over k = 0..n the mean is sin(n theta)
-    / (2n tan(theta/2)) with theta = omega dt, and 1 where tan(theta/2) = 0.
+def _weighted_means(half: np.ndarray, coef: np.ndarray, steps) -> np.ndarray:
+    """Trapezoid means of cos(omega t) on t_k = k dt, over k = 0..K and k =
+    0..K_half, weighed by coef and summed: (sum coef m_K, sum coef m_Khalf).
+    The means are taken at the half-angles half = omega dt / 2; half and
+    coef are overwritten. steps is (K, K_half) with K = 2 K_half + r, r in
+    {-1, 0, 1}, as _uniform_steps gives it. Over k = 0..n the mean is
+    sin(n theta) / (2n tan(theta/2)) with theta = omega dt, and 1 where
+    tan(theta/2) = 0: those exact resonances are summed apart.
 
     theta/2 is first reduced modulo pi, which moves neither tan(theta/2)
     nor tan(K_half theta/2), so that next to an aliased resonance (theta/2
     near a nonzero multiple of pi) both tangents see the same small angle.
-    With t = tan(theta/2) and tau = tan(K_half theta/2) the half mean is m
-    = tau / (K_half t (1 + tau^2)), and with c = cos(K_half theta) = (1 -
-    tau^2) / (1 + tau^2) the double-angle identities give the full mean
-    from the same two tangents: m c where r = 0, else (2 K_half m c (1 -
-    t^2) + r (2 c^2 - 1)) / (K (1 + t^2)); a tangent of K theta/2 would
-    cost a third tangent and a third reduction. numpy's tangent is several
-    times faster than its sine while its argument stays below ~6e4 in
-    modulus, so K_half theta/2 is reduced as well and the cost does not
-    grow with K. That reduction rounds at ~1e-16 of K_half theta/2, where
-    the mean is ~1 / (K theta/2): it moves the mean by ~1e-16 of itself.
+    With t = tan(theta/2), tau = tan(K_half theta/2), q = 1 / (1 + tau^2)
+    and p = coef tau q / t, a path adds p / K_half to the half sum, and
+    since c = cos(K_half theta) = 2q - 1, p c / K_half to the full sum
+    where r = 0. Where r = +-1 the double-angle identities give it as (2 p
+    c (1 - t^2) + r coef (2 c^2 - 1)) / (K (1 + t^2)); a tangent of K
+    theta/2 would cost a third tangent and a third reduction. numpy's
+    tangent is several times faster than its sine while its argument stays
+    below ~6e4 in modulus, so K_half theta/2 is reduced as well and the
+    cost does not grow with K. That reduction rounds at ~1e-16 of K_half
+    theta/2, where the mean is ~1 / (K theta/2): it moves the mean by
+    ~1e-16 of itself.
     """
     k, k_half = steps
-    t1 = np.tan(_reduce_pi(half))
-    flat = t1 == 0.0                            # theta/2 = 0: tau = 0 as well
+    t = np.tan(_reduce_pi(half))
+    flat = t == 0.0                             # theta/2 = 0: tau = 0 as well
+    resonant = np.sum(coef, where=flat)
+    np.copyto(t, 1.0, where=flat)
     tau = np.tan(_reduce_pi(half * k_half))
-    den = tau * tau
-    c = np.subtract(1.0, den)
-    den += 1.0
-    c /= den                                    # cos(K_half theta)
-    den *= t1
-    den *= k_half
-    np.copyto(den, 1.0, where=flat)
-    np.copyto(tau, 1.0, where=flat)
-    means = np.empty((2, half.size))
-    m = np.divide(tau, den, out=means[1])
-    full = np.multiply(m, c, out=means[0])
-    if k != 2 * k_half:
-        t1 *= t1
-        full *= 2 * k_half * (1.0 - t1)
-        full += (k - 2 * k_half) * (2.0 * c * c - 1.0)
-        full /= k * (1.0 + t1)
-    return means
+    q = np.multiply(tau, tau, out=half)
+    q += 1.0
+    np.divide(1.0, q, out=q)
+    p = tau
+    p *= q
+    p *= coef
+    p /= t
+    s = p.sum()
+    if k == 2 * k_half:
+        return np.array([(2.0 * (p @ q) - s) / k_half, s / k_half]) + resonant
+    np.copyto(coef, 0.0, where=flat)
+    c = 2.0 * q - 1.0
+    t *= t
+    full = 2.0 * p * c * (1.0 - t) + (k - 2 * k_half) * coef * (2.0 * c * c - 1.0)
+    full /= 1.0 + t
+    return np.array([full.sum() / k, s / k_half]) + resonant
 
 
 def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float,
@@ -618,7 +617,9 @@ def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float,
     + l_2 R r_0 with R = |W| - |W_cut|, l_k = |W_cut|^k |psi| and r_k =
     |W|^k |u|, a sum of nonnegative terms. The entries below the largest
     power of two whose loss stays within budget are cut, but at least the
-    floor largest entries are kept.
+    floor largest entries are kept. The loss grows with the threshold, so
+    the floor decides where it keeps every entry or where the least power
+    of two at or above its threshold fits; else the powers below are bisected.
     """
     r = [right]
     for _ in range(2):
@@ -634,14 +635,15 @@ def _cut_w(ab: np.ndarray, left: np.ndarray, right: np.ndarray, budget: float,
             left_k = _apply_w(kept, left_k, np.empty_like(left_k))
         return keep, float(loss)
 
-    lo, hi = 0, 1074                    # 2.0 ** -1074: only zeros are cut
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cut(2.0 ** -mid)[1] <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cut(_floor_cut(ab.ravel(), 2.0 ** -lo, floor))
+    top = _floor_cut(ab.ravel(), 1.0, floor)
+    if top == 0.0:
+        return cut(0.0)
+    mantissa, exponent = np.frexp(top)  # 2.0 ** -lo: the least power >= top
+    lo = int(mantissa == 0.5) - int(exponent)
+    if cut(2.0 ** -lo)[1] <= budget:
+        return cut(top)
+    lo = _highest(lambda k: cut(2.0 ** -k)[1] > budget, lo, 1074)
+    return cut(2.0 ** -min(lo + 1, 1074))   # 2.0 ** -1074: only zeros are cut
 
 
 def _floor(d: int, scale: float, power: float) -> int:
@@ -676,6 +678,17 @@ def _highest(holds, lo: int, hi: int) -> int:
     return lo
 
 
+def _path_level(kept, dropped, lo: int, hi: int, floor: int, share: float) -> int:
+    """The level x in [lo, hi] of a closed-form average's path cut: the
+    highest whose kept(x) paths reach the floor (which counts no path whose
+    factors both sit in the lowest bins), if its dropped(x) weight fits the
+    share, else the highest below that fits; kept falls, dropped rises with x."""
+    x = _highest(lambda x: kept(x) >= floor, max(lo, 2 * _BIN_FLOOR + 1), hi)
+    if dropped(x) > share:
+        x = _highest(lambda x: dropped(x) <= share, lo, x - 1)
+    return x
+
+
 def _bins(x: np.ndarray, rounding) -> np.ndarray:
     """rounding(_BINS log2 x) as 16-bit integers, x (overwritten) raised to
     at least 2^(_BIN_FLOOR / _BINS)."""
@@ -684,15 +697,17 @@ def _bins(x: np.ndarray, rounding) -> np.ndarray:
 
 
 def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
-    """Sum over the paths of the triples (c, g, h) of g y times
-    _trapezoid_means at the half-angle h + eta: slot k of row c holds y =
+    """(full, half): sums over the paths of the triples (c, g, h) of g y
+    times the trapezoid means at the half-angle h + eta, which
+    _weighted_means weighs and sums batch by batch: slot k of row c holds y =
     W_cd u_d and eta = (E_c - E_d) dt/2 modulo pi (y_slots[k, c] and
     half_slots[k, c]), and h is the triple's (E_a - E_b) dt/2 modulo pi.
     The triples come ordered by path count, most first, and slot k serves
     the first served[k] of them.
 
     Each slot's paths are taken at most _PATH_BATCH at a time: two gathers
-    from the slot's rows, and contiguous slices of the triples.
+    from the slot's rows, and contiguous slices of the triples. No matrix
+    of means is formed.
     """
     acc = np.zeros(2)
     for k, n in enumerate(served):
@@ -702,7 +717,7 @@ def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
             half += h[sl]
             coef = np.take(y_slots[k], c[sl])
             coef *= g[sl]
-            acc += _trapezoid_means(half, steps) @ coef
+            acc += _weighted_means(half, coef, steps)
     return acc
 
 
@@ -714,11 +729,11 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
     W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
     trapezoid mean on t_k = k dt, k = 0..K, is the sum of those weights
-    times _trapezoid_means at Omega dt/2: the program's own rule, evaluated
-    exactly. Omega dt/2 is the sum of (E_a - E_b) dt/2 and (E_c - E_d)
-    dt/2, each reduced modulo pi once, per pair and per entry of W, so a
-    doublet's splitting keeps its digits at any horizon, and the cost
-    does not depend on K.
+    times the mean of cos(Omega t) (_weighted_means, at Omega dt/2): the
+    program's own rule, evaluated exactly. Omega dt/2 is the sum of (E_a -
+    E_b) dt/2 and (E_c - E_d) dt/2, each reduced modulo pi once, per pair
+    and per entry of W, so a doublet's splitting keeps its digits at any
+    horizon, and the cost does not depend on K.
 
     Only paths that can reach the result are summed; those left out sum,
     in modulus, to at most _DROP_BOUND, which bounds how far either mean
@@ -732,9 +747,9 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
         x - bin(|g|) or higher (bins of 1/_BINS octave, _bins), so that
         every path it drops weighs below 2^(x / _BINS). The level x is
         shared by all triples and is the highest whose dropped paths sum
-        to at most the rest of the bound. Each triple is made once; counted
-        and with their |g| summed per cell (c, bin of |g|), they give the
-        paths any level keeps and the weight it drops.
+        to at most the rest of the bound (_path_level). Each triple is
+        made once; counted and with their |g| summed per cell (c, bin of
+        |g|), they give the paths any level keeps and the weight it drops.
     Each stage also keeps a floor that grows with the frame size D, its
     heaviest candidates: at least _ENTRY_FLOOR entries of |B|,
     _PAIR_FLOOR pairs and _PATH_FLOOR paths. No quench with alpha in
@@ -743,7 +758,8 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     narrow band (alpha near 0.7) or a small field enough candidates to
     fill the path floor. So each of their averages sums about the same
     number of paths and costs about the same at one N, whatever its
-    field. A floor only keeps more, so it only lowers the bound.
+    field. A floor only keeps more, so it only lowers the bound. Each
+    search tests its bound at its floor first, which settles it for those.
     The kept triples are ordered by path count, so that slot k of each
     row serves a prefix of them, and _sum_paths sums them slot by slot,
     at most _PATH_BATCH paths at a time: memory grows with the triples
@@ -826,17 +842,11 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
         in bin x - bin(|g|) or higher, a prefix of the row."""
         return np.take(above, first + np.clip(x - shift, 0, n_y - 1))
 
-    # the level: the highest whose dropped paths fit what is left of the
-    # bound, lowered, if it keeps fewer, until it keeps the path floor (the
-    # floor counts no path whose factors both sit in the lowest bins)
-    share = (_DROP_BOUND - spent) * _SLACK
-    lo = int(ng.min(initial=0)) + y_lo          # keeps every path
-    hi = int(ng.max(initial=0)) + y_lo + n_y    # keeps none
-    x = _highest(lambda x: mass @ np.take(tails, ends + prefix(x)) <= share, lo, hi)
-    floor = _floor(d, *_PATH_FLOOR)
-    if count @ prefix(x) < floor:
-        lo = min(x, max(lo, 2 * _BIN_FLOOR + 1))
-        x = _highest(lambda x: count @ prefix(x) >= floor, lo, x)
+    x = _path_level(lambda x: count @ prefix(x),
+                    lambda x: mass @ np.take(tails, ends + prefix(x)),
+                    int(ng.min(initial=0)) + y_lo,          # keeps every path
+                    int(ng.max(initial=0)) + y_lo + n_y,    # keeps none
+                    _floor(d, *_PATH_FLOOR), (_DROP_BOUND - spent) * _SLACK)
     per_cell = np.zeros(d * n_g, dtype=np.int16)
     per_cell[nz] = prefix(x)
     spent += float(mass @ np.take(tails, ends + per_cell[nz]))

@@ -4,8 +4,11 @@ Everything here is deliberately built through routes the library does not
 use: operators are assembled in the Z-basis from raw ladder algebra, time
 evolution goes through dense matrix exponentials, eigenvalues come from
 Sturm-sequence bisection, long-time averages from a closed-form
-spectral sum, single-state and all-levels traces from the dense
-D x D kernels the package used before it folded by parity, and
+spectral sum, the closed-form average's trapezoid means and its searches
+for a cut of W and a path level in the forms the package first used (a
+means matrix and plain bisections), single-state and all-levels traces
+from the dense D x D kernels the package used before it folded by
+parity, and
 parity-definite levels from a dense solve with the reflection
 diagonalised inside each degenerate cluster. frame_f_series is the one
 deliberate exception: it restates the package's phases, so that a
@@ -381,3 +384,111 @@ def trapezoid_mean(values, times):
     times = np.asarray(times, dtype=float)
     dt = np.diff(times)
     return float((0.5 * dt * (values[1:] + values[:-1])).sum() / (times[-1] - times[0]))
+
+
+def _reduce_pi(x):
+    """x less its nearest multiple of pi, in place."""
+    multiple = np.rint(x * (1.0 / np.pi))
+    multiple *= np.pi
+    x -= multiple
+    return x
+
+
+def _trapezoid_means(half, steps):
+    """Trapezoid means of cos(omega t) on t_k = k dt, rows (k = 0..K, k =
+    0..K_half), at the half-angles half = omega dt / 2, which are
+    overwritten; steps is (K, K_half) with K = 2 K_half + r, r in {-1, 0,
+    1}. Over k = 0..n the mean is sin(n theta) / (2n tan(theta/2)) with
+    theta = omega dt, and 1 where tan(theta/2) = 0.
+
+    The package's closed-form average took these means, one row per
+    horizon, and then weighed them by a product with its path weights.
+    theta/2 and K_half theta/2 are reduced modulo pi; with t =
+    tan(theta/2) and tau = tan(K_half theta/2) the half mean is m = tau /
+    (K_half t (1 + tau^2)), and with c = cos(K_half theta) = (1 - tau^2) /
+    (1 + tau^2) the full mean is m c where r = 0, else (2 K_half m c (1 -
+    t^2) + r (2 c^2 - 1)) / (K (1 + t^2)).
+    """
+    k, k_half = steps
+    t1 = np.tan(_reduce_pi(half))
+    flat = t1 == 0.0
+    tau = np.tan(_reduce_pi(half * k_half))
+    den = tau * tau
+    c = np.subtract(1.0, den)
+    den += 1.0
+    c /= den
+    den *= t1
+    den *= k_half
+    np.copyto(den, 1.0, where=flat)
+    np.copyto(tau, 1.0, where=flat)
+    means = np.empty((2, half.size))
+    m = np.divide(tau, den, out=means[1])
+    full = np.multiply(m, c, out=means[0])
+    if k != 2 * k_half:
+        t1 *= t1
+        full *= 2 * k_half * (1.0 - t1)
+        full += (k - 2 * k_half) * (2.0 * c * c - 1.0)
+        full /= k * (1.0 + t1)
+    return means
+
+
+def _highest(holds, lo, hi):
+    """The highest x in [lo, hi] where holds(x), for holds true at lo and
+    true up to some x, false above."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
+    return lo
+
+
+def cut_w_bisection(ab, left, right, budget, floor):
+    """(keep, loss) of a closed-form average's cut of |B|: the entries below
+    the largest power of two 2^-k, k = 0..1074, whose loss fits the budget
+    are cut, found by bisecting k over the whole range, but at least the
+    floor largest entries are kept. The loss is |psi| (|W|^3 - |W_cut|^3)
+    |u| for left = |psi| and right = |u|, with W = [[0, B], [B^T, 0]]."""
+    he = ab.shape[0]
+
+    def apply(m, x):
+        return np.concatenate([m @ x[he:], m.T @ x[:he]])
+
+    r = [right, apply(ab, right)]
+    r.append(apply(ab, r[-1]))
+
+    def cut(threshold):
+        keep = ab >= threshold
+        kept = np.where(keep, ab, 0.0)
+        rest = ab - kept
+        loss, left_k = 0.0, left
+        for r_k in r[::-1]:
+            loss += left_k @ apply(rest, r_k)
+            left_k = apply(kept, left_k)
+        return keep, float(loss)
+
+    lo, hi = 0, 1074
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cut(2.0 ** -mid)[1] <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    threshold = 2.0 ** -lo
+    weight = ab.ravel()
+    if floor > 0:
+        if weight.size <= floor:
+            threshold = 0.0
+        else:
+            nth = np.partition(weight, weight.size - floor)[weight.size - floor]
+            threshold = min(threshold, float(nth))
+    return cut(threshold)
+
+
+def path_level_bisection(kept, dropped, lo, hi, floor, share, bin_floor):
+    """The level of a closed-form average's path cut, searched bound first:
+    the highest x in [lo, hi] whose dropped(x) weight fits the share, and
+    if its kept(x) paths fall short of the floor, the highest below it
+    that keeps the floor, searched from no lower than 2 bin_floor + 1."""
+    x = _highest(lambda x: dropped(x) <= share, lo, hi)
+    if kept(x) < floor:
+        x = _highest(lambda x: kept(x) >= floor, min(x, max(lo, 2 * bin_floor + 1)), x)
+    return x

@@ -1,6 +1,7 @@
 """Normalization, sweeps, scans, and the power-law fits."""
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -155,6 +156,45 @@ def test_microcanonical_scan_solves_the_bare_model_once(monkeypatch):
     dims = _count_solves(monkeypatch)
     microcanonical_scan(LmgParams(0.4, SpinSector(20)), FAST)
     assert sorted(dims) == [10, 11]      # the two parity blocks, no dense solve
+
+
+def _dense_solves_meet_in_pairs(monkeypatch, sizes):
+    """Make every dense solve of a bare model of one of these sizes wait, in
+    the OTOC layer, until a second one arrives: two such solves pass only
+    if they run side by side."""
+    barrier = threading.Barrier(2, timeout=10)
+    dense = {n + 1 for n in sizes}
+    solve = otoc.eigh
+
+    def eigh(pair):
+        if len(pair[0]) in dense:
+            barrier.wait()
+        return solve(pair)
+
+    monkeypatch.setattr(otoc, "eigh", eigh)
+    otoc._bare_ground.cache_clear()
+
+
+def test_quench_sweep_solves_its_rows_side_by_side(monkeypatch):
+    _dense_solves_meet_in_pairs(monkeypatch, [10])
+    grid = quench_sweep([0.2, 0.4], [0.0, 0.5], 10, FAST, max_workers=2)
+    assert all(cell is not None for row in grid.cells for cell in row)
+
+
+def test_scaling_mu_solves_its_sizes_side_by_side(monkeypatch):
+    # on 2 workers each thread's k-th dense solve meets the other's; the
+    # parity blocks of these sizes (10 to 14 levels) never wait
+    sizes = (20, 22, 24, 26)
+    _dense_solves_meet_in_pairs(monkeypatch, sizes)
+    assert scaling_mu(0.4, sizes, FAST, max_workers=2).n_points == 4
+
+
+def test_scaling_gamma_lambda_solves_the_bare_model_once(monkeypatch):
+    dims = _count_solves(monkeypatch)
+    scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
+                         max_workers=2)
+    # one dense 11 x 11 solve, then the two parity blocks per field
+    assert sorted(dims) == [5] * 4 + [6] * 4 + [11]
 
 
 def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):

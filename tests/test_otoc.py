@@ -13,8 +13,8 @@ from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
                       quench_fbar, quench_otoc)
 from lmg_otoc import otoc
 from lmg_otoc.otoc import (OtocSeries, _closed_form_average, _reachable,
-                           _state_level, _state_quench, _trapezoid_means,
-                           _uniform_steps)
+                           _state_level, _state_quench, _uniform_steps,
+                           _weighted_means)
 
 
 def level_trace(params, n, times):
@@ -303,9 +303,9 @@ _OMEGAS = np.array([0.0, -0.0, 1e-13, 0.7, -3.1, 12.9, 4 * np.pi / _DT,
 
 
 def test_trapezoid_means_sum_the_samples():
-    # against the samples themselves
+    # the means matrix of the oracle, against the samples themselves
     k = 21
-    got = _trapezoid_means(_OMEGAS * (_DT / 2), (k, 10))
+    got = oracles._trapezoid_means(_OMEGAS * (_DT / 2), (k, 10))
     for row, steps in zip(got, (k, 10)):
         t = np.arange(steps + 1) * _DT
         want = [oracles.trapezoid_mean(np.cos(w * t), t) for w in _OMEGAS]
@@ -318,7 +318,7 @@ def test_trapezoid_means_hold_at_long_horizons(k):
     # the full mean comes from the half's tangents by the double-angle
     # identities, for an even and an odd step count; against samples
     # formed in long double
-    got = _trapezoid_means(_OMEGAS * (_DT / 2), (k, k // 2))
+    got = oracles._trapezoid_means(_OMEGAS * (_DT / 2), (k, k // 2))
     t = np.arange(k + 1, dtype=np.longdouble) * _DT
     for w, means in zip(_OMEGAS, got.T):
         samples = np.cos(np.longdouble(w) * t)
@@ -329,13 +329,28 @@ def test_trapezoid_means_hold_at_long_horizons(k):
     assert np.array_equal(got[:, :2], np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("k, k_half", [(21, 10), (200_000, 100_000), (200_001, 100_000),
+                                        (1, 1)])
+@pytest.mark.parametrize("weights", ["unit", "random"])
+def test_weighted_means_sum_the_means_matrix(k, k_half, weights):
+    # the weighted sums, taken without a means matrix, against the oracle's
+    # matrix times the weights, on the frequencies of the tests above; K = 1
+    # is the 2-sample grid, the one with K = 2 K_half - 1
+    coef = (np.ones(_OMEGAS.size) if weights == "unit"
+            else np.random.default_rng(7).uniform(-1.0, 1.0, _OMEGAS.size))
+    want = oracles._trapezoid_means(_OMEGAS * (_DT / 2), (k, k_half)) @ coef
+    got = _weighted_means(_OMEGAS * (_DT / 2), coef.copy(), (k, k_half))
+    assert got.shape == (2,)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(100)), 1.0))
     grid = _uniform_steps(make_time_grid(1e4, 0.5))
     whole = _closed_form_average(frame, psi, grid)
     calls = []
-    means = otoc._trapezoid_means
-    monkeypatch.setattr(otoc, "_trapezoid_means",
+    means = otoc._weighted_means
+    monkeypatch.setattr(otoc, "_weighted_means",
                         lambda *args: calls.append(None) or means(*args))
     monkeypatch.setattr(otoc, "_PATH_BATCH", 64)
     split = _closed_form_average(frame, psi, grid)
@@ -411,6 +426,84 @@ def test_the_average_floors_only_add_paths(monkeypatch):
     assert floored.truncation_bound <= reached.truncation_bound <= otoc._DROP_BOUND
     assert abs(floored.value - reached.value) <= (
         floored.truncation_bound + reached.truncation_bound)
+
+
+def _check_searches(monkeypatch):
+    """Check every cut of W and every path level against the plain
+    bisections of the oracles, on the same arguments, and log each as
+    ("cut", kept entries) or ("level", x, hi)."""
+    log = []
+    cut_w, path_level = otoc._cut_w, otoc._path_level
+
+    def checked_cut(ab, left, right, budget, floor):
+        keep, loss = cut_w(ab, left, right, budget, floor)
+        want_keep, want_loss = oracles.cut_w_bisection(ab, left, right, budget, floor)
+        assert np.array_equal(keep, want_keep) and loss == want_loss
+        log.append(("cut", int(keep.sum())))
+        return keep, loss
+
+    def checked_level(kept, dropped, lo, hi, floor, share):
+        x = path_level(kept, dropped, lo, hi, floor, share)
+        assert x == oracles.path_level_bisection(kept, dropped, lo, hi, floor, share,
+                                                 otoc._BIN_FLOOR)
+        log.append(("level", x, hi))
+        return x
+
+    monkeypatch.setattr(otoc, "_cut_w", checked_cut)
+    monkeypatch.setattr(otoc, "_path_level", checked_level)
+    return log
+
+
+def _use_bisections(monkeypatch):
+    """Search every cut of W and every path level by the oracles' plain
+    bisections instead."""
+    monkeypatch.setattr(otoc, "_cut_w", oracles.cut_w_bisection)
+    monkeypatch.setattr(otoc, "_path_level", lambda *args: oracles.path_level_bisection(
+        *args, otoc._BIN_FLOOR))
+
+
+def _searched_both_ways(monkeypatch, average):
+    """(average(), the log of its searches, average() by plain bisections)."""
+    log = _check_searches(monkeypatch)
+    got = average()
+    _use_bisections(monkeypatch)
+    return got, log, average()
+
+
+@pytest.mark.parametrize("n, alpha, lam, tmax, dt", [
+    (30, 0.4, 1.0, 1e4, 0.5), (100, 0.4, 0.0, 1e4, 0.5), (100, 0.7, 1.25, 2e3, 0.25),
+    (400, 0.2, 0.0, 1e4, 0.5), (400, 0.7, 1.25, 1e5, 0.5), (400, 0.4, 1.0, 2e3, 0.25)])
+def test_searches_from_the_floors_match_plain_bisections(monkeypatch, n, alpha, lam,
+                                                         tmax, dt):
+    spec = QuenchSpec(LmgParams(alpha, SpinSector(n)), lam)
+    got, log, want = _searched_both_ways(
+        monkeypatch, lambda: quench_fbar(spec, AveragingConfig(tmax, dt)))
+    assert [entry[0] for entry in log] == ["cut", "level"]
+    assert got == want
+
+
+def test_level_searches_from_the_floors_match_plain_bisections(monkeypatch):
+    # the levels of N = 100 sit on the floors
+    params = LmgParams(0.4, SpinSector(100))
+    got, log, want = _searched_both_ways(
+        monkeypatch, lambda: microcanonical_scan(params, AveragingConfig()))
+    assert len(log) == 2 * params.sector.dimension
+    assert np.array_equal(got.fbar_raw, want.fbar_raw)
+    assert np.array_equal(got.halfwidths, want.halfwidths)
+    assert got.truncation_bound == want.truncation_bound
+
+
+@pytest.mark.parametrize("n, alpha, lam", [(100, 0.4, 1.0), (400, 0.7, 1.25)])
+def test_searches_without_floors_match_plain_bisections(monkeypatch, n, alpha, lam):
+    # with every floor at zero the bound decides each search
+    for name in ("_ENTRY_FLOOR", "_PAIR_FLOOR", "_PATH_FLOOR"):
+        monkeypatch.setattr(otoc, name, (0.0, 1.0))
+    spec = QuenchSpec(LmgParams(alpha, SpinSector(n)), lam)
+    got, log, want = _searched_both_ways(
+        monkeypatch, lambda: quench_fbar(spec, AveragingConfig()))
+    (_, entries), (_, x, hi) = log
+    assert entries > 0 and x < hi          # the bound kept some entries and paths
+    assert got == want
 
 
 def test_cuts_keep_the_heaviest_within_their_share():

@@ -3,13 +3,13 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs sixteen invocations of the command line (spectrum twice, otoc
+Runs seventeen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
 of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
-micro scan over a horizon of 1e5, and a 1 x 2 sweep over an odd step
-count), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
+micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
+count, and a micro scan at N = 100), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
 per run (1 unless WORKERS says otherwise) and the package imported from
 SRC (default: the src/ next to this script).
 Every file a run writes is hashed, except manifest.json, which carries a
@@ -75,6 +75,9 @@ RUNS["sweep-long"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1
 RUNS["micro-long"] = ["micro", "--n", "24", "--alpha", "0.4", "--tavg", "1e5", "--dt", "0.5"]
 RUNS["sweep-odd"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
                      "--tavg", "200.5", "--dt", "0.5"]
+# The levels of the micro runs above keep every entry of W; at N = 100 the
+# levels' searches settle at the floors of entries, pairs and paths.
+RUNS["micro-n100"] = ["micro", "--n", "100", "--alpha", "0.4"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
