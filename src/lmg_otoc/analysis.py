@@ -15,9 +15,8 @@ from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, _bare_frame, _bare_ground, _closed_form_average,
-                   _fan_out, _level_averages, _state_quench, _uniform_steps,
-                   make_time_grid)
+                   LongTimeAverage, _bare_ground, _closed_form_average, _fan_out,
+                   _grid_steps, _level_averages, _state_quench, make_time_grid)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -34,9 +33,9 @@ REFERENCE_FLOOR = 1e-12
 class AveragingConfig:
     """Horizon and sampling step used for long-time averages.
 
-    steps is (dt, K, K_half) of the time grid, which the closed-form
-    averages take; the grid is built and checked once, when the config is
-    made, not for every cell or level.
+    steps is (dt, K, K_half) of the time grid t_k = k dt, k = 0..K, which
+    the closed-form averages take (_grid_steps); the grid is built and
+    checked once, when the config is made, not for every cell or level.
     """
 
     total_time: float = DEFAULT_AVERAGING_TIME
@@ -46,7 +45,7 @@ class AveragingConfig:
     def __post_init__(self):
         if self.total_time <= 0 or self.dt <= 0 or self.dt > self.total_time:
             raise DomainError(f"invalid averaging config: T={self.total_time}, dt={self.dt}")
-        object.__setattr__(self, "steps", _uniform_steps(self.time_grid()))
+        object.__setattr__(self, "steps", _grid_steps(self.time_grid())[1])
 
     def time_grid(self) -> np.ndarray:
         return make_time_grid(self.total_time, self.dt)
@@ -206,8 +205,8 @@ def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan
 
     The energies are those of the blocks that the levels are taken from,
     sorted: doublet partners can sit ~1e-13 out of order."""
-    energies = np.sort(_bare_frame(params)[0].energies)
-    fbar, halfwidths, bound = _level_averages(params, config.steps)
+    energies, fbar, halfwidths, bound = _level_averages(params, config.steps)
+    energies = np.sort(energies)
     ref = fbar[0]
     if abs(ref) < REFERENCE_FLOOR:
         raise NumericalError(f"ground-state reference {ref:.3e} too small to normalize by")

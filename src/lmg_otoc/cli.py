@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
                        DEFAULT_SIZES, AveragingConfig, dn_diagnostic,
                        microcanonical_scan, quench_sweep,
@@ -221,8 +223,8 @@ def _workers(requested):
 
 def _run_spectrum(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
-    energies = _bare_frame(params)[0].energies.copy()
-    energies.sort()                 # doublet partners can sit ~1e-13 out of order
+    # doublet partners can sit ~1e-13 out of order
+    energies = np.sort(_bare_frame(params)[0].energies)
     n = opts["n"]
     try:
         rescaled = rescale_energies(energies)
@@ -330,8 +332,9 @@ def _run_micro(opts, run_dir):
 
 
 def _averaging_grid(opts, config):
-    """The manifest's time grid of an averaging command."""
-    return {"total_time": opts["tavg"], "dt": opts["dt"], "samples": config.steps[1] + 1}
+    """The manifest's time grid of an averaging command, to the K dt it averages over."""
+    dt, steps, _ = config.steps
+    return {"total_time": steps * dt, "dt": opts["dt"], "samples": steps + 1}
 
 
 # run settings every checkpoint record carries; a resumed run must match them

@@ -12,9 +12,12 @@ commutator needs no fourth: W is real and symmetric in the frame, so
 <chi|W phi> = <W chi|phi> with phi = W(t)V|psi> and chi = W(t)|psi>, and
 W chi is already formed for the commutator norm |phi - W chi|^2.
 
+Every trace and average takes the grid of make_time_grid, t_k = k dt for
+k = 0..K with K >= 1; _grid_steps checks it and refuses any other.
+
 A long-time average, of a quench or of a level, takes no time steps at
-all: the trapezoid rule on a uniform grid is summed in closed form over
-the paths of the banded W (_closed_form_average), so its cost does not
+all: the trapezoid rule on that grid is summed in closed form over the
+paths of the banded W (_closed_form_average), so its cost does not
 depend on the horizon. Time steps serve traces only.
 
 Both Hamiltonians commute with the parity m -> -m of the X-basis, and W
@@ -159,15 +162,16 @@ def make_time_grid(tmax: float, dt: float) -> np.ndarray:
     return np.arange(steps + 1) * float(dt)
 
 
-def _validate_grid(times) -> np.ndarray:
+def _grid_steps(times):
+    """(t, (dt, K, K_half)) of a grid t_k = k dt, k = 0..K with K >= 1, as
+    make_time_grid builds it; K_half = max(K // 2, 1) is the step count of
+    its first half. Any other grid raises DomainError."""
     t = np.ascontiguousarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise DomainError("time grid must be a nonempty 1-D array")
-    if t[0] != 0.0:
-        raise DomainError("time grid must start at t = 0")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise DomainError("time grid must be strictly ascending")
-    return t
+    if not (t.ndim == 1 and t.size > 1 and t[1] > 0.0
+            and np.array_equal(t, np.arange(t.size) * t[1])):
+        raise DomainError("time grid must be t_k = k dt, k = 0..K with K >= 1, "
+                          "as make_time_grid builds it")
+    return t, (float(t[1]), t.size - 1, max((t.size - 1) // 2, 1))
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,6 @@ def _state_quench(spec: QuenchSpec):
     return frame, frame.state(psi0)
 
 
-@functools.lru_cache(maxsize=1)
 def _bare_frame(params: LmgParams):
     """Folded frame of the bare Hamiltonian, and the frame index of each level.
 
@@ -327,7 +330,7 @@ def _state_level(params: LmgParams, n: int):
     if not 0 <= n < d:
         raise DomainError(f"level index {n} outside [0, {d - 1}]")
     frame, index = _bare_frame(params)
-    return frame, (np.arange(d) == index[n]).astype(float)
+    return frame, np.eye(1, d, index[n])[0]
 
 
 def _reachable(frame: _ParityFrame, psi: np.ndarray):
@@ -389,28 +392,10 @@ def _chunks(n: int) -> list:
             for c in range(lo, min(lo + _BLOCK, n), _CHUNK)]
 
 
-def _phase_table(energies: np.ndarray, times: np.ndarray):
-    """exp(iE k t_1) for k < _BLOCK when t_k = k * t_1 exactly, as
-    make_time_grid builds it; None on any other grid."""
-    n = times.size
-    if not (n > 1 and np.array_equal(times, np.arange(n) * times[1])):
-        return None
-    offsets = np.arange(min(n, _BLOCK)) * times[1]
+def _phase_table(energies: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """exp(iE k dt) for k < min(n, _BLOCK): one table serves every batch."""
+    offsets = np.arange(min(n, _BLOCK)) * dt
     return np.exp(1j * energies[:, None] * offsets[None, :])
-
-
-def _phases(out, energies, times, table, lo, cols) -> np.ndarray:
-    """out = exp(+iEt) on the columns cols of the batch starting at lo.
-
-    With a table that is exp(iE t_lo) times its columns: one complex
-    exponential per level per batch. Without, exp is taken directly.
-    """
-    if table is None:
-        np.multiply(1j * energies[:, None], times[None, cols], out=out)
-        return np.exp(out, out=out)
-    factor = np.exp(1j * energies * times[lo])
-    return np.multiply(table[:, cols.start - lo:cols.stop - lo], factor[:, None],
-                       out=out)
 
 
 def _sum_squares(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -421,10 +406,10 @@ def _sum_squares(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(s[0::2], s[1::2], out=out)
 
 
-def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
+def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
                        workers: int = 1):
-    """(f, a_term, c_rel, c_norm) for one state on the grid, in a parity frame:
-    F(t), the A term, relation-C and the commutator norm.
+    """(f, a_term, c_rel, c_norm) for one state on the n samples t_k = k dt,
+    in a parity frame: F(t), the A term, relation-C and the commutator norm.
 
     A sample costs three W products, each two half-size products, so a
     state with both parities costs half the dense flops: phi = W(t)V|psi>,
@@ -440,9 +425,8 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
     b = frame.w_block
     e = frame.energies
     d = psi.size
-    n = times.size
     u = _apply_w(b, psi[:, None], np.empty((d, 1)))     # V |psi>
-    table = _phase_table(e, times)
+    table = _phase_table(e, dt, n)
     f = np.empty(n, dtype=np.complex128)
     a_term = np.empty(n)
     c_norm = np.empty(n)
@@ -454,7 +438,10 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, times: np.ndarray,
         for lo, cols in chunks[k::workers]:
             width = cols.stop - cols.start
             ph, cj, x, y = workspace[:4 * d * width].reshape(4, d, width)
-            _phases(ph, e, times, table, lo, cols)
+            # exp(+iEt): exp(iE t_lo) times the table, t_lo = lo * dt as
+            # make_time_grid forms it
+            factor = np.exp(1j * e * (lo * dt))
+            np.multiply(table[:, cols.start - lo:cols.stop - lo], factor[:, None], out=ph)
             np.conjugate(ph, out=cj)
             np.multiply(cj, u, out=x)
             _apply_w(b, x, y)
@@ -478,23 +465,23 @@ def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
     """F(t) for the quench protocol: ground state of the bare Hamiltonian,
     Heisenberg evolution under the field-shifted one. The F of
     commutator_series, traced on the same levels."""
-    t = _validate_grid(times)
+    t, (dt, _, _) = _grid_steps(times)
     frame, psi, _ = _reachable(*_state_quench(spec))
     p = spec.params
     return OtocSeries(
-        times=t, values=_single_state_otoc(frame, psi, t)[0], protocol="quench",
+        times=t, values=_single_state_otoc(frame, psi, dt, t.size)[0], protocol="quench",
         state_label=f"ground(alpha={p.alpha}, N={p.sector.n_spins})",
         params=p, field_strength=spec.field_strength)
 
 
 def _level_averages(params: LmgParams, grid):
-    """(fbar, halfwidth, bound): the closed-form average (_closed_form_average)
-    of every level on the grid (dt, K, K_half), and the largest truncation
-    bound among them. Level n is a unit vector of the bare frame
-    (_state_level), the state a level's trace starts from."""
-    avgs = [_closed_form_average(*_state_level(params, n), grid)
-            for n in range(params.sector.dimension)]
-    return (np.array([a.value for a in avgs]),
+    """(energies, fbar, halfwidth, bound): the bare frame's energies, the
+    closed-form average (_closed_form_average) of every level on the grid
+    (dt, K, K_half), and the largest truncation bound among them. Level n is
+    a unit vector of the one frame (_state_level), as a level's trace takes."""
+    frame, index = _bare_frame(params)
+    avgs = [_closed_form_average(frame, np.eye(1, index.size, i)[0], grid) for i in index]
+    return (frame.energies, np.array([a.value for a in avgs]),
             np.array([a.estimator_halfwidth for a in avgs]),
             max(a.truncation_bound for a in avgs))
 
@@ -506,49 +493,18 @@ def micro_fbar_all(params: LmgParams, times):
     Returns (fbar, halfwidth) arrays of length D; halfwidth mirrors
     LongTimeAverage. A grid other than t_k = k dt raises DomainError.
     """
-    return _level_averages(params, _uniform_steps(_validate_grid(times)))[:2]
-
-
-def _half_end(t: np.ndarray) -> int:
-    """Sample count of the first half of the grid t, which ends at the last
-    sample at or below t_end / 2 (at least the second)."""
-    if t.size < 2:
-        raise DomainError("averaging needs at least two time samples")
-    return max(int(np.searchsorted(t, t[-1] / 2.0, side="right")), 2)
-
-
-def _average_weights(t: np.ndarray):
-    """Weights (full, half) whose dot products with samples on t give the
-    trapezoidal means over the whole grid and over its first half
-    (_half_end)."""
-    weights = []
-    for end in (t.size, _half_end(t)):
-        w = np.zeros(t.size)
-        dt = np.diff(t[:end])
-        w[:end - 1] += dt / 2
-        w[1:end] += dt / 2
-        weights.append(w / (t[end - 1] - t[0]))
-    return weights
+    return _level_averages(params, _grid_steps(times)[1])[1:3]
 
 
 def long_time_average(series: OtocSeries) -> LongTimeAverage:
-    t = series.times
-    w_full, w_half = _average_weights(t)
+    """Trapezoidal means of Re F over the series' K steps and over the first
+    K_half of them (_grid_steps), summed from the samples."""
+    t, (_, steps, half_steps) = _grid_steps(series.times)
     re = series.values.real
-    value = float(w_full @ re)
-    half = float(w_half @ re)
-    return LongTimeAverage(value=value, total_time=float(t[-1]),
+    value, half = ((re[0] / 2 + re[1:k].sum() + re[k] / 2) / k for k in (steps, half_steps))
+    return LongTimeAverage(value=float(value), total_time=float(t[-1]),
                            sample_count=int(t.size),
-                           estimator_halfwidth=abs(value - half))
-
-
-def _uniform_steps(t: np.ndarray):
-    """(dt, K, K_half) of a grid t_k = k dt, k = 0..K, as make_time_grid
-    builds it; K_half is the step count of its first half (_half_end)."""
-    half = _half_end(t)
-    if not np.array_equal(t, np.arange(t.size) * t[1]):
-        raise DomainError("a closed-form average needs a uniform grid t_k = k dt")
-    return float(t[1]), t.size - 1, half - 1
+                           estimator_halfwidth=float(abs(value - half)))
 
 
 def _reduce_pi(x: np.ndarray) -> np.ndarray:
@@ -564,7 +520,7 @@ def _weighted_means(half: np.ndarray, coef: np.ndarray, steps) -> np.ndarray:
     0..K_half, weighed by coef and summed: (sum coef m_K, sum coef m_Khalf).
     The means are taken at the half-angles half = omega dt / 2; half and
     coef are overwritten. steps is (K, K_half) with K = 2 K_half + r, r in
-    {-1, 0, 1}, as _uniform_steps gives it. Over k = 0..n the mean is
+    {-1, 0, 1}, as _grid_steps gives it. Over k = 0..n the mean is
     sin(n theta) / (2n tan(theta/2)) with theta = omega dt, and 1 where
     tan(theta/2) = 0: those exact resonances are summed apart.
 
@@ -722,9 +678,10 @@ def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
 
 
 def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTimeAverage:
-    """Trapezoidal mean of Re F over a uniform grid and over its first half,
-    for the state psi of a parity frame, with no time steps. The grid is
-    given as (dt, K, K_half), which _uniform_steps returns.
+    """Trapezoidal mean of Re F over the grid t_k = k dt, k = 0..K, and over
+    its first K_half steps, for the state psi of a parity frame, with no
+    time steps. The grid is given as (dt, K, K_half), which _grid_steps
+    returns.
 
     With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
     W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
@@ -873,25 +830,26 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
 def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSeries:
     """Quench-protocol F(t), A(t) and both C readings on the grid, its time
     samples split over `workers` threads."""
-    t = _validate_grid(times)
     p = spec.params
-    return _commutator(_state_quench(spec), t, workers, "quench",
+    return _commutator(_grid_steps(times), _state_quench(spec), workers, "quench",
                        f"ground(alpha={p.alpha}, N={p.sector.n_spins})")
 
 
 def commutator_series_micro(params: LmgParams, n: int, times,
                             workers: int = 1) -> CommutatorSeries:
     """Microcanonical-protocol counterpart of commutator_series."""
-    t = _validate_grid(times)
-    return _commutator(_state_level(params, n), t, workers, "microcanonical",
+    return _commutator(_grid_steps(times), _state_level(params, n), workers,
+                       "microcanonical",
                        f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})")
 
 
-def _commutator(state, times, workers, protocol, label) -> CommutatorSeries:
-    """CommutatorSeries of a (frame, psi) pair, traced on its reachable levels."""
+def _commutator(grid, state, workers, protocol, label) -> CommutatorSeries:
+    """CommutatorSeries of a (frame, psi) pair on a _grid_steps grid, traced
+    on its reachable levels."""
+    t, (dt, _, _) = grid
     frame, psi, bound = _reachable(*state)
-    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, times, workers=workers)
+    f, a_term, c_rel, c_norm = _single_state_otoc(frame, psi, dt, t.size, workers=workers)
     return CommutatorSeries(
-        times=times, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
+        times=t, c_values=c_rel, a_values=a_term, f_values=f, c_norm_values=c_norm,
         protocol=protocol, state_label=label,
         kept_levels=frame.w_block.shape, truncation_bound=bound)

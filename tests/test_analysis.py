@@ -119,14 +119,14 @@ def test_quench_sweep_reuses_precomputed_cells():
 
 def test_a_command_checks_its_time_grid_once(monkeypatch):
     sizes = []
-    check = otoc._uniform_steps
+    check = otoc._grid_steps
 
     def counted(t):
         sizes.append(t.size)
         return check(t)
 
-    monkeypatch.setattr(otoc, "_uniform_steps", counted)
-    monkeypatch.setattr(analysis, "_uniform_steps", counted)
+    monkeypatch.setattr(otoc, "_grid_steps", counted)
+    monkeypatch.setattr(analysis, "_grid_steps", counted)
     config = AveragingConfig(1e3, 0.5)
     assert sizes == [2001]                # when the config is made
     microcanonical_scan(LmgParams(0.4, SpinSector(12)), config)
@@ -136,12 +136,11 @@ def test_a_command_checks_its_time_grid_once(monkeypatch):
 
 def _count_solves(monkeypatch):
     """Dimension of every eigh call made through the OTOC layer, with its
-    caches of bare solves emptied."""
+    cache of bare ground states emptied."""
     dims = []
     solve = otoc.eigh
     monkeypatch.setattr(otoc, "eigh", lambda pair: dims.append(len(pair[0])) or solve(pair))
     otoc._bare_ground.cache_clear()
-    otoc._bare_frame.cache_clear()
     return dims
 
 
@@ -195,6 +194,18 @@ def test_scaling_gamma_lambda_solves_the_bare_model_once(monkeypatch):
                          max_workers=2)
     # one dense 11 x 11 solve, then the two parity blocks per field
     assert sorted(dims) == [5] * 4 + [6] * 4 + [11]
+
+
+def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
+    def cell(spec, config):
+        return LongTimeAverage(value=0.0 if spec.field_strength == 0.0 else 0.5,
+                               total_time=100.0, sample_count=201,
+                               estimator_halfwidth=0.0)
+
+    monkeypatch.setattr(analysis, "quench_fbar", cell)
+    with pytest.raises(NumericalError, match="zero-field reference"):
+        scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
+                             max_workers=1)
 
 
 def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):

@@ -77,7 +77,6 @@ def test_numerical_error_exits_with_code_3(tmp_path, capsys, monkeypatch):
     def failing_eigh(pair):
         raise NumericalError("eigensolver did not converge")
     monkeypatch.setattr("lmg_otoc.otoc.eigh", failing_eigh)
-    otoc._bare_frame.cache_clear()       # the spectrum's block solves must run
     rc = main(["spectrum", "--n", "4", "--alpha", "0.4",
                "--out", str(tmp_path / "x")])
     assert rc == 3
@@ -251,6 +250,23 @@ def test_sweep_resume_refuses_other_settings(tmp_path, capsys, flag, value, key)
     assert main(argv + ["--resume", "--out", str(out)]) == 2
     assert f"checkpoint has {key}=" in capsys.readouterr().err
     assert (out / "cells.jsonl").read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "20", "--alphas", "0.4", "--lambdas", "0,0.5"],
+    ["micro", "--n", "8", "--alpha", "0.4"]], ids=["sweep", "micro"])
+def test_an_averaging_manifest_records_the_horizon_it_averages_over(tmp_path, argv):
+    # dt = 0.5 does not divide --tavg 10.3: the grid takes 21 steps, to 10.5
+    out = tmp_path / "run"
+    argv = argv + ["--tavg", "10.3", "--dt", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    doc = manifest_of(out)
+    assert doc["time_grid"] == {"total_time": 10.5, "dt": 0.5, "samples": 22}
+    assert doc["parameters"]["tavg"] == 10.3
+    if argv[0] == "sweep":      # a resume still checks the requested horizon
+        assert main(argv + ["--resume"]) == 0
+        records = (out / "cells.jsonl").read_text().splitlines()
+        assert [json.loads(r)["tavg"] for r in records] == [10.3, 10.3]
 
 
 def test_fully_resumed_sweep_reports_the_fresh_bound(tmp_path):
@@ -456,7 +472,6 @@ def test_level_commands_solve_only_the_parity_blocks(tmp_path, monkeypatch, argv
     solve = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: dims.append(len(a)) or solve(a))
     otoc._bare_ground.cache_clear()
-    otoc._bare_frame.cache_clear()
     rc, _ = run(tmp_path, *argv)
     assert rc == 0
     assert sorted(dims) == [10, 11]      # no dense 21 x 21 solve

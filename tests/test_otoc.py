@@ -13,7 +13,7 @@ from lmg_otoc import (AveragingConfig, DomainError, LmgParams, QuenchSpec,
                       quench_fbar, quench_otoc)
 from lmg_otoc import otoc
 from lmg_otoc.otoc import (OtocSeries, _closed_form_average, _reachable,
-                           _state_level, _state_quench, _uniform_steps,
+                           _grid_steps, _state_level, _state_quench,
                            _weighted_means)
 
 
@@ -52,6 +52,66 @@ def test_grid_validation():
         quench_otoc(spec, np.zeros((2, 2)))
 
 
+def _config_on(times):
+    """An AveragingConfig whose grid is times instead of make_time_grid's."""
+    class Config(AveragingConfig):
+        def time_grid(self):
+            return np.asarray(times)
+    return Config(10.0, 0.5)
+
+
+# every entry point that takes a grid, as a call on the grid
+_GRID_ENTRY_POINTS = {
+    "quench_otoc": lambda t: quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(6)), 0.5), t),
+    "commutator_series": lambda t: commutator_series(
+        QuenchSpec(LmgParams(0.4, SpinSector(6)), 0.5), t),
+    "commutator_series_micro": lambda t: commutator_series_micro(
+        LmgParams(0.4, SpinSector(6)), 2, t),
+    "micro_fbar_all": lambda t: micro_fbar_all(LmgParams(0.4, SpinSector(6)), t),
+    "long_time_average": lambda t: long_time_average(OtocSeries(
+        times=t, values=np.ones(np.shape(t), dtype=complex), protocol="quench",
+        state_label="synthetic", params=LmgParams(0.4, SpinSector(2)))),
+    "AveragingConfig": _config_on,
+}
+
+# grids other than t_k = k dt, k = 0..K with K >= 1; the linspace grid is
+# off by 1.4e-14 at some samples
+_OTHER_GRIDS = {
+    "scattered": np.array([0.0, 0.3, 1.0]),
+    "descending": np.array([0.0, -0.5, -1.0]),
+    "nonzero start": np.array([0.5, 1.0, 1.5]),
+    "2-D": make_time_grid(1.0, 0.5)[None, :],
+    "single sample": np.array([0.0]),
+    "linspace": np.linspace(0.0, 100.0, 12),
+}
+
+
+@pytest.mark.parametrize("grid", list(_OTHER_GRIDS))
+@pytest.mark.parametrize("entry", list(_GRID_ENTRY_POINTS))
+def test_every_entry_point_refuses_any_other_grid(entry, grid):
+    with pytest.raises(DomainError, match="t_k = k dt"):
+        _GRID_ENTRY_POINTS[entry](_OTHER_GRIDS[grid])
+
+
+@pytest.mark.parametrize("entry", list(_GRID_ENTRY_POINTS))
+def test_every_entry_point_takes_the_time_grid(entry):
+    _GRID_ENTRY_POINTS[entry](make_time_grid(1.0, 0.5))
+
+
+def test_the_first_half_ends_at_the_last_sample_at_or_below_half_the_horizon():
+    # K_half = max(K // 2, 1) is the rule the sampled half-horizon mean took
+    # on the grid: the last sample at or below t_K / 2, at least t_1
+    rng = np.random.default_rng(11)
+    cases = [(tmax, dt) for dt in (0.05, 0.1, 0.25, 0.3, 0.37, 0.4271, 0.5, 1.0)
+             for tmax in (dt, 2 * dt, 3 * dt, 10.3, 200.5, 1e4)]
+    cases += list(zip(rng.uniform(0.1, 1e3, 300), rng.uniform(1e-3, 1.0, 300)))
+    for tmax, dt in cases:
+        t = make_time_grid(tmax, dt)
+        _, (step, k, k_half) = _grid_steps(t)
+        assert step == t[1] and k == t.size - 1
+        assert k_half == max(int(np.searchsorted(t, t[-1] / 2, "right")) - 1, 1)
+
+
 def test_initial_value_is_fourth_moment():
     # W(0) = W, so F(0) = <psi0| W^4 |psi0>, purely real
     spec = QuenchSpec(LmgParams(0.3, SpinSector(12)), 0.7)
@@ -77,7 +137,7 @@ def test_magnitude_stays_bounded():
 def test_negative_time_is_complex_conjugate():
     # the engine takes forward grids; the symmetry is checked through the
     # dense-exponential oracle, which the engine must match pointwise
-    times = np.array([0.0, 0.4, 1.3, 2.0])
+    times = make_time_grid(2.0, 0.4271)
     spec = QuenchSpec(LmgParams(0.4, SpinSector(8)), 0.6)
     engine = quench_otoc(spec, times).values
     fwd = oracles.expm_otoc_series(8, 0.4, 0.6, times)["f"]
@@ -143,7 +203,7 @@ def test_commutator_relation_and_norm():
 
 def test_commutator_norm_expansion():
     # ||[W(t),V] psi||^2 = A + A' - 2 Re F, assembled from dense pieces
-    times = np.array([0.0, 0.7, 1.9])
+    times = make_time_grid(2.0, 0.4271)
     spec = QuenchSpec(LmgParams(0.35, SpinSector(8)), 0.9)
     cs = commutator_series(spec, times)
     orc = oracles.expm_otoc_series(8, 0.35, 0.9, times)
@@ -226,7 +286,7 @@ def _closed_form_and_oracle(n, alpha, lam, times):
     """The closed-form average of a quench, and the long-double oracle's
     (full, half) trapezoid means on the same frame."""
     frame, psi = _state_quench(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam))
-    avg = _closed_form_average(frame, psi, _uniform_steps(times))
+    avg = _closed_form_average(frame, psi, _grid_steps(times)[1])
     return avg, oracles.trapezoid_means_longdouble(
         frame.energies, oracles.folded_w(frame.w_block), psi, times)
 
@@ -271,7 +331,7 @@ def test_closed_form_average_refuses_a_grid_that_is_not_uniform():
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(10)), 1.0))
     for times in (np.array([0.0, 0.3, 1.0]), np.array([0.0])):
         with pytest.raises(DomainError):
-            _closed_form_average(frame, psi, _uniform_steps(times))
+            _closed_form_average(frame, psi, _grid_steps(times)[1])
 
 
 def test_level_averages_refuse_a_grid_that_is_not_uniform():
@@ -346,7 +406,7 @@ def test_weighted_means_sum_the_means_matrix(k, k_half, weights):
 
 def test_closed_form_average_does_not_depend_on_the_batch_size(monkeypatch):
     frame, psi = _state_quench(QuenchSpec(LmgParams(0.4, SpinSector(100)), 1.0))
-    grid = _uniform_steps(make_time_grid(1e4, 0.5))
+    grid = _grid_steps(make_time_grid(1e4, 0.5))[1]
     whole = _closed_form_average(frame, psi, grid)
     calls = []
     means = otoc._weighted_means

@@ -13,8 +13,8 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
 from lmg_otoc import otoc
 from lmg_otoc.cli import main
 from lmg_otoc.output import read_csv
-from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _chunks, _fold, _reachable,
-                           _single_state_otoc, _state_level, _state_quench)
+from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _chunks, _fold, _grid_steps,
+                           _reachable, _single_state_otoc, _state_level, _state_quench)
 
 TOL = 1e-9
 
@@ -41,10 +41,15 @@ def _dense(params, times, lam=0.0, level=None, commutator=False):
 
 
 def _grid(kind):
-    if kind == "uniform":
-        return make_time_grid(300.0, 0.25)
-    rng = np.random.default_rng(7)
-    return np.concatenate([[0.0], np.sort(rng.uniform(0.0, 300.0, 700))])
+    """A grid over [0, 300]: "uniform" steps by 0.25; "scattered" by 0.4271,
+    incommensurate with the levels, so its samples fall at scattered phases."""
+    return make_time_grid(300.0, 0.25 if kind == "uniform" else 0.4271)
+
+
+def _trace(frame, psi, times, workers=1):
+    """The kernel's (f, a_term, c_rel, c_norm) on a grid of make_time_grid."""
+    t, (dt, _, _) = _grid_steps(times)
+    return _single_state_otoc(frame, psi, dt, t.size, workers=workers)
 
 
 def _single_state(kind, n):
@@ -93,9 +98,11 @@ def test_fold_rejects_a_parity_breaking_matrix():
 
 
 def test_time_grid_takes_the_tabulated_phase_path():
+    # the one grid the kernel's phase table serves, t_k = k dt exactly
     for tmax, dt in ((1e4, 0.5), (2000.0, 0.05), (10.0, 0.3), (1.0, 0.37)):
         t = make_time_grid(tmax, dt)
         assert np.array_equal(t, np.arange(t.size) * t[1])
+        assert _grid_steps(t)[1][:2] == (dt, t.size - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10])
@@ -191,8 +198,6 @@ def test_all_levels_match_dense_kernel(n, alpha, grid):
     got = np.array([commutator_series_micro(params, level, times).f_values
                     for level in range(n + 1)])
     assert np.max(np.abs(got - want)) < 1e-12
-    if grid != "uniform":
-        return                  # the closed form refuses it (test_otoc)
     # the closed-form averages against the trapezoid means of those traces
     half = max(int(np.count_nonzero(times <= times[-1] / 2.0)), 2)
     full_mean = np.array([oracles.trapezoid_mean(f.real, times) for f in want])
@@ -250,17 +255,18 @@ def test_long_horizon_quench_at_production_size():
 @pytest.mark.parametrize("grid", ["uniform", "scattered", "one chunk", "tail 1",
                                   "tail 1 + chunk", "single sample"])
 def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, level):
+    # the kernel takes n samples of t_k = k dt; entry points refuse n = 1
     samples = {"one chunk": _CHUNK - 3, "tail 1": 2 * _BLOCK + 1,
                "tail 1 + chunk": _BLOCK + _CHUNK + 1, "single sample": 1}
     if grid in samples:
-        times = make_time_grid(0.5 * samples[grid], 0.5)[:samples[grid]]
-        assert times.size == samples[grid]
+        dt, size = 0.5, samples[grid]
     else:
         times = _grid(grid)
+        dt, size = times[1], times.size
     frame, psi = _single_state("level" if level else "quench", n)
 
     def trace(workers):
-        return _single_state_otoc(frame, psi, times, workers=workers)
+        return _single_state_otoc(frame, psi, dt, size, workers=workers)
 
     serial = trace(1)
     for workers in (2, 3):
@@ -284,8 +290,8 @@ def test_reachable_levels_move_each_sample_by_at_most_the_bound(kind, n, grid, f
     assert psi_kept.size < (psi.size if floor else psi.size / 2)
     assert 0.0 < bound <= _DROP_BOUND
     times = _grid(grid)
-    full = _single_state_otoc(frame, psi, times)
-    got = _single_state_otoc(kept, psi_kept, times)
+    full = _trace(frame, psi, times)
+    got = _trace(kept, psi_kept, times)
     # F and A move by at most the bound, C and the norm by four times it
     for want, have, k in zip(full, got, (1, 1, 4, 4)):
         assert np.max(np.abs(have - want)) <= k * bound + 1e-13
@@ -303,7 +309,7 @@ def test_every_single_state_entry_point_traces_the_reachable_levels(kind):
         state = _state_level(params, 66)
         series = commutator_series_micro(params, 66, times)
     kept, psi_kept, bound = _reachable(*state)
-    want = _single_state_otoc(kept, psi_kept, times)
+    want = _trace(kept, psi_kept, times)
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -321,7 +327,7 @@ def test_a_trace_with_nothing_to_drop_runs_on_the_full_frame():
     assert kept is frame and psi_kept is psi and bound == 0.0
     times = _grid("uniform")
     series = commutator_series(spec, times)
-    want = _single_state_otoc(frame, psi, times)
+    want = _trace(frame, psi, times)
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

@@ -12,9 +12,11 @@ micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
 count, and a micro scan at N = 100), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
 per run (1 unless WORKERS says otherwise) and the package imported from
 SRC (default: the src/ next to this script).
-Every file a run writes is hashed, except manifest.json, which carries a
-duration; cells.jsonl is hashed by its sorted lines, since with several
-workers its records follow completion order. Prints one
+Every file a run writes is hashed. manifest.json is hashed without its
+duration_seconds, the one key that varies from run to run, so that its
+time grid, truncation bounds, kept levels and flagged counts are
+compared too; cells.jsonl is hashed by its sorted lines, since with
+several workers its records follow completion order. Prints one
 "<run>/<file> <sha256>" line per file. Two checkouts behave the same on
 this set when their outputs are identical line for line.
 
@@ -22,12 +24,13 @@ With two trees the set runs against both, and each file gets one line:
 "identical"; else, when the two files differ only in their numbers, the
 largest absolute deviation among those numbers; else "layout differs".
 A refactor that moves only last digits shows up as small deviations.
-The split quench run repeats otoc-quench, so its files must equal those
-of otoc-quench, and across trees those of the other tree's run, which
-may ignore the variable.
+The split quench run repeats otoc-quench, so its result files must equal
+those of otoc-quench (its manifest records the 3 workers), and across
+trees those of the other tree's run, which may ignore the variable.
 """
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -82,13 +85,16 @@ RUNS["micro-n100"] = ["micro", "--n", "100", "--alpha", "0.4"]
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
 
-SKIP = {"manifest.json"}
 SORTED_LINES = {"cells.jsonl"}
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def contents(path: Path) -> bytes:
     data = path.read_bytes()
+    if path.name == "manifest.json":
+        doc = json.loads(data)
+        doc.pop("duration_seconds")
+        data = json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"
     if path.name in SORTED_LINES:
         data = b"".join(sorted(data.splitlines(keepends=True)))
     return data
@@ -119,8 +125,7 @@ def run_set(src: Path, tmp: Path) -> dict:
             raise RuntimeError(f"{src}: {name} exited {proc.returncode}: "
                                f"{proc.stderr.strip()}")
         for path in sorted(out.iterdir()):
-            if path.name not in SKIP:
-                files[f"{name}/{path.name}"] = path
+            files[f"{name}/{path.name}"] = path
     return files
 
 
