@@ -16,7 +16,7 @@ from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
                    LongTimeAverage, _bare_ground, _closed_form_average, _fan_out,
-                   _grid_steps, _level_averages, _state_quench, make_time_grid)
+                   _horizon_steps, _level_averages, _state_quench)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -34,8 +34,8 @@ class AveragingConfig:
     """Horizon and sampling step used for long-time averages.
 
     steps is (dt, K, K_half) of the time grid t_k = k dt, k = 0..K, which
-    the closed-form averages take (_grid_steps); the grid is built and
-    checked once, when the config is made, not for every cell or level.
+    the closed-form averages take (_horizon_steps): three numbers worked
+    out from T and dt, with no grid built, so any horizon costs the same.
     """
 
     total_time: float = DEFAULT_AVERAGING_TIME
@@ -43,12 +43,9 @@ class AveragingConfig:
     steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.total_time <= 0 or self.dt <= 0 or self.dt > self.total_time:
+        object.__setattr__(self, "steps", _horizon_steps(self.total_time, self.dt))
+        if self.dt > self.total_time:
             raise DomainError(f"invalid averaging config: T={self.total_time}, dt={self.dt}")
-        object.__setattr__(self, "steps", _grid_steps(self.time_grid())[1])
-
-    def time_grid(self) -> np.ndarray:
-        return make_time_grid(self.total_time, self.dt)
 
 
 @dataclass(frozen=True)

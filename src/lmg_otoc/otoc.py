@@ -12,8 +12,8 @@ commutator needs no fourth: W is real and symmetric in the frame, so
 <chi|W phi> = <W chi|phi> with phi = W(t)V|psi> and chi = W(t)|psi>, and
 W chi is already formed for the commutator norm |phi - W chi|^2.
 
-Every trace and average takes the grid of make_time_grid, t_k = k dt for
-k = 0..K with K >= 1; _grid_steps checks it and refuses any other.
+Traces and averages share the grid t_k = k dt, k = 0..K, of _horizon_steps;
+only a trace builds it (make_time_grid), and _grid_steps checks it.
 
 A long-time average, of a quench or of a level, takes no time steps at
 all: the trapezoid rule on that grid is summed in closed form over the
@@ -154,24 +154,29 @@ def _fan_out(job, items, max_workers, on_result=None) -> list:
     return results
 
 
+def _horizon_steps(tmax, dt):
+    """(dt, K, K_half) of the grid t_k = k dt, k = 0..K, over [0, tmax], and
+    of its first half. tmax and dt must be finite and positive."""
+    if not (0.0 < tmax < np.inf and 0.0 < dt < np.inf and tmax / dt < np.inf):
+        raise DomainError(f"need finite tmax > 0 and dt > 0, got tmax={tmax}, dt={dt}")
+    steps = max(1, int(round(tmax / dt)))
+    return float(dt), steps, max(steps // 2, 1)
+
+
 def make_time_grid(tmax: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, tmax] whose end snaps to a whole step count."""
-    if tmax <= 0 or dt <= 0:
-        raise DomainError(f"need tmax > 0 and dt > 0, got tmax={tmax}, dt={dt}")
-    steps = max(1, round(tmax / dt))
-    return np.arange(steps + 1) * float(dt)
+    return np.arange(_horizon_steps(tmax, dt)[1] + 1) * float(dt)
 
 
 def _grid_steps(times):
     """(t, (dt, K, K_half)) of a grid t_k = k dt, k = 0..K with K >= 1, as
-    make_time_grid builds it; K_half = max(K // 2, 1) is the step count of
-    its first half. Any other grid raises DomainError."""
+    make_time_grid builds it, else DomainError; t_K / dt rounds back to K."""
     t = np.ascontiguousarray(times, dtype=float)
     if not (t.ndim == 1 and t.size > 1 and t[1] > 0.0
             and np.array_equal(t, np.arange(t.size) * t[1])):
         raise DomainError("time grid must be t_k = k dt, k = 0..K with K >= 1, "
                           "as make_time_grid builds it")
-    return t, (float(t[1]), t.size - 1, max((t.size - 1) // 2, 1))
+    return t, _horizon_steps(t[-1], t[1])
 
 
 @dataclass(frozen=True)
@@ -520,7 +525,7 @@ def _weighted_means(half: np.ndarray, coef: np.ndarray, steps) -> np.ndarray:
     0..K_half, weighed by coef and summed: (sum coef m_K, sum coef m_Khalf).
     The means are taken at the half-angles half = omega dt / 2; half and
     coef are overwritten. steps is (K, K_half) with K = 2 K_half + r, r in
-    {-1, 0, 1}, as _grid_steps gives it. Over k = 0..n the mean is
+    {-1, 0, 1}, as _horizon_steps gives it. Over k = 0..n the mean is
     sin(n theta) / (2n tan(theta/2)) with theta = omega dt, and 1 where
     tan(theta/2) = 0: those exact resonances are summed apart.
 
@@ -680,8 +685,7 @@ def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
 def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTimeAverage:
     """Trapezoidal mean of Re F over the grid t_k = k dt, k = 0..K, and over
     its first K_half steps, for the state psi of a parity frame, with no
-    time steps. The grid is given as (dt, K, K_half), which _grid_steps
-    returns.
+    time steps. The grid is given as (dt, K, K_half) (_horizon_steps).
 
     With u = W psi, F(t) is the sum over paths (a, b, c, d) of psi_a W_ab
     W_bc W_cd u_d exp(i Omega t), Omega = (E_a - E_b) + (E_c - E_d), so its
@@ -732,11 +736,10 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     # rows of the cut W over the frame's levels, each in descending
     # |W_cd u_d|: their entries (a row's at starts[c] on), and tables padded
     # to L entries of W_cd, y = W_cd u_d and (E_c - E_d) dt/2 modulo pi
-    i, j = np.nonzero(keep)
-    jt, it = np.nonzero(keep.T)
-    rows = np.concatenate([i, he + jt])
-    cols = np.concatenate([he + j, it])
-    vals = np.concatenate([b[i, j], b[it, jt]])
+    i, j = np.nonzero(keep)                     # B's entries, then B^T's
+    rows = np.concatenate([i, he + j])
+    cols = np.concatenate([he + j, i])
+    vals = np.tile(b[i, j], 2)
     order = np.lexsort((-np.abs(vals * u[cols]), rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     lengths = np.bincount(rows, minlength=d)

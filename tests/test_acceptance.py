@@ -279,7 +279,7 @@ def test_c10c_two_level_closed_form(criterion):
         got = level_trace(params, level, times)
         want = oracles.two_level_micro_f(0.3, times, level)
         worst = max(worst, float(np.abs(got - want).max()))
-    long_times = AVG.time_grid()
+    long_times = make_time_grid(AVG.total_time, AVG.dt)
     long_avg = long_time_average(OtocSeries(
         times=long_times, values=level_trace(params, 0, long_times),
         protocol="microcanonical", state_label="level(n=0)", params=params))

@@ -3,14 +3,15 @@
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lmg_otoc import (AveragingConfig, DomainError, LmgParams,
                       LongTimeAverage, NumericalError, SpinSector,
-                      dn_diagnostic, fit_power_law, microcanonical_scan,
-                      quench_sweep, scaling_gamma_epsilon,
+                      dn_diagnostic, fit_power_law, make_time_grid,
+                      microcanonical_scan, quench_sweep, scaling_gamma_epsilon,
                       scaling_gamma_lambda, scaling_mu)
 from lmg_otoc import analysis, otoc
 
@@ -24,8 +25,38 @@ def test_averaging_config_validation():
         AveragingConfig(10.0, -0.1)
     with pytest.raises(DomainError):
         AveragingConfig(1.0, 2.0)
-    grid = AveragingConfig(10.0, 0.5).time_grid()
+    grid = make_time_grid(10.0, 0.5)
     assert grid[0] == 0.0 and grid[-1] == 10.0
+    assert AveragingConfig(10.0, 0.5).steps == (0.5, 20, 10)
+
+
+def test_averaging_steps_are_those_of_the_time_grid():
+    # the config works K out without a grid; it must be the K of the grid
+    rng = np.random.default_rng(16)
+    cases = [(0.5, 0.5), (0.3, 0.3), (10.5, 0.5), (200.5, 0.5), (10.0, 3.0),
+             (1e4, 0.5), (1.5, 1.0), (2.5, 1.0), (0.75, 0.5)]
+    dt = rng.uniform(1e-3, 1.0, 3000)
+    tmax = dt * np.exp(rng.uniform(0.0, np.log(1e5), 3000))
+    # a third of the horizons half a step off a whole count, where the
+    # rounding decides K
+    tmax[:1000] = (rng.integers(1, 10**5, 1000) + 0.5) * dt[:1000]
+    cases += list(zip(tmax.tolist(), dt.tolist()))
+    for tmax, dt in cases:
+        steps = AveragingConfig(tmax, dt).steps
+        want = otoc._grid_steps(make_time_grid(tmax, dt))[1]
+        assert steps == want, (tmax, dt)
+        assert [type(x) for x in steps] == [type(x) for x in want] == [float, int, int]
+
+
+def test_an_averaging_config_builds_no_grid():
+    tracemalloc.start()
+    try:
+        config = AveragingConfig(1e6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.steps == (0.5, 2_000_000, 1_000_000)
+    assert peak < 2**20
 
 
 def test_fit_power_law_exact_square():
@@ -117,21 +148,16 @@ def test_quench_sweep_reuses_precomputed_cells():
     assert grid2.truncation_bound == grid1.truncation_bound
 
 
-def test_a_command_checks_its_time_grid_once(monkeypatch):
-    sizes = []
-    check = otoc._grid_steps
+def test_no_averaging_path_builds_or_checks_a_time_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an average built or checked a time grid")
 
-    def counted(t):
-        sizes.append(t.size)
-        return check(t)
-
-    monkeypatch.setattr(otoc, "_grid_steps", counted)
-    monkeypatch.setattr(analysis, "_grid_steps", counted)
+    for module in (otoc, analysis):
+        for name in ("make_time_grid", "_grid_steps"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     config = AveragingConfig(1e3, 0.5)
-    assert sizes == [2001]                # when the config is made
     microcanonical_scan(LmgParams(0.4, SpinSector(12)), config)
     quench_sweep([0.2, 0.4], [0.0, 0.5, 1.0], 12, config, max_workers=2)
-    assert sizes == [2001]                # and by no level or cell
 
 
 def _count_solves(monkeypatch):

@@ -437,6 +437,18 @@ def test_a_non_integer_workers_variable_is_a_usage_error(tmp_path, monkeypatch, 
     assert err.startswith("error: ") and "LMG_OTOC_WORKERS" in err and "'two'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "10", "--alphas", "0.4", "--lambdas", "0,1", "--tavg", "inf"],
+    ["sweep", "--n", "10", "--alphas", "0.4", "--lambdas", "0,1", "--tavg", "nan"],
+    ["micro", "--n", "10", "--alpha", "0.4", "--dt", "nan"],
+    ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "nan"]],
+    ids=["sweep-tavg-inf", "sweep-tavg-nan", "micro-dt-nan", "otoc-tmax-nan"])
+def test_a_non_finite_horizon_is_a_domain_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err.startswith("error: need finite tmax > 0 and dt > 0")
+    assert os.listdir(tmp_path) == []
+
+
 _OTOC = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"]
 
 

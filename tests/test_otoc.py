@@ -42,6 +42,15 @@ def test_time_grid_construction():
         make_time_grid(1.0, 0.0)
 
 
+@pytest.mark.parametrize("tmax, dt", [
+    (np.inf, 0.5), (np.nan, 0.5), (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300)])
+def test_a_horizon_must_be_finite_and_positive(tmax, dt):
+    # the last pair is finite, but its step count is not
+    for build in (make_time_grid, AveragingConfig):
+        with pytest.raises(DomainError, match="need finite tmax > 0 and dt > 0"):
+            build(tmax, dt)
+
+
 def test_grid_validation():
     spec = QuenchSpec(LmgParams(0.4, SpinSector(4)), 0.5)
     with pytest.raises(DomainError):
@@ -50,14 +59,6 @@ def test_grid_validation():
         quench_otoc(spec, np.array([0.0, 2.0, 1.0]))
     with pytest.raises(DomainError):
         quench_otoc(spec, np.zeros((2, 2)))
-
-
-def _config_on(times):
-    """An AveragingConfig whose grid is times instead of make_time_grid's."""
-    class Config(AveragingConfig):
-        def time_grid(self):
-            return np.asarray(times)
-    return Config(10.0, 0.5)
 
 
 # every entry point that takes a grid, as a call on the grid
@@ -71,7 +72,6 @@ _GRID_ENTRY_POINTS = {
     "long_time_average": lambda t: long_time_average(OtocSeries(
         times=t, values=np.ones(np.shape(t), dtype=complex), protocol="quench",
         state_label="synthetic", params=LmgParams(0.4, SpinSector(2)))),
-    "AveragingConfig": _config_on,
 }
 
 # grids other than t_k = k dt, k = 0..K with K >= 1; the linspace grid is
@@ -308,7 +308,7 @@ def test_closed_form_average_matches_the_sampled_average(alpha, lam):
     spec = QuenchSpec(LmgParams(alpha, SpinSector(100)), lam)
     config = AveragingConfig(1e4, 0.5)
     avg = quench_fbar(spec, config)
-    sampled = long_time_average(quench_otoc(spec, config.time_grid()))
+    sampled = long_time_average(quench_otoc(spec, make_time_grid(1e4, 0.5)))
     assert abs(avg.value - sampled.value) <= avg.truncation_bound + 1e-11
     assert abs(avg.estimator_halfwidth - sampled.estimator_halfwidth) <= (
         2 * avg.truncation_bound + 1e-11)

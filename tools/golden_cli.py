@@ -3,15 +3,16 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs seventeen invocations of the command line (spectrum twice, otoc
+Runs eighteen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
 of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
 micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
-count, and a micro scan at N = 100), each in a fresh process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned
-per run (1 unless WORKERS says otherwise) and the package imported from
-SRC (default: the src/ next to this script).
+count, a micro scan at N = 100, and a 1 x 2 sweep over a horizon of
+1e7), each in a fresh process with BLAS pinned to one thread,
+LMG_OTOC_WORKERS pinned per run (1 unless WORKERS says otherwise) and
+the package imported from SRC (default: the src/ next to this script).
 Every file a run writes is hashed. manifest.json is hashed without its
 duration_seconds, the one key that varies from run to run, so that its
 time grid, truncation bounds, kept levels and flagged counts are
@@ -62,8 +63,9 @@ RUNS["otoc-quench-3-workers"] = RUNS["otoc-quench"]
 # traces a restricted frame, 40 and 39 of the 51 and 50 levels per block.
 # Every long-time average (the sweeps, micro and the three fits) is summed
 # in closed form over the paths of the cut W, with no time steps;
-# sweep-long and micro-long do so over 2e5 steps, and sweep-odd over 401,
-# an odd count, whose full mean takes the odd double-angle identity.
+# sweep-long and micro-long do so over 2e5 steps, sweep-odd over 401,
+# an odd count, whose full mean takes the odd double-angle identity, and
+# sweep-1e7 over 2e7, a horizon whose grid an average never builds.
 RUNS["otoc-quench-n100"] = ["otoc", "--n", "100", "--alpha", "0.4", "--lambda", "1",
                             "--tmax", "50", "--dt", "0.05"]
 RUNS["sweep-n100"] = ["sweep", "--alphas", "0.2,0.4", "--lambdas", "0,0.5,1",
@@ -81,6 +83,8 @@ RUNS["sweep-odd"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1"
 # The levels of the micro runs above keep every entry of W; at N = 100 the
 # levels' searches settle at the floors of entries, pairs and paths.
 RUNS["micro-n100"] = ["micro", "--n", "100", "--alpha", "0.4"]
+RUNS["sweep-1e7"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
+                     "--tavg", "1e7", "--dt", "0.5"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3"}
