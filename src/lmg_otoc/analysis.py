@@ -44,8 +44,6 @@ class AveragingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _horizon_steps(self.total_time, self.dt))
-        if self.dt > self.total_time:
-            raise DomainError(f"invalid averaging config: T={self.total_time}, dt={self.dt}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,8 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
     from below: value ~ |lambda - lambda_c|^gamma.
 
     The default field grid spans the fit window in distance from the
-    critical point, geometrically spaced.
+    critical point, geometrically spaced. The values are the row of
+    quench_sweep over that grid; a row it aborts is a NumericalError.
     """
     lam_c = critical_lambda(alpha)
     if lambdas is None:
@@ -295,19 +294,11 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
         raise DomainError("field grid must stay strictly below the critical field")
     if np.any(lambdas < 0):
         raise DomainError("field strengths must be nonnegative")
-    params = LmgParams(alpha, SpinSector(n_spins))
-
-    def job(lam):
-        return quench_fbar(QuenchSpec(params, float(lam)), config)
-
-    _bare_ground(params)                        # once, before the cells
-    avgs = _fan_out(job, [0.0] + list(lambdas), max_workers)
-    ref = avgs[0].value
-    if abs(ref) < REFERENCE_FLOOR:
+    grid = quench_sweep((alpha,), lambdas, n_spins, config, max_workers)
+    if grid.row_errors:
         raise NumericalError("zero-field reference is numerically zero")
-    norm = np.array([a.value for a in avgs[1:]]) / ref
-    return replace(fit_power_law(distances, norm, window=window),
-                   truncation_bound=max(a.truncation_bound for a in avgs))
+    return replace(fit_power_law(distances, [c.value for c in grid.cells[0]], window=window),
+                   truncation_bound=grid.truncation_bound)
 
 
 def scaling_gamma_epsilon(alpha: float, n_spins: int,

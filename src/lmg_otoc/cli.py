@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # documented failures; any other exception is a bug and keeps its traceback
-_EXIT_CODES = {UsageError: 2, NumericalError: 3, DomainError: 4, OSError: 5}
+_EXIT_CODES = {UsageError: 2, NumericalError: 3, DomainError: 4, OSError: 5,
+               MemoryError: 6}
 
 
 def main(argv=None) -> int:
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
         print(run_dir)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

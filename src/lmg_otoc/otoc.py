@@ -156,10 +156,12 @@ def _fan_out(job, items, max_workers, on_result=None) -> list:
 
 def _horizon_steps(tmax, dt):
     """(dt, K, K_half) of the grid t_k = k dt, k = 0..K, over [0, tmax], and
-    of its first half. tmax and dt must be finite and positive."""
-    if not (0.0 < tmax < np.inf and 0.0 < dt < np.inf and tmax / dt < np.inf):
-        raise DomainError(f"need finite tmax > 0 and dt > 0, got tmax={tmax}, dt={dt}")
-    steps = max(1, int(round(tmax / dt)))
+    of its first half. tmax and dt must be finite and positive, and dt no
+    longer than tmax."""
+    if not (0.0 < dt <= tmax < np.inf and tmax / dt < np.inf):
+        raise DomainError(f"need finite tmax > 0 and dt > 0 with dt <= tmax, "
+                          f"got tmax={tmax}, dt={dt}")
+    steps = int(round(tmax / dt))
     return float(dt), steps, max(steps // 2, 1)
 
 
@@ -300,8 +302,8 @@ def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
 @functools.lru_cache(maxsize=64)
 def _bare_ground(params: LmgParams) -> np.ndarray:
     """Ground vector of the bare Hamiltonian, as the dense solve returns it,
-    kept per (alpha, N) for the fields of a sweep row or field fit. Two
-    threads may solve it at once, so those solve it before their cells."""
+    kept per (alpha, N) for the fields of a sweep row. Two threads may
+    solve it at once, so quench_sweep solves it before its cells."""
     psi0 = eigh(build_hamiltonian(params)).vectors[:, 0].copy()
     psi0.setflags(write=False)
     return psi0
@@ -469,14 +471,12 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
 def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
     """F(t) for the quench protocol: ground state of the bare Hamiltonian,
     Heisenberg evolution under the field-shifted one. The F of
-    commutator_series, traced on the same levels."""
-    t, (dt, _, _) = _grid_steps(times)
-    frame, psi, _ = _reachable(*_state_quench(spec))
-    p = spec.params
+    commutator_series."""
+    series = commutator_series(spec, times)
     return OtocSeries(
-        times=t, values=_single_state_otoc(frame, psi, dt, t.size)[0], protocol="quench",
-        state_label=f"ground(alpha={p.alpha}, N={p.sector.n_spins})",
-        params=p, field_strength=spec.field_strength)
+        times=series.times, values=series.f_values, protocol=series.protocol,
+        state_label=series.state_label, params=spec.params,
+        field_strength=spec.field_strength)
 
 
 def _level_averages(params: LmgParams, grid):

@@ -229,7 +229,9 @@ def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
                                estimator_halfwidth=0.0)
 
     monkeypatch.setattr(analysis, "quench_fbar", cell)
-    with pytest.raises(NumericalError, match="zero-field reference"):
+    # the fit's row is the sweep's, which warns as it aborts the row
+    with pytest.raises(NumericalError, match="zero-field reference"), \
+            pytest.warns(UserWarning, match="alpha=0.4: zero-field reference .* row aborted"):
         scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
                              max_workers=1)
 

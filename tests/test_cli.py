@@ -10,7 +10,7 @@ import pytest
 
 from lmg_otoc import (AveragingConfig, LmgParams, NumericalError, SpinSector,
                       microcanonical_scan, otoc)
-from lmg_otoc.cli import _OPTIONS, build_parser, main
+from lmg_otoc.cli import _OPTIONS, _RUNNERS, build_parser, main
 from lmg_otoc.output import read_csv
 
 
@@ -441,11 +441,16 @@ def test_a_non_integer_workers_variable_is_a_usage_error(tmp_path, monkeypatch, 
     ["sweep", "--n", "10", "--alphas", "0.4", "--lambdas", "0,1", "--tavg", "inf"],
     ["sweep", "--n", "10", "--alphas", "0.4", "--lambdas", "0,1", "--tavg", "nan"],
     ["micro", "--n", "10", "--alpha", "0.4", "--dt", "nan"],
-    ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "nan"]],
-    ids=["sweep-tavg-inf", "sweep-tavg-nan", "micro-dt-nan", "otoc-tmax-nan"])
+    ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "nan"],
+    # a step longer than the horizon is refused like a non-finite one
+    ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1", "--dt", "3"],
+    ["micro", "--n", "10", "--alpha", "0.4", "--tavg", "1", "--dt", "3"]],
+    ids=["sweep-tavg-inf", "sweep-tavg-nan", "micro-dt-nan", "otoc-tmax-nan",
+         "otoc-dt-above-tmax", "micro-dt-above-tavg"])
 def test_a_non_finite_horizon_is_a_domain_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
-    assert capsys.readouterr().err.startswith("error: need finite tmax > 0 and dt > 0")
+    err = capsys.readouterr().err
+    assert err.startswith("error: need finite tmax > 0 and dt > 0") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -472,6 +477,21 @@ def test_a_failed_run_leaves_no_empty_directory_it_made(tmp_path, monkeypatch, w
     assert main(argv + (["--out", str(target)] if target else [])) == code
     # an --out directory that was there before stays; nothing else is left
     assert sorted(os.listdir(tmp_path)) == (["x"] if out == "existing" else [])
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) "
+    "and data type float64", ""], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_6(tmp_path, monkeypatch, capsys, message):
+    def runner(opts, run_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(_RUNNERS, "otoc", runner)
+    # the run root and the run directory are both made for the run
+    monkeypatch.setenv("LMG_OTOC_RUNS", str(tmp_path / "runs"))
+    assert main(_OTOC) == 6
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [

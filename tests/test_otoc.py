@@ -43,9 +43,11 @@ def test_time_grid_construction():
 
 
 @pytest.mark.parametrize("tmax, dt", [
-    (np.inf, 0.5), (np.nan, 0.5), (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300)])
+    (np.inf, 0.5), (np.nan, 0.5), (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300),
+    (1.0, 3.0)])
 def test_a_horizon_must_be_finite_and_positive(tmax, dt):
-    # the last pair is finite, but its step count is not
+    # (1e300, 1e-300) is finite, but its step count is not; (1.0, 3.0) has
+    # a step longer than its horizon
     for build in (make_time_grid, AveragingConfig):
         with pytest.raises(DomainError, match="need finite tmax > 0 and dt > 0"):
             build(tmax, dt)

@@ -3,16 +3,17 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs eighteen invocations of the command line (spectrum twice, otoc
+Runs nineteen invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
 of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
 micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
-count, a micro scan at N = 100, and a 1 x 2 sweep over a horizon of
-1e7), each in a fresh process with BLAS pinned to one thread,
-LMG_OTOC_WORKERS pinned per run (1 unless WORKERS says otherwise) and
-the package imported from SRC (default: the src/ next to this script).
+count, a micro scan at N = 100, a 1 x 2 sweep over a horizon of 1e7,
+and the gamma-lambda fit again on 2 workers), each in a fresh process
+with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned per run (1
+unless WORKERS says otherwise) and the package imported from SRC
+(default: the src/ next to this script).
 Every file a run writes is hashed. manifest.json is hashed without its
 duration_seconds, the one key that varies from run to run, so that its
 time grid, truncation bounds, kept levels and flagged counts are
@@ -28,6 +29,8 @@ A refactor that moves only last digits shows up as small deviations.
 The split quench run repeats otoc-quench, so its result files must equal
 those of otoc-quench (its manifest records the 3 workers), and across
 trees those of the other tree's run, which may ignore the variable.
+Likewise the 2-worker gamma-lambda fit repeats fit-gamma-lambda, whose
+field row is computed on the sweep's worker threads.
 """
 
 import hashlib
@@ -86,8 +89,10 @@ RUNS["micro-n100"] = ["micro", "--n", "100", "--alpha", "0.4"]
 RUNS["sweep-1e7"] = ["sweep", "--n", "40", "--alphas", "0.4", "--lambdas", "0,1",
                      "--tavg", "1e7", "--dt", "0.5"]
 
+RUNS["fit-gamma-lambda-2-workers"] = RUNS["fit-gamma-lambda"]
+
 # LMG_OTOC_WORKERS of the runs that do not take 1
-WORKERS = {"otoc-quench-3-workers": "3"}
+WORKERS = {"otoc-quench-3-workers": "3", "fit-gamma-lambda-2-workers": "2"}
 
 SORTED_LINES = {"cells.jsonl"}
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
