@@ -8,7 +8,7 @@ separatrix energy, and the drop sharpens with system size: the spread
 over a fixed window of levels below the critical one shrinks as N grows.
 
 Writes micro.dat / micro.svg and a spread table into demos/out/micro/.
-About half a minute at these sizes.
+About a second at these sizes.
 """
 
 import os
@@ -45,9 +45,10 @@ print(f"ratio = {below / band:.0f}")
 
 # spread of the averages over a fixed window of levels ending just above
 # the critical level; decreasing values signal the sharpening step
-sizes = (40, 70, 100)
+scans = [microcanonical_scan(LmgParams(alpha=0.4, sector=SpinSector(n)),
+                             config) for n in (40, 70)] + [scan]
 rows = []
-for n, diag in dn_diagnostic(0.4, sizes, config):
+for n, diag in dn_diagnostic(scans):
     rows.append([n, diag.n_c, diag.window[0], diag.window[1], diag.value])
     print(f"N = {n:3d}  critical level = {diag.n_c:3d}  "
           f"spread = {diag.value:.4f}")

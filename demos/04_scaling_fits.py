@@ -19,7 +19,8 @@ average is still growing and the fitted exponent comes out negative.
 
 import os
 
-from lmg_otoc import (AveragingConfig, scaling_gamma_epsilon,
+from lmg_otoc import (AveragingConfig, LmgParams, SpinSector,
+                      microcanonical_scan, scaling_gamma_epsilon,
                       scaling_gamma_lambda, scaling_mu)
 from lmg_otoc.output import ResultTable, write_csv
 
@@ -37,8 +38,8 @@ gl = scaling_gamma_lambda(0.4, n_spins=40, config=fast)
 print(f"gamma_lambda  = {gl.exponent:+.4f} +- {gl.exponent_stderr:.4f}  "
       f"({gl.n_points} fields in {gl.window})")
 
-ge = scaling_gamma_epsilon(0.4, n_spins=40, config=fast,
-                           window=(0.01, 0.5))
+scan = microcanonical_scan(LmgParams(alpha=0.4, sector=SpinSector(40)), fast)
+ge = scaling_gamma_epsilon(scan, window=(0.01, 0.5))
 print(f"gamma_epsilon = {ge.exponent:+.4f} +- {ge.exponent_stderr:.4f}  "
       f"({ge.n_points} levels in {ge.window})")
 

@@ -6,7 +6,6 @@ near-critical spread diagnostic, and ordinary least-squares power-law
 fits for the three scaling exponents.
 """
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,11 +135,11 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     """Normalized averages over an (alpha, lambda) grid.
 
     Each cell is an independent job; rows are normalized by their own
-    lambda=0 average and abort (cells None) when that reference is
-    numerically zero. precomputed maps (alpha, lambda) to (raw, halfwidth,
-    truncation_bound) triples and lets interrupted runs resume; on_cell,
-    when given, is called with (alpha, lambda, raw, halfwidth,
-    truncation_bound) as each fresh cell completes.
+    lambda=0 average and abort (cells None, the reason in row_errors) when
+    that reference is numerically zero. precomputed maps (alpha, lambda)
+    to (raw, halfwidth, truncation_bound) triples and lets interrupted runs
+    resume; on_cell, when given, is called with (alpha, lambda, raw,
+    halfwidth, truncation_bound) as each fresh cell completes.
     """
     alphas = tuple(float(a) for a in alphas)
     lambdas = tuple(float(lam) for lam in lambdas)
@@ -176,10 +175,8 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     for a in alphas:
         ref = precomputed[(a, 0.0)][0]
         if abs(ref) < REFERENCE_FLOOR:
-            message = (f"zero-field reference {ref:.3e} below "
-                       f"{REFERENCE_FLOOR:g}; row aborted")
-            row_errors[a] = message
-            warnings.warn(f"alpha={a}: {message}", stacklevel=2)
+            row_errors[a] = (f"zero-field reference {ref:.3e} below "
+                             f"{REFERENCE_FLOOR:g}; row aborted")
             cells.append([None] * len(lambdas))
             continue
         row = []
@@ -296,45 +293,35 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
         raise DomainError("field strengths must be nonnegative")
     grid = quench_sweep((alpha,), lambdas, n_spins, config, max_workers)
     if grid.row_errors:
-        raise NumericalError("zero-field reference is numerically zero")
+        raise NumericalError(f"alpha={alpha}: {grid.row_errors[alpha]}")
     return replace(fit_power_law(distances, [c.value for c in grid.cells[0]], window=window),
                    truncation_bound=grid.truncation_bound)
 
 
-def scaling_gamma_epsilon(alpha: float, n_spins: int,
-                          config: AveragingConfig = AveragingConfig(),
-                          window=DEFAULT_ENERGY_FIT_WINDOW,
-                          scan: MicroScan = None) -> FitResult:
-    """Power law of the per-level normalized average approaching the
+def scaling_gamma_epsilon(scan: MicroScan, window=DEFAULT_ENERGY_FIT_WINDOW) -> FitResult:
+    """Power law of the scan's per-level normalized average approaching the
     critical energy from below, against rescaled-energy distance."""
-    if scan is None:
-        scan = microcanonical_scan(LmgParams(alpha, SpinSector(n_spins)),
-                                   config)
     below = scan.energies < 0.0
     dist = scan.critical_rescaled - scan.rescaled[below]
     return replace(fit_power_law(dist, scan.fbar_norm[below], window=window),
                    truncation_bound=scan.truncation_bound)
 
 
-def dn_diagnostic(alpha: float, sizes,
-                  config: AveragingConfig = AveragingConfig(),
-                  scans=None) -> list:
-    """(N, spread) pairs measuring how sharply the normalized average
-    drops across the critical level; shrinking spread with growing N is
-    the finite-size signature.
+def dn_diagnostic(scans) -> list:
+    """(N, spread) pairs, one per scan, measuring how sharply the normalized
+    average drops across the critical level; shrinking spread with growing
+    N is the finite-size signature.
 
-    The window covers levels [n_c - 15, n_c + 5] clipped to the spectrum,
-    where n_c is the level closest to the critical energy (ties resolve
-    to the lower index).
+    The window covers levels [n_c - 15, n_c + 5] clipped to the scan's
+    spectrum, where n_c is the level closest to the critical energy (ties
+    resolve to the lower index).
     """
     out = []
-    for k, n in enumerate(int(s) for s in sizes):
-        scan = scans[k] if scans is not None else microcanonical_scan(
-            LmgParams(alpha, SpinSector(n)), config)
+    for scan in scans:
         n_c = int(np.argmin(np.abs(scan.energies)))
         lo = max(n_c - 15, 0)
-        hi = min(n_c + 5, n)
+        hi = min(n_c + 5, scan.n_spins)
         values = scan.fbar_norm[lo:hi + 1]
-        out.append((n, DnDiagnostic(n_c=n_c, window=(lo, hi),
-                                    value=float(values.max() - values.min()))))
+        out.append((scan.n_spins, DnDiagnostic(n_c=n_c, window=(lo, hi),
+                                               value=float(values.max() - values.min()))))
     return out

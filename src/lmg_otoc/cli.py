@@ -315,9 +315,8 @@ def _run_micro(opts, run_dir):
         scans = [scan if s == opts["n"] else microcanonical_scan(
             LmgParams(opts["alpha"], SpinSector(s)), config)
             for s in opts["sizes"]]
-        pairs = dn_diagnostic(opts["alpha"], opts["sizes"], config, scans=scans)
         dn_rows = [(n, d.n_c, d.window[0], d.window[1], d.value)
-                   for n, d in pairs]
+                   for n, d in dn_diagnostic(scans)]
         dn_table = ResultTable.from_rows(
             columns=("n_spins", "n_c", "window_lo", "window_hi", "dn"),
             units=("count", "index", "index", "index", "dimensionless"),
@@ -409,7 +408,7 @@ def _run_sweep(opts, run_dir):
             print(f"warning: critical field undefined at alpha={a}; "
                   f"overlay left empty", file=sys.stderr)
         if a in grid.row_errors:
-            print(f"warning: {grid.row_errors[a]}", file=sys.stderr)
+            print(f"warning: alpha={a}: {grid.row_errors[a]}", file=sys.stderr)
         for j, lam in enumerate(grid.lambdas):
             cell = grid.cells[i][j]
             if cell is None:
@@ -454,8 +453,8 @@ def _run_fit(opts, run_dir):
         point_cols, point_units = (("field_distance", "fbar_norm"),
                                    ("field", "dimensionless"))
     else:
-        fit = scaling_gamma_epsilon(opts["alpha"], opts["n"], config=config,
-                                    window=opts["window"])
+        scan = microcanonical_scan(LmgParams(opts["alpha"], SpinSector(opts["n"])), config)
+        fit = scaling_gamma_epsilon(scan, opts["window"])
         point_cols, point_units = (("energy_distance", "fbar_norm"),
                                    ("dimensionless", "dimensionless"))
 

@@ -210,8 +210,7 @@ def test_c07_quench_exponent(criterion):
 def test_c08_energy_exponent(criterion, micro_scans):
     fits = {}
     for alpha in (0.2, 0.6):
-        fits[alpha] = scaling_gamma_epsilon(alpha, 300, config=AVG,
-                                            scan=micro_scans[(alpha, 300)])
+        fits[alpha] = scaling_gamma_epsilon(micro_scans[(alpha, 300)])
     ok = all(0.57 <= f.exponent <= 0.81 for f in fits.values())
     detail = ", ".join(
         f"alpha={a}: {f.exponent:.4f}+-{f.exponent_stderr:.4f}"
@@ -230,9 +229,7 @@ def test_c09_microcanonical_phase_separation(criterion, micro_scans):
     ratio = float(low.mean() / band.mean())
 
     from lmg_otoc import dn_diagnostic
-    pairs = dn_diagnostic(0.4, (100, 200, 300), AVG,
-                          scans=[micro_scans[(0.4, n)]
-                                 for n in (100, 200, 300)])
+    pairs = dn_diagnostic([micro_scans[(0.4, n)] for n in (100, 200, 300)])
     spreads = [d.value for _, d in pairs]
     decreasing = spreads[0] > spreads[1] > spreads[2]
     ok = ratio >= 10.0 and decreasing

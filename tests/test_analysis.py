@@ -4,6 +4,8 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,11 +129,13 @@ def test_quench_sweep_undefined_critical_field():
 
 
 def test_quench_sweep_row_abort_on_zero_reference():
+    # the aborted row is reported in row_errors alone, with no warning
     seeded = {(0.4, 0.0): (0.0, 0.0, 0.0), (0.4, 0.3): (0.5, 0.001, 0.0)}
-    with pytest.warns(UserWarning, match="aborted"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         grid = quench_sweep([0.4], [0.3], 10, FAST, precomputed=seeded)
     assert grid.cells[0] == [None]
-    assert 0.4 in grid.row_errors
+    assert grid.row_errors == {0.4: "zero-field reference 0.000e+00 below 1e-12; row aborted"}
 
 
 def test_quench_sweep_reuses_precomputed_cells():
@@ -229,11 +233,13 @@ def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
                                estimator_halfwidth=0.0)
 
     monkeypatch.setattr(analysis, "quench_fbar", cell)
-    # the fit's row is the sweep's, which warns as it aborts the row
-    with pytest.raises(NumericalError, match="zero-field reference"), \
-            pytest.warns(UserWarning, match="alpha=0.4: zero-field reference .* row aborted"):
+    # the fit's row is the sweep's; its error names the row the sweep aborted
+    with warnings.catch_warnings(), pytest.raises(NumericalError) as caught:
+        warnings.simplefilter("error")
         scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
                              max_workers=1)
+    assert str(caught.value) == ("alpha=0.4: zero-field reference 0.000e+00 below 1e-12; "
+                                 "row aborted")
 
 
 def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
@@ -291,7 +297,7 @@ def test_free_model_scan_closed_form():
 
 
 def test_free_model_spread_diagnostic():
-    pairs = dn_diagnostic(0.0, [10], FAST)
+    pairs = dn_diagnostic([microcanonical_scan(LmgParams(0.0, SpinSector(10)), FAST)])
     (n, diag), = pairs
     assert n == 10
     # the critical level is the top of the free spectrum; window clips
@@ -301,11 +307,14 @@ def test_free_model_spread_diagnostic():
 
 
 def test_dn_windows_clip_to_spectrum():
-    pairs = dn_diagnostic(0.4, [8, 40], FAST)
+    pairs = dn_diagnostic([microcanonical_scan(LmgParams(0.4, SpinSector(n)), FAST)
+                           for n in (8, 40)])
+    assert [n for n, _ in pairs] == [8, 40]         # each pair carries its scan's N
     for n, diag in pairs:
         lo, hi = diag.window
         assert 0 <= lo <= diag.n_c <= hi <= n
         assert diag.value >= 0.0
+
 
 
 def test_scaling_mu_needs_enough_sizes():
@@ -341,10 +350,23 @@ def test_scaling_gamma_lambda_small_case():
 
 def test_scaling_gamma_epsilon_reuses_scan():
     scan = microcanonical_scan(LmgParams(0.4, SpinSector(40)), FAST)
-    fit = scaling_gamma_epsilon(0.4, 40, config=FAST, window=(0.01, 0.5),
-                                scan=scan)
+    fit = scaling_gamma_epsilon(scan, window=(0.01, 0.5))
     assert fit.n_points >= 3
     assert np.isfinite(fit.exponent)
+
+
+def test_scaling_gamma_epsilon_fits_the_levels_below_the_separatrix():
+    # a distinctive bound shows that the fit carries the scan's own
+    scan = replace(microcanonical_scan(LmgParams(0.4, SpinSector(40)), FAST),
+                   truncation_bound=3.5e-15)
+    below = scan.energies < 0.0
+    want = fit_power_law(scan.critical_rescaled - scan.rescaled[below],
+                         scan.fbar_norm[below], window=(0.01, 0.5))
+    fit = scaling_gamma_epsilon(scan, (0.01, 0.5))
+    assert (fit.exponent, fit.exponent_stderr, fit.amplitude, fit.window, fit.n_points) == \
+        (want.exponent, want.exponent_stderr, want.amplitude, want.window, want.n_points)
+    assert np.array_equal(fit.xs, want.xs) and np.array_equal(fit.ys, want.ys)
+    assert fit.truncation_bound == 3.5e-15
 
 
 def test_normalized_average_flagging():

@@ -322,6 +322,35 @@ def test_sweep_resume_rejects_a_malformed_inner_record(tmp_path, capsys):
     assert "cells.jsonl:2: malformed" in capsys.readouterr().err
 
 
+# runs the command line in a fresh process, so that a warning would reach
+# stderr, with the zero-field average of every quench patched to 0
+_ZERO_REFERENCE = """
+import dataclasses, sys
+from lmg_otoc import analysis, cli
+real = analysis.quench_fbar
+def zero_at_zero_field(spec, config):
+    avg = real(spec, config)
+    return dataclasses.replace(avg, value=0.0) if spec.field_strength == 0.0 else avg
+analysis.quench_fbar = zero_at_zero_field
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["sweep", "--alphas", "0.4", "--lambdas", "0,0.5"], 0, "warning:"),
+    (["fit", "--kind", "gamma-lambda", "--alpha", "0.4"], 3, "error:")],
+    ids=["sweep", "fit-gamma-lambda"])
+def test_an_aborted_sweep_row_is_reported_once(tmp_path, argv, code, line):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _ZERO_REFERENCE, *argv, "--n", "10", "--tavg", "50",
+         "--dt", "0.5", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == code
+    assert done.stderr == (f"{line} alpha=0.4: zero-field reference 0.000e+00 below "
+                           f"1e-12; row aborted\n")
+
+
 def test_micro_table_and_spread_summary(tmp_path):
     rc, out = run(tmp_path, "micro", "--n", "10", "--alpha", "0.4",
                   "--tavg", "50", "--dt", "0.5", "--sizes", "8,10")
