@@ -147,11 +147,10 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     precomputed = dict(precomputed or {})
 
     lams_todo = ((0.0,) if 0.0 not in lambdas else ()) + lambdas
-    wanted = [(a, lam) for a in alphas for lam in lams_todo
-              if (a, lam) not in precomputed]
-
-    def job(cell):
-        return quench_fbar(QuenchSpec(LmgParams(cell[0], sector), cell[1]), config)
+    # every cell's spec is checked before any cell is solved
+    specs = {(a, lam): QuenchSpec(LmgParams(a, sector), lam)
+             for a in alphas for lam in lams_todo}
+    wanted = [cell for cell in specs if cell not in precomputed]
 
     def settle(cell, avg):
         precomputed[cell] = (avg.value, avg.estimator_halfwidth, avg.truncation_bound)
@@ -159,9 +158,9 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
             on_cell(*cell, *precomputed[cell])
 
     # each row's bare ground state, solved once before its cells
-    _fan_out(lambda a: _bare_ground(LmgParams(a, sector)),
-             dict.fromkeys(a for a, _ in wanted), max_workers)
-    _fan_out(job, wanted, max_workers, settle)
+    _fan_out(_bare_ground, dict.fromkeys(specs[cell].params for cell in wanted),
+             max_workers)
+    _fan_out(lambda cell: quench_fbar(specs[cell], config), wanted, max_workers, settle)
 
     critical = []
     for a in alphas:
@@ -217,7 +216,8 @@ def fit_power_law(x, y, window=None) -> FitResult:
     """OLS fit of y = amplitude * x^exponent on log-log axes.
 
     Only strictly positive (x, y) pairs inside the window participate;
-    fewer than three such points is an error rather than a fit.
+    fewer than three distinct log x among them is an error rather than a
+    fit. Repeated abscissae beside three distinct ones are kept.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -226,17 +226,17 @@ def fit_power_law(x, y, window=None) -> FitResult:
         lo, hi = window
         mask &= (x >= lo) & (x <= hi)
     xs, ys = x[mask], y[mask]
-    if xs.size < 3:
-        raise DomainError(f"power-law fit needs at least 3 usable points, got {xs.size}")
     lx, ly = np.log(xs), np.log(ys)
+    distinct = np.unique(lx).size
+    if distinct < 3:
+        raise DomainError(f"power-law fit needs at least 3 usable points with distinct x, "
+                          f"got {xs.size} with {distinct} distinct")
     design = np.column_stack([lx, np.ones_like(lx)])
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
     slope, intercept = coef
     resid = ly - design @ coef
-    dof = xs.size - 2
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    denom = float(((lx - lx.mean()) ** 2).sum())
-    stderr = float(np.sqrt(sigma2 / denom)) if denom > 0 else float("inf")
+    sigma2 = float(resid @ resid) / (xs.size - 2)
+    stderr = float(np.sqrt(sigma2 / float(((lx - lx.mean()) ** 2).sum())))
     return FitResult(exponent=float(slope), exponent_stderr=stderr,
                      amplitude=float(np.exp(intercept)),
                      window=(float(xs.min()), float(xs.max())),
@@ -265,36 +265,27 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
 
 
 def scaling_gamma_lambda(alpha: float, n_spins: int,
-                         lambdas=None,
                          config: AveragingConfig = AveragingConfig(),
                          window=DEFAULT_FIELD_FIT_WINDOW,
                          max_workers=None) -> FitResult:
     """Power law of the normalized average approaching the critical field
     from below: value ~ |lambda - lambda_c|^gamma.
 
-    The default field grid spans the fit window in distance from the
-    critical point, geometrically spaced. The values are the row of
-    quench_sweep over that grid; a row it aborts is a NumericalError.
+    The field row is eight distances from the critical point, spaced
+    geometrically over the fit window (lo, hi), which must satisfy
+    0 < lo < hi <= lambda_c. The values are the row of quench_sweep over
+    those fields; a row it aborts is a NumericalError.
     """
     lam_c = critical_lambda(alpha)
-    if lambdas is None:
-        distances = np.geomspace(window[0], window[1], 8)
-        lambdas = lam_c - distances
-        if np.any(lambdas < 0):
-            raise DomainError(
-                f"default fit window reaches below lambda=0 for alpha={alpha}; "
-                f"pass an explicit field grid")
-    else:
-        lambdas = np.asarray(lambdas, dtype=float)
-        distances = lam_c - lambdas
-    if np.any(lambdas >= lam_c):
-        raise DomainError("field grid must stay strictly below the critical field")
-    if np.any(lambdas < 0):
-        raise DomainError("field strengths must be nonnegative")
-    grid = quench_sweep((alpha,), lambdas, n_spins, config, max_workers)
+    lo, hi = window
+    if not 0.0 < lo < hi <= lam_c:
+        raise DomainError(f"field fit window ({lo:g}, {hi:g}) at alpha={alpha} must satisfy "
+                          f"0 < lo < hi <= lambda_c = {lam_c:g}")
+    distances = np.geomspace(lo, hi, 8)
+    grid = quench_sweep((alpha,), lam_c - distances, n_spins, config, max_workers)
     if grid.row_errors:
         raise NumericalError(f"alpha={alpha}: {grid.row_errors[alpha]}")
-    return replace(fit_power_law(distances, [c.value for c in grid.cells[0]], window=window),
+    return replace(fit_power_law(distances, [c.value for c in grid.cells[0]]),
                    truncation_bound=grid.truncation_bound)
 
 

@@ -389,12 +389,18 @@ def _run_sweep(opts, run_dir):
         precomputed = _load_checkpoint(cells_path, settings)
 
     opts["workers"] = _workers(opts["workers"])
-    with open(cells_path, "a" if resume else "w") as checkpoint:
+    # opened at the first record, so a sweep refused before any cell
+    # writes nothing and leaves an earlier checkpoint as it was
+    with contextlib.ExitStack() as stack:
+        checkpoint = []
+
         def on_cell(alpha, lam, raw, halfwidth, bound):
-            checkpoint.write(json.dumps(
+            if not checkpoint:
+                checkpoint.append(stack.enter_context(open(cells_path, "a" if resume else "w")))
+            checkpoint[0].write(json.dumps(
                 {"alpha": alpha, "lambda": lam, "fbar_raw": raw, "halfwidth": halfwidth,
                  "truncation_bound": bound, **settings}) + "\n")
-            checkpoint.flush()
+            checkpoint[0].flush()
 
         grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,
                             max_workers=opts["workers"], precomputed=precomputed,

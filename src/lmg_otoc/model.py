@@ -79,8 +79,9 @@ class QuenchSpec:
     field_strength: float
 
     def __post_init__(self):
-        if self.field_strength < 0.0:
-            raise DomainError(f"field strength must be nonnegative, got {self.field_strength}")
+        if not 0.0 <= self.field_strength < np.inf:
+            raise DomainError(f"field strength must be finite and nonnegative, "
+                              f"got {self.field_strength}")
 
 
 def build_hamiltonian(params: LmgParams):

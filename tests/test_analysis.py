@@ -100,6 +100,14 @@ def test_fit_power_law_window_and_filtering():
         fit_power_law(x[:2], y[:2])
     with pytest.raises(DomainError):
         fit_power_law(x, y, window=(2.0, 3.0))
+    # three points need three distinct abscissae; repeats beside them stay
+    with pytest.raises(DomainError, match="3 usable points with distinct x"):
+        fit_power_law([10.0, 10.0, 10.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="got 4 with 2 distinct"):
+        fit_power_law([0.1, 0.1, 0.2, 0.2], [1.0, 1.1, 2.0, 2.1])
+    fit3 = fit_power_law(np.repeat(x[:3], 2), np.repeat(y[:3], 2))
+    assert fit3.n_points == 6
+    assert abs(fit3.exponent - 1.5) < 1e-12 and np.isfinite(fit3.exponent_stderr)
 
 
 def test_fit_power_law_amplitude_scale_invariance():
@@ -181,6 +189,13 @@ def test_quench_sweep_solves_the_bare_model_once_per_row(monkeypatch):
     assert sorted(dims) == [5] * 3 + [6] * 3 + [11]
 
 
+def test_quench_sweep_refuses_a_bad_field_before_any_solve(monkeypatch):
+    dims = _count_solves(monkeypatch)
+    with pytest.raises(DomainError, match="finite and nonnegative, got -0.5"):
+        quench_sweep((0.4,), (0.0, -0.5), 10, FAST, max_workers=1)
+    assert dims == []
+
+
 def test_microcanonical_scan_solves_the_bare_model_once(monkeypatch):
     dims = _count_solves(monkeypatch)
     microcanonical_scan(LmgParams(0.4, SpinSector(20)), FAST)
@@ -220,10 +235,10 @@ def test_scaling_mu_solves_its_sizes_side_by_side(monkeypatch):
 
 def test_scaling_gamma_lambda_solves_the_bare_model_once(monkeypatch):
     dims = _count_solves(monkeypatch)
-    scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
-                         max_workers=2)
-    # one dense 11 x 11 solve, then the two parity blocks per field
-    assert sorted(dims) == [5] * 4 + [6] * 4 + [11]
+    scaling_gamma_lambda(0.4, 10, config=FAST, window=(0.1, 0.3), max_workers=2)
+    # one dense 11 x 11 solve, then the two parity blocks per field: the
+    # window's eight and the zero-field reference
+    assert sorted(dims) == [5] * 9 + [6] * 9 + [11]
 
 
 def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
@@ -236,8 +251,7 @@ def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
     # the fit's row is the sweep's; its error names the row the sweep aborted
     with warnings.catch_warnings(), pytest.raises(NumericalError) as caught:
         warnings.simplefilter("error")
-        scaling_gamma_lambda(0.4, 10, lambdas=[0.1, 0.2, 0.3], config=FAST, window=None,
-                             max_workers=1)
+        scaling_gamma_lambda(0.4, 10, config=FAST, window=(0.1, 0.3), max_workers=1)
     assert str(caught.value) == ("alpha=0.4: zero-field reference 0.000e+00 below 1e-12; "
                                  "row aborted")
 
@@ -331,10 +345,13 @@ def test_scaling_mu_small_case_runs():
 
 
 def test_scaling_gamma_lambda_grid_validation():
+    # the one window check: 0 < lo < hi <= lambda_c
     with pytest.raises(DomainError):
-        scaling_gamma_lambda(0.4, 10, lambdas=[0.5, 1.0], config=FAST)
+        # a zero distance puts a field at the critical one
+        scaling_gamma_lambda(0.4, 10, config=FAST, window=(0.0, 0.5))
     with pytest.raises(DomainError):
-        scaling_gamma_lambda(0.4, 10, lambdas=[-0.1, 0.5], config=FAST)
+        # a distance past lambda_c = 1 puts a field below zero
+        scaling_gamma_lambda(0.4, 10, config=FAST, window=(0.5, 1.1))
     with pytest.raises(DomainError):
         # default window digs below zero field at this alpha
         scaling_gamma_lambda(0.75, 10, config=FAST)

@@ -508,6 +508,46 @@ def test_a_failed_run_leaves_no_empty_directory_it_made(tmp_path, monkeypatch, w
     assert sorted(os.listdir(tmp_path)) == (["x"] if out == "existing" else [])
 
 
+_GAMMA_LAMBDA = ["fit", "--kind", "gamma-lambda", "--alpha", "0.4", "--n", "10",
+                 "--tavg", "20", "--dt", "0.5"]
+_SWEEP = ["sweep", "--n", "10", "--alphas", "0.4", "--tavg", "20", "--dt", "0.5"]
+_FIELD = "field strength must be finite and nonnegative"
+_WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (_GAMMA_LAMBDA + ["--window", "0,0.5"], _WINDOW),
+    (_GAMMA_LAMBDA + ["--window=-0.1,0.5"], _WINDOW),
+    (_GAMMA_LAMBDA + ["--window", "0.2,1.5"], _WINDOW),
+    (["fit", "--kind", "mu", "--alpha", "0.4", "--sizes", "10,10,10", "--tavg", "100",
+      "--dt", "0.5"], "got 3 with 1 distinct"),
+    (["sweep", "--n", "10", "--alphas", "1.5", "--lambdas", "0"], "alpha must lie in [0, 1]"),
+    (["sweep", "--n", "0", "--alphas", "0.4", "--lambdas", "0"], "n_spins must be"),
+    (_SWEEP + ["--lambdas", "inf"], _FIELD),
+    (_SWEEP + ["--lambdas", "nan"], _FIELD),
+    (_SWEEP + ["--lambdas", "0,-0.5"], _FIELD),
+    (_OTOC + ["--lambda", "inf"], _FIELD)],
+    ids=["window-zero", "window-negative", "window-past-critical", "mu-one-size",
+         "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
+         "otoc-inf"])
+def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_refused_sweep_leaves_an_earlier_checkpoint_as_it_was(tmp_path):
+    out = tmp_path / "x"
+    out.mkdir()
+    record = '{"alpha": 0.4, "lambda": 0.0}\n'
+    (out / "cells.jsonl").write_text(record)
+    assert main(_SWEEP + ["--lambdas", "0,-0.5", "--out", str(out)]) == 4
+    assert os.listdir(out) == ["cells.jsonl"]
+    assert (out / "cells.jsonl").read_text() == record
+
+
 @pytest.mark.parametrize("message", [
     "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) "
     "and data type float64", ""], ids=["numpy", "bare"])

@@ -71,8 +71,9 @@ def test_params_validation():
         LmgParams(-0.01, SpinSector(4))
     with pytest.raises(DomainError):
         LmgParams(1.01, SpinSector(4))
-    with pytest.raises(DomainError):
-        QuenchSpec(LmgParams(0.4, SpinSector(4)), -0.5)
+    for field in (-0.5, np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            QuenchSpec(LmgParams(0.4, SpinSector(4)), field)
 
 
 def test_rescale_energies_affine():
