@@ -273,14 +273,15 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
 
     The field row is eight distances from the critical point, spaced
     geometrically over the fit window (lo, hi), which must satisfy
-    0 < lo < hi <= lambda_c. The values are the row of quench_sweep over
-    those fields; a row it aborts is a NumericalError.
+    0 < lo < hi <= lambda_c with lambda_c - lo < lambda_c in floating
+    point. The values are the row of quench_sweep over those fields; a row
+    it aborts is a NumericalError.
     """
     lam_c = critical_lambda(alpha)
     lo, hi = window
-    if not 0.0 < lo < hi <= lam_c:
+    if not (0.0 < lo < hi <= lam_c and lam_c - lo < lam_c):
         raise DomainError(f"field fit window ({lo:g}, {hi:g}) at alpha={alpha} must satisfy "
-                          f"0 < lo < hi <= lambda_c = {lam_c:g}")
+                          f"0 < lo < hi <= lambda_c = {lam_c:g} with lambda_c - lo < lambda_c")
     distances = np.geomspace(lo, hi, 8)
     grid = quench_sweep((alpha,), lam_c - distances, n_spins, config, max_workers)
     if grid.row_errors:

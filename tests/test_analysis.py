@@ -353,6 +353,9 @@ def test_scaling_gamma_lambda_grid_validation():
         # a distance past lambda_c = 1 puts a field below zero
         scaling_gamma_lambda(0.4, 10, config=FAST, window=(0.5, 1.1))
     with pytest.raises(DomainError):
+        # distances below half an ulp of lambda_c round every field back to it
+        scaling_gamma_lambda(0.4, 10, config=FAST, window=(1e-18, 1e-17))
+    with pytest.raises(DomainError):
         # default window digs below zero field at this alpha
         scaling_gamma_lambda(0.75, 10, config=FAST)
 

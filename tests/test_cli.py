@@ -520,21 +520,31 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
     (_GAMMA_LAMBDA + ["--window", "0,0.5"], _WINDOW),
     (_GAMMA_LAMBDA + ["--window=-0.1,0.5"], _WINDOW),
     (_GAMMA_LAMBDA + ["--window", "0.2,1.5"], _WINDOW),
-    (["fit", "--kind", "mu", "--alpha", "0.4", "--sizes", "10,10,10", "--tavg", "100",
-      "--dt", "0.5"], "got 3 with 1 distinct"),
+    (_GAMMA_LAMBDA + ["--window", "1e-18,1e-17"], _WINDOW),
     (["sweep", "--n", "10", "--alphas", "1.5", "--lambdas", "0"], "alpha must lie in [0, 1]"),
     (["sweep", "--n", "0", "--alphas", "0.4", "--lambdas", "0"], "n_spins must be"),
     (_SWEEP + ["--lambdas", "inf"], _FIELD),
     (_SWEEP + ["--lambdas", "nan"], _FIELD),
     (_SWEEP + ["--lambdas", "0,-0.5"], _FIELD),
     (_OTOC + ["--lambda", "inf"], _FIELD)],
-    ids=["window-zero", "window-negative", "window-past-critical", "mu-one-size",
+    ids=["window-zero", "window-negative", "window-past-critical", "window-below-ulp",
          "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
          "otoc-inf"])
 def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_mu_fit_over_one_size_exits_4_and_leaves_no_run_directory(tmp_path, capsys):
+    # the three N = 10 cells are solved; the fit then refuses their one abscissa
+    argv = ["fit", "--kind", "mu", "--alpha", "0.4", "--sizes", "10,10,10", "--tavg", "100",
+            "--dt", "0.5", "--out", str(tmp_path / "x")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "got 3 with 1 distinct" in err
     assert os.listdir(tmp_path) == []
 
 
