@@ -36,28 +36,27 @@ lambdas = tuple(np.round(np.linspace(0.0, 2.5, 11), 10))
 grid = quench_sweep(alphas, lambdas, n_spins=80,
                     config=AveragingConfig(total_time=2000.0, dt=0.5))
 
-rows = []
-for i, alpha in enumerate(grid.alphas):
-    lam_c = grid.lambda_c[i]
+for alpha, lam_c, values in zip(grid.alphas, grid.lambda_c, grid.fbar_norm):
     print(f"alpha = {alpha}: lambda_c = "
-          f"{'undefined' if lam_c is None else lam_c}")
-    for j, lam in enumerate(grid.lambdas):
-        cell = grid.cells[i][j]
-        rows.append([alpha, lam, cell.value if cell else None,
-                     lam_c if lam_c is not None else None])
-        if cell is not None:
-            marker = " <- lambda_c" if lam_c is not None and abs(
-                lam - lam_c) < 0.125 else ""
-            print(f"  lambda = {lam:5.2f}  Fbar_norm = "
-                  f"{cell.value:7.4f}{marker}")
+          f"{'undefined' if np.isnan(lam_c) else lam_c}")
+    if alpha in grid.row_errors:        # an aborted row has no values
+        continue
+    for lam, value in zip(grid.lambdas, values):
+        marker = " <- lambda_c" if abs(lam - lam_c) < 0.125 else ""
+        print(f"  lambda = {lam:5.2f}  Fbar_norm = {value:7.4f}{marker}")
 
-table = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm", "lambda_c"),
-                              units=("dimensionless", "field", "dimensionless",
-                                     "field"),
-                              rows=rows)
+# one row per cell, in sweep order; NaN is written blank
+alpha_col = np.repeat(grid.alphas, len(grid.lambdas))
+lambda_col = np.tile(grid.lambdas, len(grid.alphas))
+fbar_norm = grid.fbar_norm.ravel()
+table = ResultTable(columns=("alpha", "lambda", "fbar_norm", "lambda_c"),
+                    units=("dimensionless", "field", "dimensionless", "field"),
+                    data=(alpha_col, lambda_col, fbar_norm,
+                          np.repeat(grid.lambda_c, len(grid.lambdas))))
 write_csv(os.path.join(OUT, "sweep.csv"), table)
-heat = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm"),
-                             units=("dimensionless", "field", "dimensionless"),
-                             rows=[r[:3] for r in rows if r[2] is not None])
+kept = ~np.isnan(fbar_norm)
+heat = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
+                   units=("dimensionless", "field", "dimensionless"),
+                   data=(alpha_col[kept], lambda_col[kept], fbar_norm[kept]))
 emit_heatmap_dat(os.path.join(OUT, "heatmap.dat"), heat)
 print(f"outputs in {OUT}")

@@ -7,10 +7,9 @@ near-critical power-law fits built on top of them.
 """
 
 from .analysis import (AveragingConfig, DnDiagnostic, FitResult, MicroScan,
-                       NormalizedAverage, SweepGrid, dn_diagnostic,
-                       fit_power_law, microcanonical_scan, quench_fbar,
-                       quench_sweep, scaling_gamma_epsilon,
-                       scaling_gamma_lambda, scaling_mu)
+                       SweepGrid, dn_diagnostic, fit_power_law,
+                       microcanonical_scan, quench_fbar, quench_sweep,
+                       scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
 from .eigensolver import EigenDecomposition, eigh
 from .errors import DomainError, LmgOtocError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragingConfig", "CommutatorSeries", "DnDiagnostic", "DomainError",
     "EigenDecomposition", "FitResult", "LmgOtocError", "LmgParams",
-    "LongTimeAverage", "MicroScan", "NormalizedAverage", "NumericalError",
+    "LongTimeAverage", "MicroScan", "NumericalError",
     "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
     "build_hamiltonian", "build_postquench", "commutator_series",
     "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",

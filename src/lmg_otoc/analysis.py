@@ -46,23 +46,12 @@ class AveragingConfig:
 
 
 @dataclass(frozen=True)
-class NormalizedAverage:
-    """A raw long-time average together with its normalization reference.
-
-    flagged marks cells whose half-horizon estimator drift is not small
-    against the reference, i.e. the average may be under-converged.
-    """
-
-    raw: float
-    reference: float
-    value: float
-    halfwidth: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class SweepGrid:
-    """Normalized cells of an (alpha, lambda) grid.
+    """Normalized averages over an (alpha, lambda) grid, held as a
+    MicroScan holds its levels: fbar_raw, fbar_norm, halfwidths and flagged
+    have shape (len(alphas), len(lambdas)), and reference and lambda_c
+    one entry per alpha (lambda_c NaN where undefined). An aborted row is
+    NaN in its three value arrays, never flagged, and named in row_errors.
 
     truncation_bound is the largest truncation bound of its cells
     (LongTimeAverage), those taken from `precomputed` included.
@@ -71,8 +60,12 @@ class SweepGrid:
     alphas: tuple
     lambdas: tuple
     n_spins: int
-    cells: list = field(repr=False)            # cells[i][j] or None on row abort
-    lambda_c: tuple = ()                       # per alpha; None where undefined
+    fbar_raw: np.ndarray = field(repr=False)
+    fbar_norm: np.ndarray = field(repr=False)
+    halfwidths: np.ndarray = field(repr=False)
+    flagged: np.ndarray = field(repr=False)
+    reference: np.ndarray = field(repr=False)
+    lambda_c: np.ndarray = field(repr=False)
     row_errors: dict = field(default_factory=dict)
     truncation_bound: float = 0.0
 
@@ -135,7 +128,7 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     """Normalized averages over an (alpha, lambda) grid.
 
     Each cell is an independent job; rows are normalized by their own
-    lambda=0 average and abort (cells None, the reason in row_errors) when
+    lambda=0 average and abort (NaN values, the reason in row_errors) when
     that reference is numerically zero. precomputed maps (alpha, lambda)
     to (raw, halfwidth, truncation_bound) triples and lets interrupted runs
     resume; on_cell, when given, is called with (alpha, lambda, raw,
@@ -167,28 +160,32 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
         try:
             critical.append(critical_lambda(a))
         except DomainError:
-            critical.append(None)
+            critical.append(np.nan)
 
-    cells = []
-    row_errors = {}
-    for a in alphas:
-        ref = precomputed[(a, 0.0)][0]
-        if abs(ref) < REFERENCE_FLOOR:
-            row_errors[a] = (f"zero-field reference {ref:.3e} below "
-                             f"{REFERENCE_FLOOR:g}; row aborted")
-            cells.append([None] * len(lambdas))
-            continue
-        row = []
-        for lam in lambdas:
-            raw, halfwidth, _ = precomputed[(a, lam)]
-            row.append(NormalizedAverage(
-                raw=raw, reference=ref, value=raw / ref, halfwidth=halfwidth,
-                flagged=not halfwidth < 0.01 * abs(ref)))
-        cells.append(row)
+    shape = (len(alphas), len(lambdas))
+    raw, halfwidths = (np.array([[precomputed[(a, lam)][k] for lam in lambdas]
+                                 for a in alphas], dtype=float).reshape(shape)
+                       for k in (0, 1))
+    reference = np.array([precomputed[(a, 0.0)][0] for a in alphas], dtype=float)
+    aborted = np.abs(reference) < REFERENCE_FLOOR
+    raw[aborted] = halfwidths[aborted] = np.nan
+    fbar_norm, flagged = _normalized(raw, halfwidths, reference[:, None])
+    flagged[aborted] = False
+    row_errors = {a: f"zero-field reference {ref:.3e} below {REFERENCE_FLOOR:g}; row aborted"
+                  for a, ref, out in zip(alphas, reference, aborted) if out}
     return SweepGrid(alphas=alphas, lambdas=lambdas, n_spins=n_spins,
-                     cells=cells, lambda_c=tuple(critical), row_errors=row_errors,
+                     fbar_raw=raw, fbar_norm=fbar_norm, halfwidths=halfwidths,
+                     flagged=flagged, reference=reference,
+                     lambda_c=np.array(critical, dtype=float), row_errors=row_errors,
                      truncation_bound=max((precomputed[(a, lam)][2]
                                            for a in alphas for lam in lams_todo), default=0.0))
+
+
+def _normalized(raw, halfwidths, reference):
+    """raw / reference, and the flags of the values whose half-horizon
+    estimator drift is not small against the reference: they may be
+    under-converged."""
+    return raw / reference, ~(halfwidths < 0.01 * np.abs(reference))
 
 
 def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan:
@@ -202,12 +199,12 @@ def microcanonical_scan(params: LmgParams, config: AveragingConfig) -> MicroScan
     if abs(ref) < REFERENCE_FLOOR:
         raise NumericalError(f"ground-state reference {ref:.3e} too small to normalize by")
     n = params.sector.n_spins
+    fbar_norm, flagged = _normalized(fbar, halfwidths, ref)
     return MicroScan(
         alpha=params.alpha, n_spins=n,
         energies=energies, energies_per_spin=energies / n,
         rescaled=rescale_energies(energies),
-        fbar_raw=fbar, fbar_norm=fbar / ref, halfwidths=halfwidths,
-        flagged=~(halfwidths < 0.01 * abs(ref)),
+        fbar_raw=fbar, fbar_norm=fbar_norm, halfwidths=halfwidths, flagged=flagged,
         critical_rescaled=critical_rescaled_energy(energies),
         truncation_bound=bound)
 
@@ -258,10 +255,12 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
     def job(n):
         return quench_fbar(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c), config)
 
-    avgs = _fan_out(job, sizes, max_workers)
-    fit = fit_power_law(np.array(sizes, dtype=float), np.array([a.value for a in avgs]))
+    # a repeated size is solved once and counts once per repeat in the fit
+    distinct = tuple(dict.fromkeys(sizes))
+    solved = dict(zip(distinct, _fan_out(job, distinct, max_workers)))
+    fit = fit_power_law(np.array(sizes, dtype=float), [solved[n].value for n in sizes])
     return replace(fit, exponent=-fit.exponent,
-                   truncation_bound=max(a.truncation_bound for a in avgs))
+                   truncation_bound=max(a.truncation_bound for a in solved.values()))
 
 
 def scaling_gamma_lambda(alpha: float, n_spins: int,
@@ -286,7 +285,7 @@ def scaling_gamma_lambda(alpha: float, n_spins: int,
     grid = quench_sweep((alpha,), lam_c - distances, n_spins, config, max_workers)
     if grid.row_errors:
         raise NumericalError(f"alpha={alpha}: {grid.row_errors[alpha]}")
-    return replace(fit_power_law(distances, [c.value for c in grid.cells[0]]),
+    return replace(fit_power_law(distances, grid.fbar_norm[0]),
                    truncation_bound=grid.truncation_bound)
 
 

@@ -242,6 +242,8 @@ def _run_spectrum(opts, run_dir):
 
 
 def _run_otoc(opts, run_dir):
+    if opts["state"] == "ground" and opts["level"] is not None:
+        raise UsageError("--level is not used by otoc --state ground")
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     times = make_time_grid(opts["tmax"], opts["dt"])
     opts["workers"] = _workers(None)
@@ -406,39 +408,33 @@ def _run_sweep(opts, run_dir):
                             max_workers=opts["workers"], precomputed=precomputed,
                             on_cell=on_cell)
 
-    rows = []
-    heat_rows = []
-    for i, a in enumerate(grid.alphas):
-        lam_c = grid.lambda_c[i]
-        if lam_c is None:
+    for a, lam_c in zip(grid.alphas, grid.lambda_c):
+        if np.isnan(lam_c):
             print(f"warning: critical field undefined at alpha={a}; "
                   f"overlay left empty", file=sys.stderr)
         if a in grid.row_errors:
             print(f"warning: alpha={a}: {grid.row_errors[a]}", file=sys.stderr)
-        for j, lam in enumerate(grid.lambdas):
-            cell = grid.cells[i][j]
-            if cell is None:
-                rows.append((a, lam, "", "", "", lam_c if lam_c is not None else ""))
-                continue
-            rows.append((a, lam, cell.raw, cell.value, cell.halfwidth,
-                         lam_c if lam_c is not None else ""))
-            heat_rows.append((a, lam, cell.value))
-    table = ResultTable.from_rows(
-        columns=("alpha", "lambda", "fbar_raw", "fbar_norm", "halfwidth",
-                 "lambda_c"),
+    # one row per cell in sweep order; an aborted row's values are NaN,
+    # written blank, and it has no heat map block
+    per_row = len(grid.lambdas)
+    alpha_col = np.repeat(grid.alphas, per_row)
+    lambda_col = np.tile(grid.lambdas, len(grid.alphas))
+    table = ResultTable(
+        columns=("alpha", "lambda", "fbar_raw", "fbar_norm", "halfwidth", "lambda_c"),
         units=("dimensionless", "field", "dimensionless", "dimensionless",
                "dimensionless", "field"),
-        rows=rows)
+        data=(alpha_col, lambda_col, grid.fbar_raw.ravel(), grid.fbar_norm.ravel(),
+              grid.halfwidths.ravel(), np.repeat(grid.lambda_c, per_row)))
     write_csv(os.path.join(run_dir, "sweep.csv"), table)
-    heat_table = ResultTable.from_rows(columns=("alpha", "lambda", "fbar_norm"),
-                                       units=("dimensionless", "field", "dimensionless"),
-                                       rows=heat_rows)
+    kept = ~np.isin(alpha_col, list(grid.row_errors))
+    heat_table = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
+                             units=("dimensionless", "field", "dimensionless"),
+                             data=(alpha_col[kept], lambda_col[kept],
+                                   grid.fbar_norm.ravel()[kept]))
     emit_heatmap_dat(os.path.join(run_dir, "heatmap.dat"), heat_table)
     outputs = ["sweep.csv", "heatmap.dat", "cells.jsonl"]
-    flagged = sum(1 for row in grid.cells for c in row
-                  if c is not None and c.flagged)
-    diag = {"cells": len(grid.alphas) * len(grid.lambdas),
-            "flagged_cells": flagged,
+    diag = {"cells": grid.fbar_raw.size,
+            "flagged_cells": int(grid.flagged.sum()),
             "aborted_alphas": sorted(grid.row_errors),
             "truncation_bound": grid.truncation_bound}
     return outputs, _averaging_grid(opts, config), diag

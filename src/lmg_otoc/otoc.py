@@ -357,8 +357,7 @@ def _reachable(frame: _ParityFrame, psi: np.ndarray):
     he = ab.shape[0]
     env = [np.abs(psi)]
     for _ in range(4):
-        e = env[-1]
-        env.append(np.concatenate([ab @ e[he:], ab.T @ e[:he]]))
+        env.append(_apply_w(ab, env[-1], np.empty(psi.size)))
     weight = sum(env[k] * env[4 - k] for k in range(5))
     order = np.argsort(weight, kind="stable")
     # a block may lose only the levels beyond its floor, its lightest first

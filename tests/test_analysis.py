@@ -121,19 +121,19 @@ def test_fit_power_law_amplitude_scale_invariance():
 
 def test_quench_sweep_normalization_and_shape():
     grid = quench_sweep([0.4], [0.0, 0.3], 10, FAST, max_workers=1)
-    assert grid.lambda_c == (1.0,)
-    cell0 = grid.cells[0][0]
-    assert cell0.value == 1.0             # lambda=0 normalizes itself
-    assert cell0.raw == cell0.reference
-    cell1 = grid.cells[0][1]
-    assert cell1.reference == cell0.raw
-    assert 0.0 < cell1.value <= 1.5
+    for values in (grid.fbar_raw, grid.fbar_norm, grid.halfwidths, grid.flagged):
+        assert values.shape == (1, 2)
+    assert grid.flagged.dtype == bool
+    assert grid.lambda_c.tolist() == [1.0]
+    assert grid.fbar_norm[0, 0] == 1.0    # lambda=0 normalizes itself
+    assert grid.reference.tolist() == [grid.fbar_raw[0, 0]]
+    assert 0.0 < grid.fbar_norm[0, 1] <= 1.5
     assert not grid.row_errors
 
 
 def test_quench_sweep_undefined_critical_field():
     grid = quench_sweep([0.9], [0.0], 8, FAST, max_workers=1)
-    assert grid.lambda_c == (None,)
+    assert grid.lambda_c.shape == (1,) and np.isnan(grid.lambda_c[0])
 
 
 def test_quench_sweep_row_abort_on_zero_reference():
@@ -142,7 +142,9 @@ def test_quench_sweep_row_abort_on_zero_reference():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = quench_sweep([0.4], [0.3], 10, FAST, precomputed=seeded)
-    assert grid.cells[0] == [None]
+    for values in (grid.fbar_raw, grid.fbar_norm, grid.halfwidths):
+        assert values.shape == (1, 1) and np.isnan(values[0, 0])
+    assert not grid.flagged[0, 0]
     assert grid.row_errors == {0.4: "zero-field reference 0.000e+00 below 1e-12; row aborted"}
 
 
@@ -156,7 +158,7 @@ def test_quench_sweep_reuses_precomputed_cells():
     grid2 = quench_sweep([0.4], [0.0, 0.3], 10, FAST, precomputed=pre,
                          on_cell=lambda a, l, r, h, b: calls.append((a, l)))
     assert calls == []                    # nothing recomputed
-    assert grid2.cells[0][1].value == grid1.cells[0][1].value
+    assert grid2.fbar_norm[0, 1] == grid1.fbar_norm[0, 1]
     assert grid2.truncation_bound == grid1.truncation_bound
 
 
@@ -222,7 +224,7 @@ def _dense_solves_meet_in_pairs(monkeypatch, sizes):
 def test_quench_sweep_solves_its_rows_side_by_side(monkeypatch):
     _dense_solves_meet_in_pairs(monkeypatch, [10])
     grid = quench_sweep([0.2, 0.4], [0.0, 0.5], 10, FAST, max_workers=2)
-    assert all(cell is not None for row in grid.cells for cell in row)
+    assert not np.isnan(grid.fbar_norm).any()
 
 
 def test_scaling_mu_solves_its_sizes_side_by_side(monkeypatch):
@@ -231,6 +233,16 @@ def test_scaling_mu_solves_its_sizes_side_by_side(monkeypatch):
     sizes = (20, 22, 24, 26)
     _dense_solves_meet_in_pairs(monkeypatch, sizes)
     assert scaling_mu(0.4, sizes, FAST, max_workers=2).n_points == 4
+
+
+def test_scaling_mu_solves_a_repeated_size_once(monkeypatch):
+    dims = _count_solves(monkeypatch)
+    fit = scaling_mu(0.4, (20, 20, 22, 24), FAST, max_workers=2)
+    # one dense solve and two parity blocks per distinct size
+    assert sorted(dims) == [10, 11, 11, 12, 12, 13, 21, 23, 25]
+    # the repeat still counts twice in the fit
+    assert fit.n_points == 4 and fit.xs.tolist() == [20.0, 20.0, 22.0, 24.0]
+    assert fit.ys[0] == fit.ys[1]
 
 
 def test_scaling_gamma_lambda_solves_the_bare_model_once(monkeypatch):
@@ -392,5 +404,5 @@ def test_scaling_gamma_epsilon_fits_the_levels_below_the_separatrix():
 def test_normalized_average_flagging():
     grid = quench_sweep([0.4], [0.0, 0.2], 12, AveragingConfig(2000.0, 0.5),
                         max_workers=1)
-    for cell in grid.cells[0]:
-        assert cell.flagged == (not cell.halfwidth < 0.01 * abs(cell.reference))
+    for halfwidth, flagged in zip(grid.halfwidths[0], grid.flagged[0]):
+        assert flagged == (not halfwidth < 0.01 * abs(grid.reference[0]))

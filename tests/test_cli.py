@@ -323,32 +323,48 @@ def test_sweep_resume_rejects_a_malformed_inner_record(tmp_path, capsys):
 
 
 # runs the command line in a fresh process, so that a warning would reach
-# stderr, with the zero-field average of every quench patched to 0
+# stderr, with the zero-field average of every quench at alpha = 0.4
+# patched to 0
 _ZERO_REFERENCE = """
 import dataclasses, sys
 from lmg_otoc import analysis, cli
 real = analysis.quench_fbar
 def zero_at_zero_field(spec, config):
     avg = real(spec, config)
-    return dataclasses.replace(avg, value=0.0) if spec.field_strength == 0.0 else avg
+    zero = spec.field_strength == 0.0 and spec.params.alpha == 0.4
+    return dataclasses.replace(avg, value=0.0) if zero else avg
 analysis.quench_fbar = zero_at_zero_field
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("argv, code, line", [
-    (["sweep", "--alphas", "0.4", "--lambdas", "0,0.5"], 0, "warning:"),
+# the sweep's alpha = 0.9 row has no critical field, which is warned of too
+@pytest.mark.parametrize("argv, code, before", [
+    (["sweep", "--alphas", "0.9,0.4", "--lambdas", "0,0.5"], 0,
+     "warning: critical field undefined at alpha=0.9; overlay left empty\nwarning:"),
     (["fit", "--kind", "gamma-lambda", "--alpha", "0.4"], 3, "error:")],
     ids=["sweep", "fit-gamma-lambda"])
-def test_an_aborted_sweep_row_is_reported_once(tmp_path, argv, code, line):
+def test_an_aborted_sweep_row_is_reported_once(tmp_path, argv, code, before):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = tmp_path / "run"
     done = subprocess.run(
         [sys.executable, "-c", _ZERO_REFERENCE, *argv, "--n", "10", "--tavg", "50",
-         "--dt", "0.5", "--out", str(tmp_path / "run")],
+         "--dt", "0.5", "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert done.returncode == code
-    assert done.stderr == (f"{line} alpha=0.4: zero-field reference 0.000e+00 below "
+    assert done.stderr == (f"{before} alpha=0.4: zero-field reference 0.000e+00 below "
                            f"1e-12; row aborted\n")
+    if argv[0] != "sweep":
+        return
+    _, rows = read_csv(out / "sweep.csv")
+    assert [row[:2] for row in rows] == [[0.9, 0.0], [0.9, 0.5], [0.4, 0.0], [0.4, 0.5]]
+    # the alpha = 0.9 row: values, no critical field; the aborted row: the reverse
+    assert all(None not in row[2:5] and row[5] is None for row in rows[:2])
+    assert all(row[2:] == [None, None, None, 1.0] for row in rows[2:])
+    blocks = (out / "heatmap.dat").read_text().split("\n\n")
+    assert [[line.split()[0] for line in block.splitlines()] for block in blocks] == \
+        [["0.9", "0.9"]]
+    assert manifest_of(out)["diagnostics"]["aborted_alphas"] == [0.4]
 
 
 def test_micro_table_and_spread_summary(tmp_path):
@@ -433,6 +449,17 @@ def test_fit_refuses_the_options_its_kind_does_not_use(tmp_path, capsys):
         assert main(["fit", "--alpha", "0.4", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert option in err and f"--kind {kind}" in err
+        assert not out.exists()
+
+
+def test_otoc_refuses_a_level_without_state_level(tmp_path, capsys):
+    # the ground-state trace would ignore it and record it beside "state": "ground"
+    for argv in (["--level", "5"], ["--state", "ground", "--level", "5"]):
+        out = tmp_path / "run"
+        assert main(["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1", *argv,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --level is not used by otoc --state ground\n"
         assert not out.exists()
 
 
@@ -539,7 +566,7 @@ def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
 
 @pytest.mark.filterwarnings("error")
 def test_a_mu_fit_over_one_size_exits_4_and_leaves_no_run_directory(tmp_path, capsys):
-    # the three N = 10 cells are solved; the fit then refuses their one abscissa
+    # the N = 10 cell is solved, once; the fit then refuses its one abscissa
     argv = ["fit", "--kind", "mu", "--alpha", "0.4", "--sizes", "10,10,10", "--tavg", "100",
             "--dt", "0.5", "--out", str(tmp_path / "x")]
     assert main(argv) == 4

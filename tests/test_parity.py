@@ -240,7 +240,9 @@ def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commut
     spec = QuenchSpec(LmgParams(0.4, SpinSector(61)), 1.0)
     (commutator_series if commutator else quench_otoc)(spec, times)
     assert len(_chunks(times.size)) > 1
-    assert len(calls) == 1 + 3 * len(_chunks(times.size))
+    # four for the envelopes that pick the kept levels (_reachable), one
+    # for V |psi>, then three per chunk
+    assert len(calls) == 4 + 1 + 3 * len(_chunks(times.size))
 
 
 def test_long_horizon_quench_at_production_size():

@@ -3,15 +3,16 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs twenty invocations of the command line (spectrum twice, otoc
+Runs twenty-one invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
 of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
 micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
 count, a micro scan at N = 100, a 1 x 2 sweep over a horizon of 1e7,
-the gamma-lambda fit again on 2 workers, and a gamma-lambda fit over
-its own window at alpha = 0.6), each in a fresh process
+the gamma-lambda fit again on 2 workers, a gamma-lambda fit over its
+own window at alpha = 0.6, and a 2 x 2 sweep whose fields leave out
+lambda = 0), each in a fresh process
 with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned per run (1
 unless WORKERS says otherwise) and the package imported from SRC
 (default: the src/ next to this script).
@@ -96,6 +97,11 @@ RUNS["fit-gamma-lambda-2-workers"] = RUNS["fit-gamma-lambda"]
 RUNS["fit-gamma-lambda-window"] = ["fit", "--kind", "gamma-lambda", "--alpha", "0.6",
                                    "--n", "40", "--window", "0.1,0.45", "--tavg", "200",
                                    "--dt", "0.5"]
+
+# Its --lambdas leave out 0, so each row's zero-field reference is an
+# extra cell of its own that sweep.csv does not list.
+RUNS["sweep-no-zero"] = ["sweep", "--n", "20", "--alphas", "0.2,0.4", "--lambdas", "0.5,1.5",
+                         "--tavg", "200", "--dt", "0.5"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3", "fit-gamma-lambda-2-workers": "2"}
