@@ -244,16 +244,15 @@ def _run_spectrum(opts, run_dir):
 def _run_otoc(opts, run_dir):
     if opts["state"] == "ground" and opts["level"] is not None:
         raise UsageError("--level is not used by otoc --state ground")
+    if opts["state"] == "level" and opts["level"] is None:
+        raise UsageError("--state level needs --level")
+    if opts["state"] == "level" and opts["lambda"] != 0.0:
+        raise DomainError("eigenstate traces evolve under the bare Hamiltonian; "
+                          "a nonzero --lambda is inconsistent with --state level")
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
-    times = make_time_grid(opts["tmax"], opts["dt"])
     opts["workers"] = _workers(None)
+    times = make_time_grid(opts["tmax"], opts["dt"])
     if opts["state"] == "level":
-        if opts["level"] is None:
-            raise UsageError("--state level needs --level")
-        if opts["lambda"] != 0.0:
-            raise DomainError(
-                "eigenstate traces evolve under the bare Hamiltonian; "
-                "a nonzero --lambda is inconsistent with --state level")
         series = commutator_series_micro(params, opts["level"], times,
                                          workers=opts["workers"])
     else:
@@ -305,7 +304,7 @@ def _run_micro(opts, run_dir):
     emit_line_dat(os.path.join(run_dir, "micro.dat"),
                   scan.rescaled, scan.fbar_norm)
     outputs = ["micro.csv", "micro.dat"]
-    scans = []                      # the --sizes scans
+    scans = {opts["n"]: scan}       # by N, each --sizes entry scanned once
     if opts["plot"]:
         write_svg_line(os.path.join(run_dir, "micro.svg"),
                        scan.rescaled, scan.fbar_norm,
@@ -314,11 +313,11 @@ def _run_micro(opts, run_dir):
                        title=f"alpha={opts['alpha']}, N={opts['n']}")
         outputs.append("micro.svg")
     if opts["sizes"]:
-        scans = [scan if s == opts["n"] else microcanonical_scan(
-            LmgParams(opts["alpha"], SpinSector(s)), config)
-            for s in opts["sizes"]]
+        for s in opts["sizes"]:
+            if s not in scans:
+                scans[s] = microcanonical_scan(LmgParams(opts["alpha"], SpinSector(s)), config)
         dn_rows = [(n, d.n_c, d.window[0], d.window[1], d.value)
-                   for n, d in dn_diagnostic(scans)]
+                   for n, d in dn_diagnostic(scans[s] for s in opts["sizes"])]
         dn_table = ResultTable.from_rows(
             columns=("n_spins", "n_c", "window_lo", "window_hi", "dn"),
             units=("count", "index", "index", "index", "dimensionless"),
@@ -328,7 +327,7 @@ def _run_micro(opts, run_dir):
     diag = {"reference_fbar": float(scan.fbar_raw[0]),
             "critical_rescaled": float(scan.critical_rescaled),
             "flagged_levels": int(scan.flagged.sum()),
-            "truncation_bound": max(s.truncation_bound for s in (scan, *scans))}
+            "truncation_bound": max(s.truncation_bound for s in scans.values())}
     return outputs, _averaging_grid(opts, config), diag
 
 

@@ -166,8 +166,13 @@ def _horizon_steps(tmax, dt):
 
 
 def make_time_grid(tmax: float, dt: float) -> np.ndarray:
-    """Uniform grid over [0, tmax] whose end snaps to a whole step count."""
-    return np.arange(_horizon_steps(tmax, dt)[1] + 1) * float(dt)
+    """Uniform grid over [0, tmax] whose end snaps to a whole step count.
+    MemoryError from 2^59 steps, half the 8-byte items numpy can index; a
+    smaller grid that does not fit gets numpy's own."""
+    steps = _horizon_steps(tmax, dt)[1]
+    if steps >= 2 ** 59:
+        raise MemoryError(f"a time grid of {steps + 1} samples is too large to index")
+    return np.arange(steps + 1) * float(dt)
 
 
 def _grid_steps(times):
@@ -272,31 +277,28 @@ class _ParityFrame:
     """
 
     energies: np.ndarray = field(repr=False)
-    even_vectors: np.ndarray = field(repr=False)
-    odd_vectors: np.ndarray = field(repr=False)
     w_block: np.ndarray = field(repr=False)
 
-    def state(self, psi: np.ndarray) -> np.ndarray:
-        """Coefficients in this frame of an X-basis state, or of each column."""
-        h = self.odd_vectors.shape[0]
-        head, tail = psi[:h], psi[::-1][:h]
-        even = (head + tail) / np.sqrt(2.0)
-        if psi.shape[0] % 2:
-            even = np.concatenate([even, psi[h:h + 1]])
-        odd = (head - tail) / np.sqrt(2.0)
-        return np.concatenate([self.even_vectors.T @ even, self.odd_vectors.T @ odd])
 
-
-def _parity_frame(sector: SpinSector, pair) -> _ParityFrame:
+def _parity_frame(sector: SpinSector, pair):
+    """(frame, to_frame): an X-basis Hamiltonian's folded frame, and the map of
+    X-basis states (or columns) into it, which alone holds the eigenvectors."""
     even_block, odd_block = _fold(pair)
     de = eigh(even_block)
     do = eigh(odd_block)
     h = do.dimension
     w = sector.m_values()[:h] / sector.total_spin
     b = de.vectors[:h].T @ (w[:, None] * do.vectors)
-    return _ParityFrame(energies=np.concatenate([de.values, do.values]),
-                        even_vectors=de.vectors, odd_vectors=do.vectors,
-                        w_block=b)
+
+    def to_frame(psi):
+        head, tail = psi[:h], psi[::-1][:h]
+        even = (head + tail) / np.sqrt(2.0)
+        if psi.shape[0] % 2:
+            even = np.concatenate([even, psi[h:h + 1]])
+        odd = (head - tail) / np.sqrt(2.0)
+        return np.concatenate([de.vectors.T @ even, do.vectors.T @ odd])
+
+    return _ParityFrame(energies=np.concatenate([de.values, do.values]), w_block=b), to_frame
 
 
 @functools.lru_cache(maxsize=64)
@@ -312,8 +314,8 @@ def _bare_ground(params: LmgParams) -> np.ndarray:
 def _state_quench(spec: QuenchSpec):
     """Folded post-quench frame and the bare ground state in it."""
     psi0 = _bare_ground(spec.params)
-    frame = _parity_frame(spec.params.sector, build_postquench(spec))
-    return frame, frame.state(psi0)
+    frame, to_frame = _parity_frame(spec.params.sector, build_postquench(spec))
+    return frame, to_frame(psi0)
 
 
 def _bare_frame(params: LmgParams):
@@ -326,9 +328,9 @@ def _bare_frame(params: LmgParams):
     block, whatever a dense solve picks inside a degenerate doublet. At
     alpha = 0 (every +-m pair exactly degenerate) it picks a valid basis.
     """
-    frame = _parity_frame(params.sector, build_hamiltonian(params))
+    frame = _parity_frame(params.sector, build_hamiltonian(params))[0]
     n = np.arange(params.sector.dimension)
-    return frame, n // 2 + frame.even_vectors.shape[1] * ((n.size - 1 - n) % 2)
+    return frame, n // 2 + frame.w_block.shape[0] * ((n.size - 1 - n) % 2)
 
 
 def _state_level(params: LmgParams, n: int):
@@ -372,11 +374,8 @@ def _reachable(frame: _ParityFrame, psi: np.ndarray):
         return frame, psi, 0.0
     keep = np.ones(psi.size, dtype=bool)
     keep[order[:count]] = False
-    even, odd = keep[:he], keep[he:]
     kept = _ParityFrame(energies=frame.energies[keep],
-                        even_vectors=frame.even_vectors[:, even],
-                        odd_vectors=frame.odd_vectors[:, odd],
-                        w_block=frame.w_block[np.ix_(even, odd)])
+                        w_block=frame.w_block[np.ix_(keep[:he], keep[he:])])
     return kept, psi[keep], float(dropped[count - 1])
 
 

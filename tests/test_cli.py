@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lmg_otoc import (AveragingConfig, LmgParams, NumericalError, SpinSector,
+from lmg_otoc import (AveragingConfig, LmgParams, NumericalError, SpinSector, cli,
                       microcanonical_scan, otoc)
 from lmg_otoc.cli import _OPTIONS, _RUNNERS, build_parser, main
 from lmg_otoc.output import read_csv
@@ -453,14 +453,33 @@ def test_fit_refuses_the_options_its_kind_does_not_use(tmp_path, capsys):
 
 
 def test_otoc_refuses_a_level_without_state_level(tmp_path, capsys):
-    # the ground-state trace would ignore it and record it beside "state": "ground"
-    for argv in (["--level", "5"], ["--state", "ground", "--level", "5"]):
+    # the ground-state trace would ignore it and record it beside "state": "ground";
+    # --state level without --level is refused before a grid of 1e13 samples
+    for argv, message in (
+            (["--tmax", "1", "--level", "5"], "--level is not used by otoc --state ground"),
+            (["--tmax", "1", "--state", "ground", "--level", "5"],
+             "--level is not used by otoc --state ground"),
+            (["--tmax", "1e12", "--dt", "0.1", "--state", "level"],
+             "--state level needs --level")):
         out = tmp_path / "run"
-        assert main(["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1", *argv,
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: --level is not used by otoc --state ground\n"
+        assert main(["otoc", "--n", "10", "--alpha", "0.4", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_micro_scans_each_distinct_size_once(tmp_path, monkeypatch):
+    solved = []
+    scan = cli.microcanonical_scan
+    monkeypatch.setattr(cli, "microcanonical_scan",
+                        lambda params, config: solved.append(params.sector.n_spins)
+                        or scan(params, config))
+    rc, out = run(tmp_path, "micro", "--n", "24", "--alpha", "0.4", "--tavg", "200",
+                  "--dt", "0.5", "--sizes", "16,16,24")
+    assert rc == 0
+    assert solved == [24, 16]
+    # dn.csv still lists each size as given
+    _, rows = read_csv(out / "dn.csv")
+    assert [r[0] for r in rows] == [16.0, 16.0, 24.0] and rows[0] == rows[1]
 
 
 def test_workers_is_an_option_of_sweep_and_fit_only(tmp_path, monkeypatch):
@@ -553,10 +572,14 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
     (_SWEEP + ["--lambdas", "inf"], _FIELD),
     (_SWEEP + ["--lambdas", "nan"], _FIELD),
     (_SWEEP + ["--lambdas", "0,-0.5"], _FIELD),
-    (_OTOC + ["--lambda", "inf"], _FIELD)],
+    (_OTOC + ["--lambda", "inf"], _FIELD),
+    # refused before a grid of 1e13 samples
+    (["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1e12", "--dt", "0.1",
+      "--state", "level", "--level", "3", "--lambda", "1"],
+     "a nonzero --lambda is inconsistent with --state level")],
     ids=["window-zero", "window-negative", "window-past-critical", "window-below-ulp",
          "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
-         "otoc-inf"])
+         "otoc-inf", "otoc-level-field"])
 def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
@@ -597,6 +620,16 @@ def test_running_out_of_memory_exits_6(tmp_path, monkeypatch, capsys, message):
     monkeypatch.setenv("LMG_OTOC_RUNS", str(tmp_path / "runs"))
     assert main(_OTOC) == 6
     assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("tmax, dt", [("1e19", "1"), ("1e18", "0.1")])
+def test_a_grid_numpy_cannot_index_exits_6(tmp_path, capsys, tmax, dt):
+    # 1e19 samples, past the most numpy can index: refused like one that does not fit
+    argv = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", tmax, "--dt", dt]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "time grid" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -1,6 +1,8 @@
 """Parity-folded OTOC kernels against the dense D x D kernels."""
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -14,7 +16,8 @@ from lmg_otoc import otoc
 from lmg_otoc.cli import main
 from lmg_otoc.output import read_csv
 from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _chunks, _fold, _grid_steps,
-                           _reachable, _single_state_otoc, _state_level, _state_quench)
+                           _parity_frame, _reachable, _single_state_otoc, _state_level,
+                           _state_quench)
 
 TOL = 1e-9
 
@@ -119,11 +122,33 @@ def test_level_n_has_parity_set_by_its_index(tmp_path, n, alpha):
     energies = np.array([r[1] for r in rows])
     assert np.max(np.abs(energies - want)) < 1e-12 * max(1.0, np.abs(want).max())
     d = n + 1
+    to_frame = _parity_frame(params.sector, build_hamiltonian(params))[1]
     for level in range(d):
-        frame, psi = _state_level(params, level)
-        x = frame.state(np.eye(d)).T @ psi           # the level in the X-basis
+        _, psi = _state_level(params, level)
+        x = to_frame(np.eye(d)).T @ psi              # the level in the X-basis
         assert np.max(np.abs(x[::-1] - (-1) ** (d - 1 - level) * x)) < 1e-14
         assert np.max(np.abs(h @ x - want[level] * x)) < 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["quench", "bare"])
+def test_a_frame_retains_only_its_arrays(kind):
+    # the blocks' eigenvectors (323 KB and 320 KB at N = 400) go with the
+    # solve: a quench frame with its state, or a bare frame with its level
+    # index, keeps its three arrays and a few objects around them, which
+    # take well under the 4096 bytes allowed
+    params = LmgParams(0.4, SpinSector(400))
+    if kind == "quench":
+        build = functools.partial(_state_quench, QuenchSpec(params, 1.0))
+    else:
+        build = functools.partial(otoc._bare_frame, params)
+    build()                     # untraced once: the quench's bare ground state is cached
+    tracemalloc.start()
+    try:
+        frame, extra = build()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= frame.energies.nbytes + frame.w_block.nbytes + extra.nbytes + 4096
 
 
 def test_parity_definite_levels_do_not_depend_on_the_basis_inside_a_doublet():

@@ -3,7 +3,7 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs twenty-one invocations of the command line (spectrum twice, otoc
+Runs twenty-two invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
@@ -11,10 +11,10 @@ of a level inside a degenerate parity doublet, a 1 x 2 sweep and a
 micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
 count, a micro scan at N = 100, a 1 x 2 sweep over a horizon of 1e7,
 the gamma-lambda fit again on 2 workers, a gamma-lambda fit over its
-own window at alpha = 0.6, and a 2 x 2 sweep whose fields leave out
-lambda = 0), each in a fresh process
-with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned per run (1
-unless WORKERS says otherwise) and the package imported from SRC
+own window at alpha = 0.6, a 2 x 2 sweep whose fields leave out
+lambda = 0, and a micro scan whose --sizes repeat one), each in a fresh
+process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned per run
+(1 unless WORKERS says otherwise) and the package imported from SRC
 (default: the src/ next to this script).
 Every file a run writes is hashed. manifest.json is hashed without its
 duration_seconds, the one key that varies from run to run, so that its
@@ -102,6 +102,10 @@ RUNS["fit-gamma-lambda-window"] = ["fit", "--kind", "gamma-lambda", "--alpha", "
 # extra cell of its own that sweep.csv does not list.
 RUNS["sweep-no-zero"] = ["sweep", "--n", "20", "--alphas", "0.2,0.4", "--lambdas", "0.5,1.5",
                          "--tavg", "200", "--dt", "0.5"]
+
+# N = 16 is listed twice: it is scanned once and dn.csv keeps both rows.
+RUNS["micro-sizes-repeat"] = ["micro", "--n", "24", "--alpha", "0.4", "--tavg", "200",
+                              "--dt", "0.5", "--sizes", "16,16,24"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3", "fit-gamma-lambda-2-workers": "2"}
