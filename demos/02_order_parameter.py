@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from lmg_otoc import AveragingConfig, quench_sweep
-from lmg_otoc.output import ResultTable, emit_heatmap_dat, write_csv
+from lmg_otoc.output import emit_heatmap_dat, write_csv
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out",
                    "sweep")
@@ -46,17 +46,14 @@ for alpha, lam_c, values in zip(grid.alphas, grid.lambda_c, grid.fbar_norm):
         print(f"  lambda = {lam:5.2f}  Fbar_norm = {value:7.4f}{marker}")
 
 # one row per cell, in sweep order; NaN is written blank
-alpha_col = np.repeat(grid.alphas, len(grid.lambdas))
-lambda_col = np.tile(grid.lambdas, len(grid.alphas))
-fbar_norm = grid.fbar_norm.ravel()
-table = ResultTable(columns=("alpha", "lambda", "fbar_norm", "lambda_c"),
-                    units=("dimensionless", "field", "dimensionless", "field"),
-                    data=(alpha_col, lambda_col, fbar_norm,
-                          np.repeat(grid.lambda_c, len(grid.lambdas))))
-write_csv(os.path.join(OUT, "sweep.csv"), table)
-kept = ~np.isnan(fbar_norm)
-heat = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
-                   units=("dimensionless", "field", "dimensionless"),
-                   data=(alpha_col[kept], lambda_col[kept], fbar_norm[kept]))
-emit_heatmap_dat(os.path.join(OUT, "heatmap.dat"), heat)
+write_csv(os.path.join(OUT, "sweep.csv"),
+          ("alpha", "lambda", "fbar_norm", "lambda_c"),
+          ("dimensionless", "field", "dimensionless", "field"),
+          (np.repeat(grid.alphas, len(grid.lambdas)),
+           np.tile(grid.lambdas, len(grid.alphas)), grid.fbar_norm.ravel(),
+           np.repeat(grid.lambda_c, len(grid.lambdas))))
+# one block per row, aborted rows left out
+kept = [k for k, a in enumerate(grid.alphas) if a not in grid.row_errors]
+emit_heatmap_dat(os.path.join(OUT, "heatmap.dat"),
+                 [grid.alphas[k] for k in kept], grid.lambdas, grid.fbar_norm[kept])
 print(f"outputs in {OUT}")

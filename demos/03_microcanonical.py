@@ -17,8 +17,7 @@ import numpy as np
 
 from lmg_otoc import (AveragingConfig, LmgParams, SpinSector, dn_diagnostic,
                       microcanonical_scan)
-from lmg_otoc.output import (ResultTable, emit_line_dat, write_csv,
-                             write_svg_line)
+from lmg_otoc.output import emit_line_dat, write_csv, write_svg_line
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out",
                    "micro")
@@ -53,9 +52,7 @@ for n, diag in dn_diagnostic(scans):
     print(f"N = {n:3d}  critical level = {diag.n_c:3d}  "
           f"spread = {diag.value:.4f}")
 write_csv(os.path.join(OUT, "spread.csv"),
-          ResultTable.from_rows(columns=("n_spins", "n_c", "window_lo", "window_hi",
-                                         "spread"),
-                                units=("count", "index", "index", "index",
-                                       "dimensionless"),
-                                rows=rows))
+          ("n_spins", "n_c", "window_lo", "window_hi", "spread"),
+          ("count", "index", "index", "index", "dimensionless"),
+          tuple(zip(*rows)))
 print(f"outputs in {OUT}")

@@ -22,7 +22,7 @@ import os
 from lmg_otoc import (AveragingConfig, LmgParams, SpinSector,
                       microcanonical_scan, scaling_gamma_epsilon,
                       scaling_gamma_lambda, scaling_mu)
-from lmg_otoc.output import ResultTable, write_csv
+from lmg_otoc.output import write_csv
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out",
                    "fits")
@@ -48,16 +48,12 @@ for name, fit in (("mu", mu), ("gamma_lambda", gl), ("gamma_epsilon", ge)):
     rows.append([name, fit.exponent, fit.exponent_stderr, fit.amplitude,
                  fit.n_points])
 write_csv(os.path.join(OUT, "fits.csv"),
-          ResultTable.from_rows(columns=("kind", "exponent", "stderr", "amplitude",
-                                         "n_points"),
-                                units=("name", "dimensionless", "dimensionless",
-                                       "dimensionless", "count"),
-                                rows=rows))
+          ("kind", "exponent", "stderr", "amplitude", "n_points"),
+          ("name", "dimensionless", "dimensionless", "dimensionless", "count"),
+          tuple(zip(*rows)))
 
 # the raw points behind each fit, for replotting
 for name, fit in (("mu", mu), ("gamma_lambda", gl), ("gamma_epsilon", ge)):
-    write_csv(os.path.join(OUT, f"points_{name}.csv"),
-              ResultTable(columns=("x", "y"),
-                          units=("dimensionless", "dimensionless"),
-                          data=(fit.xs, fit.ys)))
+    write_csv(os.path.join(OUT, f"points_{name}.csv"), ("x", "y"),
+              ("dimensionless", "dimensionless"), (fit.xs, fit.ys))
 print(f"outputs in {OUT}")

@@ -27,8 +27,8 @@ from .model import LmgParams, QuenchSpec, SpinSector, rescale_energies
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
                    DEFAULT_DYNAMICS_DT, WORKERS_ENV, _bare_frame, commutator_series,
                    commutator_series_micro, make_time_grid, resolve_workers)
-from .output import (ResultTable, emit_heatmap_dat, emit_line_dat,
-                     format_column, write_csv, write_manifest, write_svg_line)
+from .output import (emit_heatmap_dat, emit_line_dat, format_column, write_csv,
+                     write_manifest, write_svg_line)
 
 RUNS_ENV = "LMG_OTOC_RUNS"
 
@@ -65,6 +65,13 @@ def _parse_bool(text):
     if t in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {count}")
+    return count
 
 
 def _choice(*allowed):
@@ -120,7 +127,7 @@ _OPTIONS = {
         "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
         "resume": (_parse_bool, False, False,
                    "reuse per-cell results already checkpointed in --out"),
-        "workers": (int, None, False, _WORKERS),
+        "workers": (_worker_count, None, False, _WORKERS),
     },
     "fit": {
         "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True,
@@ -135,7 +142,7 @@ _OPTIONS = {
                    "fit window lo,hi on the fitting abscissa"),
         "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
         "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
-        "workers": (int, {"mu": None, "gamma-lambda": None}, False,
+        "workers": (_worker_count, {"mu": None, "gamma-lambda": None}, False,
                     _WORKERS + "; used by the mu and gamma-lambda fits"),
     },
 }
@@ -177,7 +184,7 @@ def _resolve_options(command, args, config):
         elif key in config:
             try:
                 out[key] = cast(config[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config value for {key}: {exc}") from None
         else:
             out[key] = default
@@ -214,11 +221,13 @@ def _show(default):
 
 
 def _workers(requested):
-    """resolve_workers, with a non-integer $LMG_OTOC_WORKERS a usage error."""
+    """resolve_workers, with a $LMG_OTOC_WORKERS that is not an integer of at
+    least 1 a usage error (the flag and config key are checked on parsing)."""
     try:
         return resolve_workers(requested)
     except ValueError:
-        raise UsageError(f"{WORKERS_ENV}: invalid int value: {os.environ[WORKERS_ENV]!r}") from None
+        raise UsageError(f"{WORKERS_ENV}: invalid worker count {os.environ[WORKERS_ENV]!r}; "
+                         f"need an integer of at least 1") from None
 
 
 def _run_spectrum(opts, run_dir):
@@ -231,11 +240,10 @@ def _run_spectrum(opts, run_dir):
     except DomainError as exc:      # a flat spectrum: N = 1 at alpha = 0
         print(f"warning: {exc}; rescaled_energy left blank", file=sys.stderr)
         rescaled = [None] * energies.size
-    table = ResultTable(
-        columns=("n", "energy", "energy_per_spin", "rescaled_energy"),
-        units=("index", "model units", "model units", "dimensionless"),
-        data=(range(energies.size), energies, energies / n, rescaled))
-    write_csv(os.path.join(run_dir, "spectrum.csv"), table)
+    write_csv(os.path.join(run_dir, "spectrum.csv"),
+              ("n", "energy", "energy_per_spin", "rescaled_energy"),
+              ("index", "model units", "model units", "dimensionless"),
+              (range(energies.size), energies, energies / n, rescaled))
     return (["spectrum.csv"], {},
             {"dimension": params.sector.dimension,
              "ground_energy_per_spin": float(energies[0]) / n})
@@ -262,13 +270,11 @@ def _run_otoc(opts, run_dir):
     # t and re_f go to both files: format them once
     t_cells = format_column(series.times)
     re_f_cells = format_column(series.f_values.real)
-    table = ResultTable(
-        columns=("t", "re_f", "im_f", "c", "re_a"),
-        units=("time", "dimensionless", "dimensionless", "dimensionless",
+    write_csv(os.path.join(run_dir, "otoc.csv"), ("t", "re_f", "im_f", "c", "re_a"),
+              ("time", "dimensionless", "dimensionless", "dimensionless",
                "dimensionless"),
-        data=(t_cells, re_f_cells, series.f_values.imag,
-              series.c_values, series.a_values.real))
-    write_csv(os.path.join(run_dir, "otoc.csv"), table)
+              (t_cells, re_f_cells, series.f_values.imag, series.c_values,
+               series.a_values.real))
     emit_line_dat(os.path.join(run_dir, "otoc.dat"), t_cells, re_f_cells)
     outputs = ["otoc.csv", "otoc.dat"]
     if opts["plot"]:
@@ -293,14 +299,12 @@ def _run_micro(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     config = AveragingConfig(opts["tavg"], opts["dt"])
     scan = microcanonical_scan(params, config)
-    table = ResultTable(
-        columns=("n", "energy_per_spin", "rescaled_energy",
-                 "fbar_n_raw", "fbar_n_norm"),
-        units=("index", "model units", "dimensionless", "dimensionless",
+    write_csv(os.path.join(run_dir, "micro.csv"),
+              ("n", "energy_per_spin", "rescaled_energy", "fbar_n_raw", "fbar_n_norm"),
+              ("index", "model units", "dimensionless", "dimensionless",
                "dimensionless"),
-        data=(range(scan.energies.size), scan.energies_per_spin, scan.rescaled,
-              scan.fbar_raw, scan.fbar_norm))
-    write_csv(os.path.join(run_dir, "micro.csv"), table)
+              (range(scan.energies.size), scan.energies_per_spin, scan.rescaled,
+               scan.fbar_raw, scan.fbar_norm))
     emit_line_dat(os.path.join(run_dir, "micro.dat"),
                   scan.rescaled, scan.fbar_norm)
     outputs = ["micro.csv", "micro.dat"]
@@ -318,11 +322,10 @@ def _run_micro(opts, run_dir):
                 scans[s] = microcanonical_scan(LmgParams(opts["alpha"], SpinSector(s)), config)
         dn_rows = [(n, d.n_c, d.window[0], d.window[1], d.value)
                    for n, d in dn_diagnostic(scans[s] for s in opts["sizes"])]
-        dn_table = ResultTable.from_rows(
-            columns=("n_spins", "n_c", "window_lo", "window_hi", "dn"),
-            units=("count", "index", "index", "index", "dimensionless"),
-            rows=dn_rows)
-        write_csv(os.path.join(run_dir, "dn.csv"), dn_table)
+        write_csv(os.path.join(run_dir, "dn.csv"),
+                  ("n_spins", "n_c", "window_lo", "window_hi", "dn"),
+                  ("count", "index", "index", "index", "dimensionless"),
+                  tuple(zip(*dn_rows)))
         outputs.append("dn.csv")
     diag = {"reference_fbar": float(scan.fbar_raw[0]),
             "critical_rescaled": float(scan.critical_rescaled),
@@ -382,6 +385,7 @@ def _load_checkpoint(path, settings):
 
 def _run_sweep(opts, run_dir):
     config = AveragingConfig(opts["tavg"], opts["dt"])
+    opts["workers"] = _workers(opts["workers"])
     cells_path = os.path.join(run_dir, "cells.jsonl")
     settings = {name: opts[name] for name in _CHECKPOINT_KEYS}
     precomputed = {}
@@ -389,7 +393,6 @@ def _run_sweep(opts, run_dir):
     if resume:
         precomputed = _load_checkpoint(cells_path, settings)
 
-    opts["workers"] = _workers(opts["workers"])
     # opened at the first record, so a sweep refused before any cell
     # writes nothing and leaves an earlier checkpoint as it was
     with contextlib.ExitStack() as stack:
@@ -416,21 +419,16 @@ def _run_sweep(opts, run_dir):
     # one row per cell in sweep order; an aborted row's values are NaN,
     # written blank, and it has no heat map block
     per_row = len(grid.lambdas)
-    alpha_col = np.repeat(grid.alphas, per_row)
-    lambda_col = np.tile(grid.lambdas, len(grid.alphas))
-    table = ResultTable(
-        columns=("alpha", "lambda", "fbar_raw", "fbar_norm", "halfwidth", "lambda_c"),
-        units=("dimensionless", "field", "dimensionless", "dimensionless",
+    write_csv(os.path.join(run_dir, "sweep.csv"),
+              ("alpha", "lambda", "fbar_raw", "fbar_norm", "halfwidth", "lambda_c"),
+              ("dimensionless", "field", "dimensionless", "dimensionless",
                "dimensionless", "field"),
-        data=(alpha_col, lambda_col, grid.fbar_raw.ravel(), grid.fbar_norm.ravel(),
-              grid.halfwidths.ravel(), np.repeat(grid.lambda_c, per_row)))
-    write_csv(os.path.join(run_dir, "sweep.csv"), table)
-    kept = ~np.isin(alpha_col, list(grid.row_errors))
-    heat_table = ResultTable(columns=("alpha", "lambda", "fbar_norm"),
-                             units=("dimensionless", "field", "dimensionless"),
-                             data=(alpha_col[kept], lambda_col[kept],
-                                   grid.fbar_norm.ravel()[kept]))
-    emit_heatmap_dat(os.path.join(run_dir, "heatmap.dat"), heat_table)
+              (np.repeat(grid.alphas, per_row), np.tile(grid.lambdas, len(grid.alphas)),
+               grid.fbar_raw.ravel(), grid.fbar_norm.ravel(), grid.halfwidths.ravel(),
+               np.repeat(grid.lambda_c, per_row)))
+    kept = [k for k, a in enumerate(grid.alphas) if a not in grid.row_errors]
+    emit_heatmap_dat(os.path.join(run_dir, "heatmap.dat"), [grid.alphas[k] for k in kept],
+                     grid.lambdas, grid.fbar_norm[kept])
     outputs = ["sweep.csv", "heatmap.dat", "cells.jsonl"]
     diag = {"cells": grid.fbar_raw.size,
             "flagged_cells": int(grid.flagged.sum()),
@@ -465,9 +463,8 @@ def _run_fit(opts, run_dir):
     with open(os.path.join(run_dir, "fit.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    points = ResultTable(columns=point_cols, units=point_units,
-                         data=(fit.xs, fit.ys))
-    write_csv(os.path.join(run_dir, "points.csv"), points)
+    write_csv(os.path.join(run_dir, "points.csv"), point_cols, point_units,
+              (fit.xs, fit.ys))
     return (["fit.json", "points.csv"], _averaging_grid(opts, config),
             {"exponent": fit.exponent, "n_points": fit.n_points,
              "truncation_bound": fit.truncation_bound})

@@ -108,15 +108,18 @@ _SLACK = 1.0 - 1e-9
 
 
 def resolve_workers(requested=None) -> int:
-    """The flag, else $LMG_OTOC_WORKERS, else the cores this process may use."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The flag, else $LMG_OTOC_WORKERS, else the cores this process may use.
+    A count below 1, or a variable that is not an integer, is a ValueError."""
+    if requested is None:
+        requested = os.environ.get(WORKERS_ENV) or None
+    if requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    count = int(requested)
+    if count < 1:
+        raise ValueError(f"worker count must be at least 1, got {count}")
+    return count
 
 
 def _fan_out(job, items, max_workers, on_result=None) -> list:

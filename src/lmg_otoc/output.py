@@ -8,7 +8,6 @@ exactly, so no precision is lost between runs and re-parses.
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,32 +44,6 @@ def format_column(values) -> list:
     return [v if isinstance(v, str) else format_number(v) for v in values]
 
 
-@dataclass(frozen=True)
-class ResultTable:
-    """Rectangular table with per-column unit annotations, held by column:
-    data has one sequence of values per column."""
-
-    columns: tuple
-    units: tuple
-    data: tuple = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.columns) != len(self.units):
-            raise ValueError("one unit annotation per column required")
-        if len(self.data) != len(self.columns):
-            raise ValueError("one value sequence per column required")
-        if len({len(values) for values in self.data}) > 1:
-            raise ValueError("ragged columns in result table")
-
-    @classmethod
-    def from_rows(cls, columns, units, rows):
-        rows = list(rows)
-        if any(len(row) != len(columns) for row in rows):
-            raise ValueError("ragged row in result table")
-        data = tuple(zip(*rows)) if rows else ((),) * len(columns)
-        return cls(columns=tuple(columns), units=tuple(units), data=data)
-
-
 def _lines(columns, sep: str):
     """The rows of formatted columns, joined by sep."""
     return map(sep.join, zip(*(format_column(values) for values in columns)))
@@ -87,13 +60,20 @@ def _write_lines(fh, lines):
             return
 
 
-def write_csv(path, table: ResultTable) -> str:
-    """Units comment line, header, then rows. Returns the path written."""
+def write_csv(path, columns, units, data) -> str:
+    """Units comment line, header, then rows, from one unit annotation and
+    one value sequence per column, all of one length. Returns the path
+    written."""
+    if len(units) != len(columns):
+        raise ValueError("one unit annotation per column required")
+    if len(data) != len(columns):
+        raise ValueError("one value sequence per column required")
+    if len({len(values) for values in data}) > 1:
+        raise ValueError("ragged columns")
     header = ["# units: " + ", ".join(
-        f"{c}[{u}]" if u else c for c, u in zip(table.columns, table.units)),
-        ",".join(table.columns)]
+        f"{c}[{u}]" if u else c for c, u in zip(columns, units)), ",".join(columns)]
     with open(path, "w") as fh:
-        _write_lines(fh, itertools.chain(header, _lines(table.data, ",")))
+        _write_lines(fh, itertools.chain(header, _lines(data, ",")))
     return str(path)
 
 
@@ -154,23 +134,17 @@ def emit_line_dat(path, xs, ys) -> str:
     return str(path)
 
 
-def emit_heatmap_dat(path, table: ResultTable) -> str:
-    """Blank-line-separated blocks, one per leading-column value.
-
-    Rows must arrive grouped by the first column (sweep order); each block
-    holds that group's rows whitespace-separated, ready for matrix plotting.
-    """
-    blocks = []
-    current_key = object()
-    block = None
-    for key, line in zip(table.data[0], _lines(table.data, " ")):
-        if key != current_key:
-            current_key = key
-            block = []
-            blocks.append(block)
-        block.append(line)
+def emit_heatmap_dat(path, xs, ys, values) -> str:
+    """Blank-line-separated blocks, one per row of the 2-D grid values,
+    ready for matrix plotting: block i holds the lines
+    `xs[i] ys[j] values[i, j]`, whitespace-separated."""
+    if np.shape(values) != (len(xs), len(ys)):
+        raise ValueError("need one row of values per x and one value per y")
+    x_cells, y_cells = format_column(xs), format_column(ys)
+    blocks = ("\n".join(_lines(([x] * len(y_cells), y_cells, row), " "))
+              for x, row in zip(x_cells, values))
     with open(path, "w") as fh:
-        fh.write("\n\n".join("\n".join(b) for b in blocks) + "\n")
+        fh.write("\n\n".join(blocks) + "\n")
     return str(path)
 
 

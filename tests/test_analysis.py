@@ -300,6 +300,12 @@ def test_default_workers_count_usable_cores(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert otoc.resolve_workers() == 64
     assert otoc.resolve_workers(3) == 3
+    # a count below 1 is refused, from the caller or the variable
+    for requested, env in ((0, None), (-2, None), (None, "0"), (None, "-2")):
+        if env is not None:
+            monkeypatch.setenv(otoc.WORKERS_ENV, env)
+        with pytest.raises(ValueError, match="at least 1"):
+            otoc.resolve_workers(requested)
 
 
 def test_microcanonical_scan_structure():

@@ -206,6 +206,14 @@ def test_sweep_table_and_overlay(tmp_path, capsys):
     assert len(blocks) == 2
     assert all(len(b.splitlines()) == 2 for b in blocks)
     assert 0.0 <= manifest_of(out)["diagnostics"]["truncation_bound"] <= otoc._DROP_BOUND
+    # a repeated alpha is a row of the grid, so it gets a block of its own
+    rc, out = run(tmp_path / "repeat", "sweep", "--alphas", "0.4,0.4",
+                  "--lambdas", "0,1", "--n", "12", "--tavg", "100", "--dt", "0.5")
+    assert rc == 0
+    blocks = (out / "heatmap.dat").read_text().split("\n\n")
+    assert [[line.split()[:2] for line in b.splitlines()] for b in blocks] == \
+        [[["0.4", "0.0"], ["0.4", "1.0"]]] * 2
+    assert blocks[0] + "\n" == blocks[1]
 
 
 def test_sweep_resume_reuses_cells(tmp_path):
@@ -527,6 +535,36 @@ def test_a_non_finite_horizon_is_a_domain_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: need finite tmax > 0 and dt > 0") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize("source, argv, named", [
+    ("flag", ["sweep"], "argument --workers: "),
+    ("config", ["sweep"], "error: config value for workers: "),
+    ("variable", ["sweep"], "error: LMG_OTOC_WORKERS: "),
+    ("variable", ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"],
+     "error: LMG_OTOC_WORKERS: ")],
+    ids=["flag", "config", "variable-sweep", "variable-otoc"])
+def test_a_worker_count_below_1_is_a_usage_error(tmp_path, monkeypatch, capsys, count,
+                                                 source, argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in ("quench_sweep", "commutator_series", "make_time_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.delenv("LMG_OTOC_WORKERS", raising=False)
+    if argv == ["sweep"]:
+        argv = argv + ["--alphas", "0.4", "--lambdas", "0,0.5", "--n", "8"]
+    if source == "flag":
+        argv = argv + [f"--workers={count}"]
+    elif source == "config":
+        (tmp_path / "run.conf").write_text(f"workers={count}\n")
+        argv = argv + ["--config", str(tmp_path / "run.conf")]
+    else:
+        monkeypatch.setenv("LMG_OTOC_WORKERS", count)
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and count in err
+    assert not (tmp_path / "run").exists()
 
 
 _OTOC = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"]

@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
-from lmg_otoc.output import (ResultTable, emit_heatmap_dat, emit_line_dat,
-                             format_column, format_number, write_csv,
-                             write_svg_line)
+from lmg_otoc.output import (emit_heatmap_dat, emit_line_dat, format_column,
+                             format_number, write_csv, write_svg_line)
 
 
 def test_columns_write_none_and_nan_blank_and_ints_and_bools_as_str(tmp_path):
     floats = np.array([0.1, np.nan, -2.5e-300, np.inf])
-    table = ResultTable(
-        columns=("i", "flag", "x", "y", "label"),
-        units=("index", "", "dimensionless", "dimensionless", "name"),
-        data=(range(4), [True, False, True, False], floats,
-              [None, 1.0, float("nan"), 3], ["a", "", "c", "d"]))
     path = tmp_path / "t.csv"
-    write_csv(path, table)
+    write_csv(path, ("i", "flag", "x", "y", "label"),
+              ("index", "", "dimensionless", "dimensionless", "name"),
+              (range(4), [True, False, True, False], floats,
+               [None, 1.0, float("nan"), 3], ["a", "", "c", "d"]))
     assert path.read_text() == (
         "# units: i[index], flag, x[dimensionless], y[dimensionless], label[name]\n"
         "i,flag,x,y,label\n"
@@ -39,30 +36,45 @@ def test_float_arrays_write_as_format_number_does(tmp_path, values):
     assert path.read_text() == want
 
 
-def test_tables_from_rows_and_from_columns_write_the_same_bytes(tmp_path):
-    rows = [(0.2, 0.0, 1.0), (0.2, 0.5, 0.75), (0.4, 0.0, 1.0)]
-    by_rows = ResultTable.from_rows(("alpha", "lambda", "v"), ("", "", ""), rows)
-    by_columns = ResultTable(("alpha", "lambda", "v"), ("", "", ""),
-                             data=tuple(np.array(c) for c in zip(*rows)))
-    for name, table in (("rows", by_rows), ("columns", by_columns)):
-        write_csv(tmp_path / f"{name}.csv", table)
-        emit_heatmap_dat(tmp_path / f"{name}.dat", table)
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
-    assert (tmp_path / "rows.dat").read_text() == (
-        "0.2 0.0 1.0\n0.2 0.5 0.75\n\n0.4 0.0 1.0\n")
-    assert (tmp_path / "columns.dat").read_bytes() == (tmp_path / "rows.dat").read_bytes()
-    empty = ResultTable.from_rows(("a", "b"), ("", ""), [])
-    write_csv(tmp_path / "empty.csv", empty)
+@pytest.mark.parametrize("xs, ys, values, want", [
+    ((0.2, 0.4), (0.0, 0.5), [[1.0, 0.75], [1.0, 0.5]],
+     "0.2 0.0 1.0\n0.2 0.5 0.75\n\n0.4 0.0 1.0\n0.4 0.5 0.5\n"),
+    (np.array([0.2, 0.4]), np.array([0.0, 0.5]), np.array([[1.0, 0.75], [1.0, 0.5]]),
+     "0.2 0.0 1.0\n0.2 0.5 0.75\n\n0.4 0.0 1.0\n0.4 0.5 0.5\n"),
+    # a repeated x is a row of its own; NaN is written blank
+    ([0.4, 0.4], [0.0, 1.0], np.array([[1.0, np.nan], [1.0, 0.5]]),
+     "0.4 0.0 1.0\n0.4 1.0 \n\n0.4 0.0 1.0\n0.4 1.0 0.5\n"),
+    ([], [0.0, 1.0], np.empty((0, 2)), "\n"),
+], ids=["sequences", "arrays", "repeated-x", "no-rows"])
+def test_heatmap_writes_one_block_per_row_of_the_grid(tmp_path, xs, ys, values, want):
+    path = tmp_path / "heat.dat"
+    emit_heatmap_dat(path, xs, ys, values)
+    assert path.read_text() == want
+
+
+def test_an_empty_table_writes_its_header_only(tmp_path):
+    write_csv(tmp_path / "empty.csv", ("a", "b"), ("", ""), ((), ()))
     assert (tmp_path / "empty.csv").read_text() == "# units: a, b\na,b\n"
 
 
-def test_ragged_tables_are_refused():
+def test_ragged_tables_are_refused(tmp_path):
+    for units, data in ((("", ""), ([1, 2], [3])),          # ragged columns
+                        (("", ""), ([1, 2],)),              # a column without values
+                        (("",), ([1, 2], [3, 4]))):         # a column without a unit
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", ("a", "b"), units, data)
+        assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("xs, ys, values", [
+    ([0.2, 0.4], [0.0, 0.5], [[1.0, 0.75]]),                  # a row missing
+    ([0.2], [0.0, 0.5], [[1.0, 0.75, 0.5]]),                  # a value too many
+    ([0.2, 0.4], [0.0], [1.0, 0.5]),                          # not a grid
+])
+def test_heatmap_refuses_values_that_do_not_match_the_axes(tmp_path, xs, ys, values):
     with pytest.raises(ValueError):
-        ResultTable(("a", "b"), ("", ""), data=([1, 2], [3]))
-    with pytest.raises(ValueError):
-        ResultTable.from_rows(("a", "b"), ("", ""), [(1, 2), (3,)])
-    with pytest.raises(ValueError):
-        ResultTable(("a", "b"), ("", ""), data=([1, 2],))
+        emit_heatmap_dat(tmp_path / "bad.dat", xs, ys, values)
+    assert not (tmp_path / "bad.dat").exists()
 
 
 def test_preformatted_columns_write_the_same_bytes(tmp_path):
@@ -71,7 +83,7 @@ def test_preformatted_columns_write_the_same_bytes(tmp_path):
     units = ("time", "dimensionless")
     for name, (xs, ys) in (("arrays", (t, f)),
                            ("cells", (format_column(t), format_column(f)))):
-        write_csv(tmp_path / f"{name}.csv", ResultTable(("t", "re_f"), units, (xs, ys)))
+        write_csv(tmp_path / f"{name}.csv", ("t", "re_f"), units, (xs, ys))
         emit_line_dat(tmp_path / f"{name}.dat", xs, ys)
     for suffix in ("csv", "dat"):
         assert ((tmp_path / f"cells.{suffix}").read_bytes()
@@ -82,7 +94,7 @@ def test_preformatted_columns_write_the_same_bytes(tmp_path):
 def test_long_tables_write_the_bytes_of_one_join(tmp_path, rows):
     t = np.arange(rows) * 0.05
     f = np.cos(t) / 3
-    write_csv(tmp_path / "t.csv", ResultTable(("t", "re_f"), ("time", ""), (t, f)))
+    write_csv(tmp_path / "t.csv", ("t", "re_f"), ("time", ""), (t, f))
     emit_line_dat(tmp_path / "t.dat", t, f)
     csv_lines = ["# units: t[time], re_f", "t,re_f"]
     csv_lines += [f"{x!r},{y!r}" for x, y in zip(t.tolist(), f.tolist())]
