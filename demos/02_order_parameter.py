@@ -9,9 +9,9 @@ reference average is itself nearly zero there, which is the point: the
 normalization only means something on the ordered side.
 
 Writes sweep.csv and a gnuplot-style heatmap.dat into demos/out/sweep/.
-The full-resolution map (N = 400, a 21 x 21 or finer grid, averaging
-horizon 1e4) is hours-scale on one core; run it through the CLI when
-needed:
+The full-resolution map (N = 400, a 21 x 21 grid, averaging horizon 1e4)
+takes about 20 s on one core, and a finer grid proportionally longer;
+run it through the CLI when needed:
 
     lmg-otoc sweep --alphas 0,0.05,...,1.0 --lambdas 0,0.125,...,2.5 \
         --n 400 --out runs/heatmap-full

@@ -8,13 +8,17 @@ Three fits, one per exponent:
   gamma_epsilon growth of the per-level average with distance below the
                 critical energy, at fixed size
 
-Demo sizes keep each fit to a few seconds, so the exponents here are
-finite-size effective values only. Production settings (horizon 1e4,
-N = 400 for gamma_lambda, N = 300 for gamma_epsilon, default windows)
-land near gamma_lambda = 0.36..0.37 and gamma_epsilon = 0.64..0.73, and
-take minutes per fit on one core. The size fit for mu needs sizes well
-past N = 400 before the decay regime sets in; at the sizes below the raw
-average is still growing and the fitted exponent comes out negative.
+Demo sizes keep each fit to a fraction of a second, so the exponents
+here are finite-size effective values only. Production settings
+(horizon 1e4, N = 400 for gamma_lambda, N = 300 for gamma_epsilon,
+N = 100..400 for mu, default windows) land near gamma_lambda =
+0.36..0.37 and gamma_epsilon = 0.64..0.73; through the CLI on one core
+(one worker, BLAS on one thread) a fit takes about 0.5 s for
+gamma_lambda, 1.6 s for gamma_epsilon and 0.3 s for mu. At the horizon
+1e4 the size fit for mu needs sizes past roughly N = 600 before the
+decay regime sets in, and the onset moves to larger N as the horizon
+grows; at the sizes below the raw average is still growing and the
+fitted exponent comes out negative.
 """
 
 import os

@@ -130,9 +130,9 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     Each cell is an independent job; rows are normalized by their own
     lambda=0 average and abort (NaN values, the reason in row_errors) when
     that reference is numerically zero. precomputed maps (alpha, lambda)
-    to (raw, halfwidth, truncation_bound) triples and lets interrupted runs
-    resume; on_cell, when given, is called with (alpha, lambda, raw,
-    halfwidth, truncation_bound) as each fresh cell completes.
+    to a LongTimeAverage and lets interrupted runs resume; on_cell, when
+    given, is called with ((alpha, lambda), average) as each fresh cell
+    completes.
     """
     alphas = tuple(float(a) for a in alphas)
     lambdas = tuple(float(lam) for lam in lambdas)
@@ -145,15 +145,11 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
              for a in alphas for lam in lams_todo}
     wanted = [cell for cell in specs if cell not in precomputed]
 
-    def settle(cell, avg):
-        precomputed[cell] = (avg.value, avg.estimator_halfwidth, avg.truncation_bound)
-        if on_cell is not None:
-            on_cell(*cell, *precomputed[cell])
-
     # each row's bare ground state, solved once before its cells
     _fan_out(_bare_ground, dict.fromkeys(specs[cell].params for cell in wanted),
              max_workers)
-    _fan_out(lambda cell: quench_fbar(specs[cell], config), wanted, max_workers, settle)
+    precomputed.update(zip(wanted, _fan_out(lambda cell: quench_fbar(specs[cell], config),
+                                            wanted, max_workers, on_cell)))
 
     critical = []
     for a in alphas:
@@ -163,10 +159,10 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
             critical.append(np.nan)
 
     shape = (len(alphas), len(lambdas))
-    raw, halfwidths = (np.array([[precomputed[(a, lam)][k] for lam in lambdas]
-                                 for a in alphas], dtype=float).reshape(shape)
-                       for k in (0, 1))
-    reference = np.array([precomputed[(a, 0.0)][0] for a in alphas], dtype=float)
+    avgs = [precomputed[(a, lam)] for a in alphas for lam in lambdas]
+    raw = np.array([c.value for c in avgs], dtype=float).reshape(shape)
+    halfwidths = np.array([c.estimator_halfwidth for c in avgs], dtype=float).reshape(shape)
+    reference = np.array([precomputed[(a, 0.0)].value for a in alphas], dtype=float)
     aborted = np.abs(reference) < REFERENCE_FLOOR
     raw[aborted] = halfwidths[aborted] = np.nan
     fbar_norm, flagged = _normalized(raw, halfwidths, reference[:, None])
@@ -177,8 +173,8 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
                      fbar_raw=raw, fbar_norm=fbar_norm, halfwidths=halfwidths,
                      flagged=flagged, reference=reference,
                      lambda_c=np.array(critical, dtype=float), row_errors=row_errors,
-                     truncation_bound=max((precomputed[(a, lam)][2]
-                                           for a in alphas for lam in lams_todo), default=0.0))
+                     truncation_bound=max((precomputed[cell].truncation_bound
+                                           for cell in specs), default=0.0))
 
 
 def _normalized(raw, halfwidths, reference):

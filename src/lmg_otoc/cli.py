@@ -25,8 +25,9 @@ from .analysis import (DEFAULT_ENERGY_FIT_WINDOW, DEFAULT_FIELD_FIT_WINDOW,
 from .errors import DomainError, NumericalError
 from .model import LmgParams, QuenchSpec, SpinSector, rescale_energies
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   DEFAULT_DYNAMICS_DT, WORKERS_ENV, _bare_frame, commutator_series,
-                   commutator_series_micro, make_time_grid, resolve_workers)
+                   DEFAULT_DYNAMICS_DT, WORKERS_ENV, LongTimeAverage, _bare_frame,
+                   _check_level, commutator_series, commutator_series_micro,
+                   make_time_grid, resolve_workers)
 from .output import (emit_heatmap_dat, emit_line_dat, format_column, write_csv,
                      write_manifest, write_svg_line)
 
@@ -37,25 +38,26 @@ class UsageError(Exception):
     """Bad or missing options; exits with code 2."""
 
 
-def _parse_float_list(text):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_int_list(text):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+# The casts raise argparse.ArgumentTypeError: argparse prints its text for a
+# flag, as a config line does, where for a ValueError it names the cast.
+def _list_of(kind):
+    """The cast of a comma- or space-separated list of kind values."""
+    def cast(text):
+        try:
+            values = tuple(kind(p) for p in text.replace(",", " ").split())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+    return cast
 
 
 def _parse_window(text):
-    lo, hi = (float(p) for p in text.replace(",", " ").split())
-    if not lo < hi:
-        raise ValueError(f"window needs lo < hi, got {lo}, {hi}")
-    return (lo, hi)
+    window = _list_of(float)(text)
+    if len(window) != 2 or not window[0] < window[1]:
+        raise argparse.ArgumentTypeError(f"expected lo,hi with lo < hi, got {text!r}")
+    return window
 
 
 def _parse_bool(text):
@@ -68,10 +70,10 @@ def _parse_bool(text):
 
 
 def _worker_count(text):
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {count}")
-    return count
+    try:
+        return resolve_workers(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _choice(*allowed):
@@ -115,13 +117,13 @@ _OPTIONS = {
         "alpha": (float, None, True, _ALPHA),
         "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
         "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
-        "sizes": (_parse_int_list, None, False,
+        "sizes": (_list_of(int), None, False,
                   "comma-separated sizes for the near-critical spread summary"),
         "plot": (_parse_bool, False, False, "also write an SVG of the level profile"),
     },
     "sweep": {
-        "alphas": (_parse_float_list, None, True, "comma-separated alpha values"),
-        "lambdas": (_parse_float_list, None, True, "comma-separated field strengths"),
+        "alphas": (_list_of(float), None, True, "comma-separated alpha values"),
+        "lambdas": (_list_of(float), None, True, "comma-separated field strengths"),
         "n": (int, None, True, _N),
         "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
         "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
@@ -135,7 +137,7 @@ _OPTIONS = {
         "alpha": (float, None, True, _ALPHA),
         "n": (int, {"gamma-lambda": 400, "gamma-epsilon": 300}, False,
               "system size for the gamma fits"),
-        "sizes": (_parse_int_list, {"mu": DEFAULT_SIZES}, False,
+        "sizes": (_list_of(int), {"mu": DEFAULT_SIZES}, False,
                   "comma-separated sizes for the mu fit"),
         "window": (_parse_window, {"gamma-lambda": DEFAULT_FIELD_FIT_WINDOW,
                                    "gamma-epsilon": DEFAULT_ENERGY_FIT_WINDOW}, False,
@@ -258,6 +260,8 @@ def _run_otoc(opts, run_dir):
         raise DomainError("eigenstate traces evolve under the bare Hamiltonian; "
                           "a nonzero --lambda is inconsistent with --state level")
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
+    if opts["state"] == "level":
+        _check_level(params.sector, opts["level"])
     opts["workers"] = _workers(None)
     times = make_time_grid(opts["tmax"], opts["dt"])
     if opts["state"] == "level":
@@ -345,7 +349,7 @@ _CHECKPOINT_KEYS = ("n", "tavg", "dt")
 
 
 def _load_checkpoint(path, settings):
-    """Cells recorded in cells.jsonl by an earlier run with these settings.
+    """A LongTimeAverage per cell from cells.jsonl of an earlier run with these settings.
 
     A record is written with its newline in one go, so a last line without
     one was cut short by a kill: it is cut off the file with a warning and
@@ -379,7 +383,7 @@ def _load_checkpoint(path, settings):
                     f"{path}:{lineno}: checkpoint has {name}={rec.get(name)!r} but "
                     f"this run has {name}={settings[name]!r}; resume with the same "
                     f"settings or use a fresh --out")
-        cells[key] = (*value, rec["truncation_bound"])
+        cells[key] = LongTimeAverage(*value, rec["truncation_bound"])
     return cells
 
 
@@ -393,22 +397,22 @@ def _run_sweep(opts, run_dir):
     if resume:
         precomputed = _load_checkpoint(cells_path, settings)
 
-    # opened at the first record, so a sweep refused before any cell
-    # writes nothing and leaves an earlier checkpoint as it was
-    with contextlib.ExitStack() as stack:
-        checkpoint = []
+    # opened per record, so a sweep refused before any cell writes nothing
+    # and leaves an earlier checkpoint as it was
+    mode = "a" if resume else "w"
 
-        def on_cell(alpha, lam, raw, halfwidth, bound):
-            if not checkpoint:
-                checkpoint.append(stack.enter_context(open(cells_path, "a" if resume else "w")))
-            checkpoint[0].write(json.dumps(
-                {"alpha": alpha, "lambda": lam, "fbar_raw": raw, "halfwidth": halfwidth,
-                 "truncation_bound": bound, **settings}) + "\n")
-            checkpoint[0].flush()
+    def on_cell(cell, avg):
+        nonlocal mode
+        with open(cells_path, mode) as fh:
+            fh.write(json.dumps(
+                {"alpha": cell[0], "lambda": cell[1], "fbar_raw": avg.value,
+                 "halfwidth": avg.estimator_halfwidth,
+                 "truncation_bound": avg.truncation_bound, **settings}) + "\n")
+        mode = "a"
 
-        grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,
-                            max_workers=opts["workers"], precomputed=precomputed,
-                            on_cell=on_cell)
+    grid = quench_sweep(opts["alphas"], opts["lambdas"], opts["n"], config,
+                        max_workers=opts["workers"], precomputed=precomputed,
+                        on_cell=on_cell)
 
     for a, lam_c in zip(grid.alphas, grid.lambda_c):
         if np.isnan(lam_c):

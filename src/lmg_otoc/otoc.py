@@ -213,8 +213,6 @@ class LongTimeAverage:
     """
 
     value: float
-    total_time: float
-    sample_count: int
     estimator_halfwidth: float
     truncation_bound: float = 0.0
 
@@ -336,13 +334,17 @@ def _bare_frame(params: LmgParams):
     return frame, n // 2 + frame.w_block.shape[0] * ((n.size - 1 - n) % 2)
 
 
+def _check_level(sector: SpinSector, n: int):
+    """Refuse a level index outside [0, D - 1], before any grid or solve."""
+    if not 0 <= n < sector.dimension:
+        raise DomainError(f"level index {n} outside [0, {sector.dimension - 1}]")
+
+
 def _state_level(params: LmgParams, n: int):
     """Folded bare frame and its n-th level, a unit vector of the frame."""
-    d = params.sector.dimension
-    if not 0 <= n < d:
-        raise DomainError(f"level index {n} outside [0, {d - 1}]")
+    _check_level(params.sector, n)
     frame, index = _bare_frame(params)
-    return frame, np.eye(1, d, index[n])[0]
+    return frame, np.eye(1, index.size, index[n])[0]
 
 
 def _reachable(frame: _ParityFrame, psi: np.ndarray):
@@ -505,12 +507,10 @@ def micro_fbar_all(params: LmgParams, times):
 def long_time_average(series: OtocSeries) -> LongTimeAverage:
     """Trapezoidal means of Re F over the series' K steps and over the first
     K_half of them (_grid_steps), summed from the samples."""
-    t, (_, steps, half_steps) = _grid_steps(series.times)
+    _, (_, steps, half_steps) = _grid_steps(series.times)
     re = series.values.real
     value, half = ((re[0] / 2 + re[1:k].sum() + re[k] / 2) / k for k in (steps, half_steps))
-    return LongTimeAverage(value=float(value), total_time=float(t[-1]),
-                           sample_count=int(t.size),
-                           estimator_halfwidth=float(abs(value - half)))
+    return LongTimeAverage(float(value), float(abs(value - half)))
 
 
 def _reduce_pi(x: np.ndarray) -> np.ndarray:
@@ -827,8 +827,7 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
                      np.ascontiguousarray(y_t.T), np.ascontiguousarray(half_t.T),
                      (steps, half_steps))
     value, half = float(acc[0]), float(acc[1])
-    return LongTimeAverage(value=value, total_time=steps * dt, sample_count=steps + 1,
-                           estimator_halfwidth=abs(value - half), truncation_bound=spent)
+    return LongTimeAverage(value, abs(value - half), spent)
 
 
 def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSeries:

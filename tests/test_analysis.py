@@ -138,7 +138,8 @@ def test_quench_sweep_undefined_critical_field():
 
 def test_quench_sweep_row_abort_on_zero_reference():
     # the aborted row is reported in row_errors alone, with no warning
-    seeded = {(0.4, 0.0): (0.0, 0.0, 0.0), (0.4, 0.3): (0.5, 0.001, 0.0)}
+    seeded = {(0.4, 0.0): LongTimeAverage(0.0, 0.0, 0.0),
+              (0.4, 0.3): LongTimeAverage(0.5, 0.001, 0.0)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = quench_sweep([0.4], [0.3], 10, FAST, precomputed=seeded)
@@ -151,12 +152,12 @@ def test_quench_sweep_row_abort_on_zero_reference():
 def test_quench_sweep_reuses_precomputed_cells():
     calls = []
     grid1 = quench_sweep([0.4], [0.0, 0.3], 10, FAST,
-                         on_cell=lambda a, l, r, h, b: calls.append((a, l, r, h, b)))
+                         on_cell=lambda cell, avg: calls.append((cell, avg)))
     assert len(calls) == 2
-    pre = {(a, lam): rest for a, lam, *rest in calls}
+    pre = dict(calls)
     calls.clear()
     grid2 = quench_sweep([0.4], [0.0, 0.3], 10, FAST, precomputed=pre,
-                         on_cell=lambda a, l, r, h, b: calls.append((a, l)))
+                         on_cell=lambda cell, avg: calls.append(cell))
     assert calls == []                    # nothing recomputed
     assert grid2.fbar_norm[0, 1] == grid1.fbar_norm[0, 1]
     assert grid2.truncation_bound == grid1.truncation_bound
@@ -256,7 +257,6 @@ def test_scaling_gamma_lambda_solves_the_bare_model_once(monkeypatch):
 def test_scaling_gamma_lambda_refuses_a_zero_reference(monkeypatch):
     def cell(spec, config):
         return LongTimeAverage(value=0.0 if spec.field_strength == 0.0 else 0.5,
-                               total_time=100.0, sample_count=201,
                                estimator_halfwidth=0.0)
 
     monkeypatch.setattr(analysis, "quench_fbar", cell)
@@ -279,14 +279,13 @@ def test_quench_sweep_settles_finished_cells_before_reraising(monkeypatch):
         if spec.field_strength == 0.5:
             raise NumericalError("cell failed")
         time.sleep(0.2)
-        return LongTimeAverage(value=1.0, total_time=100.0, sample_count=201,
-                               estimator_halfwidth=0.0)
+        return LongTimeAverage(value=1.0, estimator_halfwidth=0.0)
 
     monkeypatch.setattr(analysis, "quench_fbar", cell)
     settled = []
     with pytest.raises(NumericalError, match="cell failed"):
         quench_sweep([0.4], [0.5, 1.0, 1.5], 10, FAST, max_workers=2,
-                     on_cell=lambda a, lam, r, h, b: settled.append(lam))
+                     on_cell=lambda cell, avg: settled.append(cell[1]))
     assert 0.0 in settled
     assert 1.5 not in started
     assert sorted(settled) == sorted(lam for lam in started if lam != 0.5)

@@ -567,6 +567,25 @@ def test_a_worker_count_below_1_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["fit", "--kind", "gamma-lambda", "--alpha", "0.4"], "window", "1"),
+    (["sweep", "--lambdas", "0", "--n", "10"], "alphas", "a"),
+    (["micro", "--n", "10", "--alpha", "0.4"], "sizes", "1.5"),
+    (["sweep", "--alphas", "0.4", "--lambdas", "0", "--n", "10"], "workers", "x")],
+    ids=["window", "alphas", "sizes", "workers"])
+def test_a_refused_flag_reads_like_a_refused_config_line(tmp_path, capsys, argv, key, value):
+    assert main(argv + [f"--{key}", value, "--out", str(tmp_path / "x")]) == 2
+    flag_err = capsys.readouterr().err
+    assert f"argument --{key}: " in flag_err
+    assert "_parse" not in flag_err and "_worker" not in flag_err
+    (tmp_path / "run.conf").write_text(f"{key}={value}\n")
+    assert main(argv + ["--config", str(tmp_path / "run.conf"),
+                        "--out", str(tmp_path / "x")]) == 2
+    reason = capsys.readouterr().err.removeprefix(f"error: config value for {key}: ")
+    assert flag_err.endswith(f"argument --{key}: {reason}")
+    assert os.listdir(tmp_path) == ["run.conf"]
+
+
 _OTOC = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1"]
 
 
@@ -614,10 +633,12 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
     # refused before a grid of 1e13 samples
     (["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1e12", "--dt", "0.1",
       "--state", "level", "--level", "3", "--lambda", "1"],
-     "a nonzero --lambda is inconsistent with --state level")],
+     "a nonzero --lambda is inconsistent with --state level"),
+    (["otoc", "--n", "30", "--alpha", "0.4", "--tmax", "1e12", "--dt", "0.1",
+      "--state", "level", "--level", "99"], "level index 99 outside [0, 30]")],
     ids=["window-zero", "window-negative", "window-past-critical", "window-below-ulp",
          "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
-         "otoc-inf", "otoc-level-field"])
+         "otoc-inf", "otoc-level-field", "otoc-level-range"])
 def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err

@@ -232,7 +232,6 @@ def test_long_time_average_on_known_series():
     avg = long_time_average(const)
     assert abs(avg.value - 0.7) < 1e-14
     assert avg.estimator_halfwidth < 1e-14
-    assert avg.total_time == 4.0 and avg.sample_count == 9
 
     ramp = OtocSeries(times=times, values=times.astype(complex),
                       protocol="quench", state_label="synthetic",
@@ -302,7 +301,6 @@ def test_closed_form_average_matches_the_long_double_oracle(n, alpha, lam):
     assert abs(avg.value - full) <= 1e-14
     assert abs(avg.estimator_halfwidth - abs(full - half)) <= 1e-14
     assert 0.0 <= avg.truncation_bound <= otoc._DROP_BOUND
-    assert avg.total_time == 1e4 and avg.sample_count == 20001
 
 
 @pytest.mark.parametrize("alpha, lam", [(0.2, 1.5), (0.4, 1.0), (0.0, 0.5)])

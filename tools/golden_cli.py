@@ -3,7 +3,7 @@
     python tools/golden_cli.py [SRC]
     python tools/golden_cli.py SRC_A SRC_B
 
-Runs twenty-two invocations of the command line (spectrum twice, otoc
+Runs twenty-four invocations of the command line (spectrum twice, otoc
 quench and level, micro with --sizes, a 3 x 4 sweep on 2 workers, the
 three fits, the otoc quench again with its trace split over 3 worker
 threads, an otoc quench and a 2 x 3 sweep at N = 100, an otoc trace
@@ -12,7 +12,8 @@ micro scan over a horizon of 1e5, a 1 x 2 sweep over an odd step
 count, a micro scan at N = 100, a 1 x 2 sweep over a horizon of 1e7,
 the gamma-lambda fit again on 2 workers, a gamma-lambda fit over its
 own window at alpha = 0.6, a 2 x 2 sweep whose fields leave out
-lambda = 0, and a micro scan whose --sizes repeat one), each in a fresh
+lambda = 0, a micro scan whose --sizes repeat one, and an otoc quench
+and a 1 x 2 sweep at odd N), each in a fresh
 process with BLAS pinned to one thread, LMG_OTOC_WORKERS pinned per run
 (1 unless WORKERS says otherwise) and the package imported from SRC
 (default: the src/ next to this script).
@@ -106,6 +107,14 @@ RUNS["sweep-no-zero"] = ["sweep", "--n", "20", "--alphas", "0.2,0.4", "--lambdas
 # N = 16 is listed twice: it is scanned once and dn.csv keeps both rows.
 RUNS["micro-sizes-repeat"] = ["micro", "--n", "24", "--alpha", "0.4", "--tavg", "200",
                               "--dt", "0.5", "--sizes", "16,16,24"]
+
+# Every run above has an even N, so an odd dimension D = N + 1, whose
+# parity fold keeps the m = 0 state on the even side. At odd N, D is even
+# and the fold's centre pair couples the two blocks' last diagonal entries.
+RUNS["otoc-quench-odd-n"] = ["otoc", "--n", "31", "--alpha", "0.4", "--lambda", "1",
+                             "--tmax", "50", "--dt", "0.05"]
+RUNS["sweep-odd-n"] = ["sweep", "--n", "21", "--alphas", "0.4", "--lambdas", "0,1",
+                       "--tavg", "200", "--dt", "0.5"]
 
 # LMG_OTOC_WORKERS of the runs that do not take 1
 WORKERS = {"otoc-quench-3-workers": "3", "fit-gamma-lambda-2-workers": "2"}
