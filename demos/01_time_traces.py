@@ -43,7 +43,7 @@ for label, lam in (("weak", 0.1 * lam_c), ("critical", lam_c),
 
 # eigenstate protocol: pick the level whose energy is closest to the
 # separatrix (E = 0) and watch F(t) from that single stationary state
-energies = eigh(build_hamiltonian(params)).values
+energies, _ = eigh(build_hamiltonian(params))
 n_c = int(np.argmin(np.abs(energies)))
 series = commutator_series_micro(params, n_c, times)
 re_f = series.f_values.real

@@ -46,13 +46,11 @@ print(f"ratio = {below / band:.0f}")
 # the critical level; decreasing values signal the sharpening step
 scans = [microcanonical_scan(LmgParams(alpha=0.4, sector=SpinSector(n)),
                              config) for n in (40, 70)] + [scan]
-rows = []
-for n, diag in dn_diagnostic(scans):
-    rows.append([n, diag.n_c, diag.window[0], diag.window[1], diag.value])
-    print(f"N = {n:3d}  critical level = {diag.n_c:3d}  "
-          f"spread = {diag.value:.4f}")
+spread = dn_diagnostic(scans)
+n_spins, n_c, _, _, dn = spread
+for n, level, value in zip(n_spins, n_c, dn):
+    print(f"N = {n:3d}  critical level = {level:3d}  spread = {value:.4f}")
 write_csv(os.path.join(OUT, "spread.csv"),
           ("n_spins", "n_c", "window_lo", "window_hi", "spread"),
-          ("count", "index", "index", "index", "dimensionless"),
-          tuple(zip(*rows)))
+          ("count", "index", "index", "index", "dimensionless"), spread)
 print(f"outputs in {OUT}")

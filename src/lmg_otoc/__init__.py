@@ -6,11 +6,11 @@ excited-state phase-transition order parameter, and the finite-size and
 near-critical power-law fits built on top of them.
 """
 
-from .analysis import (AveragingConfig, DnDiagnostic, FitResult, MicroScan,
-                       SweepGrid, dn_diagnostic, fit_power_law,
-                       microcanonical_scan, quench_fbar, quench_sweep,
-                       scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
-from .eigensolver import EigenDecomposition, eigh
+from .analysis import (AveragingConfig, FitResult, MicroScan, SweepGrid,
+                       dn_diagnostic, fit_power_law, microcanonical_scan,
+                       quench_fbar, quench_sweep, scaling_gamma_epsilon,
+                       scaling_gamma_lambda, scaling_mu)
+from .eigensolver import eigh
 from .errors import DomainError, LmgOtocError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     build_postquench, critical_lambda,
@@ -23,10 +23,9 @@ from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingConfig", "CommutatorSeries", "DnDiagnostic", "DomainError",
-    "EigenDecomposition", "FitResult", "LmgOtocError", "LmgParams",
-    "LongTimeAverage", "MicroScan", "NumericalError",
-    "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
+    "AveragingConfig", "CommutatorSeries", "DomainError", "FitResult",
+    "LmgOtocError", "LmgParams", "LongTimeAverage", "MicroScan",
+    "NumericalError", "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
     "build_hamiltonian", "build_postquench", "commutator_series",
     "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",
     "dn_diagnostic", "eigh", "fit_power_law", "long_time_average",

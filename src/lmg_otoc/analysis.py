@@ -108,15 +108,6 @@ class FitResult:
     truncation_bound: float = 0.0
 
 
-@dataclass(frozen=True)
-class DnDiagnostic:
-    """Spread of the normalized average over levels bracketing the critical one."""
-
-    n_c: int
-    window: tuple
-    value: float
-
-
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
     """Long-time average of Re F for one quench: the trapezoid rule on the
     configured grid, evaluated in closed form with no time steps."""
@@ -294,21 +285,20 @@ def scaling_gamma_epsilon(scan: MicroScan, window=DEFAULT_ENERGY_FIT_WINDOW) -> 
                    truncation_bound=scan.truncation_bound)
 
 
-def dn_diagnostic(scans) -> list:
-    """(N, spread) pairs, one per scan, measuring how sharply the normalized
-    average drops across the critical level; shrinking spread with growing
-    N is the finite-size signature.
+def dn_diagnostic(scans) -> tuple:
+    """Columns (n_spins, n_c, window_lo, window_hi, dn), one entry per scan in
+    the order given: the spread dn of the normalized average over the levels
+    window_lo..window_hi bracketing the critical level n_c. A spread that
+    shrinks with growing N is the finite-size signature.
 
     The window covers levels [n_c - 15, n_c + 5] clipped to the scan's
     spectrum, where n_c is the level closest to the critical energy (ties
     resolve to the lower index).
     """
-    out = []
-    for scan in scans:
-        n_c = int(np.argmin(np.abs(scan.energies)))
-        lo = max(n_c - 15, 0)
-        hi = min(n_c + 5, scan.n_spins)
-        values = scan.fbar_norm[lo:hi + 1]
-        out.append((scan.n_spins, DnDiagnostic(n_c=n_c, window=(lo, hi),
-                                               value=float(values.max() - values.min()))))
-    return out
+    scans = list(scans)
+    n_spins = np.array([scan.n_spins for scan in scans], dtype=int)
+    n_c = np.array([np.argmin(np.abs(scan.energies)) for scan in scans], dtype=int)
+    lo = np.maximum(n_c - 15, 0)
+    hi = np.minimum(n_c + 5, n_spins)
+    dn = np.array([np.ptp(scan.fbar_norm[a:b + 1]) for scan, a, b in zip(scans, lo, hi)])
+    return n_spins, n_c, lo, hi, dn

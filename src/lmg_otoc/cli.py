@@ -162,8 +162,10 @@ def _load_config(path):
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise UsageError(f"{path}:{lineno}: {key} set twice")
+            values[key] = val
     return values
 
 
@@ -324,12 +326,10 @@ def _run_micro(opts, run_dir):
         for s in opts["sizes"]:
             if s not in scans:
                 scans[s] = microcanonical_scan(LmgParams(opts["alpha"], SpinSector(s)), config)
-        dn_rows = [(n, d.n_c, d.window[0], d.window[1], d.value)
-                   for n, d in dn_diagnostic(scans[s] for s in opts["sizes"])]
         write_csv(os.path.join(run_dir, "dn.csv"),
                   ("n_spins", "n_c", "window_lo", "window_hi", "dn"),
                   ("count", "index", "index", "index", "dimensionless"),
-                  tuple(zip(*dn_rows)))
+                  dn_diagnostic(scans[s] for s in opts["sizes"]))
         outputs.append("dn.csv")
     diag = {"reference_fbar": float(scan.fbar_raw[0]),
             "critical_rescaled": float(scan.critical_rescaled),

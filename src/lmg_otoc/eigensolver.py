@@ -10,27 +10,15 @@ through numpy. An independent Sturm-bisection oracle in the test suite
 checks the eigenvalues it produces.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DomainError, NumericalError
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues and the orthogonal matrix of column eigenvectors."""
-
-    values: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
-
-def eigh(pair) -> EigenDecomposition:
-    """Decompose the symmetric tridiagonal matrix given as (diag, off)."""
+def eigh(pair):
+    """(values, vectors) of the symmetric tridiagonal matrix given as
+    (diag, off), as numpy.linalg.eigh returns them: ascending eigenvalues
+    and the orthogonal matrix of column eigenvectors, both read-only."""
     diag, off = (np.asarray(a, dtype=np.float64) for a in pair)
     if diag.ndim != 1 or diag.size == 0 or off.shape != (diag.size - 1,):
         raise DomainError(f"need a nonempty diagonal and an off-diagonal one shorter, "
@@ -42,4 +30,4 @@ def eigh(pair) -> EigenDecomposition:
         raise NumericalError(f"eigensolver failed on a {diag.size}-dim matrix: {exc}") from exc
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenDecomposition(values=values, vectors=vectors)
+    return values, vectors

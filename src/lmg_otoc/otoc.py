@@ -285,11 +285,11 @@ def _parity_frame(sector: SpinSector, pair):
     """(frame, to_frame): an X-basis Hamiltonian's folded frame, and the map of
     X-basis states (or columns) into it, which alone holds the eigenvectors."""
     even_block, odd_block = _fold(pair)
-    de = eigh(even_block)
-    do = eigh(odd_block)
-    h = do.dimension
+    e_even, v_even = eigh(even_block)
+    e_odd, v_odd = eigh(odd_block)
+    h = e_odd.size
     w = sector.m_values()[:h] / sector.total_spin
-    b = de.vectors[:h].T @ (w[:, None] * do.vectors)
+    b = v_even[:h].T @ (w[:, None] * v_odd)
 
     def to_frame(psi):
         head, tail = psi[:h], psi[::-1][:h]
@@ -297,9 +297,9 @@ def _parity_frame(sector: SpinSector, pair):
         if psi.shape[0] % 2:
             even = np.concatenate([even, psi[h:h + 1]])
         odd = (head - tail) / np.sqrt(2.0)
-        return np.concatenate([de.vectors.T @ even, do.vectors.T @ odd])
+        return np.concatenate([v_even.T @ even, v_odd.T @ odd])
 
-    return _ParityFrame(energies=np.concatenate([de.values, do.values]), w_block=b), to_frame
+    return _ParityFrame(energies=np.concatenate([e_even, e_odd]), w_block=b), to_frame
 
 
 @functools.lru_cache(maxsize=64)
@@ -307,7 +307,7 @@ def _bare_ground(params: LmgParams) -> np.ndarray:
     """Ground vector of the bare Hamiltonian, as the dense solve returns it,
     kept per (alpha, N) for the fields of a sweep row. Two threads may
     solve it at once, so quench_sweep solves it before its cells."""
-    psi0 = eigh(build_hamiltonian(params)).vectors[:, 0].copy()
+    psi0 = eigh(build_hamiltonian(params))[1][:, 0].copy()
     psi0.setflags(write=False)
     return psi0
 

@@ -20,7 +20,7 @@ _ROWS_PER_WRITE = 4096
 def format_number(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, np.integer)):
         return str(value)
     v = float(value)
     if v != v:                              # NaN never belongs in a table

@@ -328,24 +328,25 @@ def test_free_model_scan_closed_form():
 
 
 def test_free_model_spread_diagnostic():
-    pairs = dn_diagnostic([microcanonical_scan(LmgParams(0.0, SpinSector(10)), FAST)])
-    (n, diag), = pairs
-    assert n == 10
+    n_spins, n_c, lo, hi, dn = dn_diagnostic(
+        [microcanonical_scan(LmgParams(0.0, SpinSector(10)), FAST)])
+    assert n_spins.tolist() == [10]
     # the critical level is the top of the free spectrum; window clips
-    assert diag.n_c == 10
-    assert diag.window == (0, 10)
-    assert abs(diag.value - 1.0) < 1e-12
+    assert n_c.tolist() == [10]
+    assert (lo.tolist(), hi.tolist()) == ([0], [10])
+    assert abs(dn[0] - 1.0) < 1e-12
 
 
 def test_dn_windows_clip_to_spectrum():
-    pairs = dn_diagnostic([microcanonical_scan(LmgParams(0.4, SpinSector(n)), FAST)
-                           for n in (8, 40)])
-    assert [n for n, _ in pairs] == [8, 40]         # each pair carries its scan's N
-    for n, diag in pairs:
-        lo, hi = diag.window
-        assert 0 <= lo <= diag.n_c <= hi <= n
-        assert diag.value >= 0.0
-
+    n_spins, n_c, lo, hi, dn = dn_diagnostic(
+        [microcanonical_scan(LmgParams(0.4, SpinSector(n)), FAST) for n in (8, 40, 8)])
+    assert n_spins.tolist() == [8, 40, 8]   # one entry per scan, in the order given
+    for column in (n_spins, n_c, lo, hi):
+        assert column.dtype.kind == "i"
+    assert dn.dtype == np.float64
+    assert np.all((0 <= lo) & (lo <= n_c) & (n_c <= hi) & (hi <= n_spins))
+    assert np.all(dn >= 0.0)
+    assert dn[0] == dn[2]
 
 
 def test_scaling_mu_needs_enough_sizes():

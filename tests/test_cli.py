@@ -743,6 +743,14 @@ def test_config_file_errors(tmp_path):
                  "--out", str(tmp_path / "z")]) == 2
 
 
+def test_a_config_key_set_twice_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n=10\nalpha=0.4\n\n n = 12  # again\n")
+    assert main(["spectrum", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {conf}:4: n set twice\n"
+    assert os.listdir(tmp_path) == ["run.conf"]
+
+
 def test_manifest_references_existing_outputs(tmp_path):
     rc, out = run(tmp_path, "micro", "--n", "8", "--alpha", "0.2",
                   "--tavg", "50", "--dt", "0.5")

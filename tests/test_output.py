@@ -36,6 +36,14 @@ def test_float_arrays_write_as_format_number_does(tmp_path, values):
     assert path.read_text() == want
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_integer_arrays_write_as_integers(tmp_path, dtype):
+    values = np.array([16, -24, 0], dtype=dtype)
+    assert format_column(values) == ["16", "-24", "0"]
+    write_csv(tmp_path / "n.csv", ("n",), ("count",), (values,))
+    assert (tmp_path / "n.csv").read_text() == "# units: n[count]\nn\n16\n-24\n0\n"
+
+
 @pytest.mark.parametrize("xs, ys, values, want", [
     ((0.2, 0.4), (0.0, 0.5), [[1.0, 0.75], [1.0, 0.5]],
      "0.2 0.0 1.0\n0.2 0.5 0.75\n\n0.4 0.0 1.0\n0.4 0.5 0.5\n"),
