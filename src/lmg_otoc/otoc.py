@@ -36,9 +36,10 @@ Complex numbers enter only through the phase factors; operators, states
 and eigenvectors stay real throughout.
 
 A single-state trace can split its time samples over worker threads. The
-samples fall into fixed column chunks, and each thread computes whole
-chunks in a workspace of its own, so the values do not depend on the
-worker count.
+samples fall into chunks of _CHUNK columns, the last padded to a whole
+chunk, and each thread computes whole chunks in a workspace of its own.
+Every product then has one shape, so the values depend neither on the
+worker count nor on how BLAS splits a product over its threads.
 
 A single-state trace also runs only on the frame levels that can reach
 its result. Each sample of F, of A = |W(t)V psi|^2 and of |W W(t) psi|^2
@@ -85,10 +86,8 @@ _DROP_BOUND = 1e-14
 # module docstring)
 _KEEP_SCALE = 2.5
 _KEEP_POWER = 0.7
-# time samples per phase batch: one table of exp(iE k dt) serves every batch
-_BLOCK = 512
-# time samples per product; a divisor of _BLOCK, and fixed, so no sample's
-# arithmetic depends on how many workers share a trace
+# time samples per product, and per phase table: fixed, so no sample's
+# arithmetic depends on how many workers or BLAS threads share a trace
 _CHUNK = 256
 # paths a closed-form average sums at once (_sum_paths)
 _PATH_BATCH = 1 << 15
@@ -370,8 +369,8 @@ def _reachable(frame: _ParityFrame, psi: np.ndarray):
     # a block may lose only the levels beyond its floor, its lightest first
     odd = order >= he
     rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
-    sizes = np.array([he, psi.size - he])
-    spare = sizes - np.minimum(sizes, np.ceil(_KEEP_SCALE * sizes ** _KEEP_POWER))
+    spare = np.array([max(size - _floor(size, _KEEP_SCALE, _KEEP_POWER), 0)
+                      for size in (he, psi.size - he)])
     order = order[rank < spare[odd.astype(int)]]
     dropped = np.cumsum(weight[order])
     count = int(np.searchsorted(dropped, _DROP_BOUND, side="right"))
@@ -386,26 +385,23 @@ def _reachable(frame: _ParityFrame, psi: np.ndarray):
 
 def _apply_w(b: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = W x in a parity frame for columns x: two half-size real GEMMs
-    on the real views of C-contiguous x and out."""
+    on the real views of C-contiguous x and out. A single vector x is summed
+    by einsum instead, since BLAS splits a matrix-vector product's sums
+    over its threads."""
     he = b.shape[0]
+    if x.ndim == 1:
+        np.einsum("ij,j->i", b, x[he:], out=out[:he])
+        np.einsum("ji,j->i", b, x[:he], out=out[he:])
+        return out
     xr, outr = x.view(np.float64), out.view(np.float64)
     np.matmul(b, xr[he:], out=outr[:he])
     np.matmul(b.T, xr[:he], out=outr[he:])
     return out
 
 
-def _chunks(n: int) -> list:
-    """(batch start, columns) for every chunk of an n-sample grid: batches of
-    _BLOCK samples, each cut into columns of at most _CHUNK."""
-    return [(lo, slice(c, min(c + _CHUNK, n)))
-            for lo in range(0, n, _BLOCK)
-            for c in range(lo, min(lo + _BLOCK, n), _CHUNK)]
-
-
-def _phase_table(energies: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """exp(iE k dt) for k < min(n, _BLOCK): one table serves every batch."""
-    offsets = np.arange(min(n, _BLOCK)) * dt
-    return np.exp(1j * energies[:, None] * offsets[None, :])
+def _phase_table(energies: np.ndarray, dt: float) -> np.ndarray:
+    """exp(iE k dt) for k < _CHUNK: one table serves every chunk."""
+    return np.exp(1j * energies[:, None] * (np.arange(_CHUNK) * dt)[None, :])
 
 
 def _sum_squares(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -427,31 +423,29 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
     |phi - v|^2, and since W is real and symmetric,
     F = <chi|W phi> = <W chi|phi> = <v|phi> needs no further product.
 
-    Thread k of `workers` takes every workers-th chunk of _chunks(n),
-    starting at the k-th. Each thread writes every intermediate into
-    four buffers of D x _CHUNK it allocates once, and its results into
-    its chunks' slices of the outputs.
+    Thread k of `workers` takes every workers-th chunk of _CHUNK samples,
+    starting at the k-th. Each thread writes every intermediate into one
+    workspace of four D x _CHUNK buffers, and its results into its chunks'
+    slices of outputs padded to whole chunks, trimmed to n on return.
     """
     b = frame.w_block
     e = frame.energies
     d = psi.size
     u = _apply_w(b, psi[:, None], np.empty((d, 1)))     # V |psi>
-    table = _phase_table(e, dt, n)
-    f = np.empty(n, dtype=np.complex128)
-    a_term = np.empty(n)
-    c_norm = np.empty(n)
-    chunks = _chunks(n)
-    workers = min(workers, len(chunks))
+    table = _phase_table(e, dt)
+    padded = -(-n // _CHUNK) * _CHUNK
+    f = np.empty(padded, dtype=np.complex128)
+    a_term = np.empty(padded)
+    c_norm = np.empty(padded)
+    workers = min(workers, padded // _CHUNK)
 
     def run(k):
-        workspace = np.empty(4 * d * min(n, _CHUNK), dtype=np.complex128)
-        for lo, cols in chunks[k::workers]:
-            width = cols.stop - cols.start
-            ph, cj, x, y = workspace[:4 * d * width].reshape(4, d, width)
+        ph, cj, x, y = np.empty((4, d, _CHUNK), dtype=np.complex128)
+        for lo in range(k * _CHUNK, n, workers * _CHUNK):
+            cols = slice(lo, lo + _CHUNK)
             # exp(+iEt): exp(iE t_lo) times the table, t_lo = lo * dt as
             # make_time_grid forms it
-            factor = np.exp(1j * e * (lo * dt))
-            np.multiply(table[:, cols.start - lo:cols.stop - lo], factor[:, None], out=ph)
+            np.multiply(table, np.exp(1j * e * (lo * dt))[:, None], out=ph)
             np.conjugate(ph, out=cj)
             np.multiply(cj, u, out=x)
             _apply_w(b, x, y)
@@ -468,6 +462,7 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
         _fan_out(run, range(workers), workers)
     else:
         run(0)
+    f, a_term, c_norm = f[:n], a_term[:n], c_norm[:n]
     return f, a_term, 2.0 * a_term - 2.0 * f.real, c_norm
 
 
@@ -559,8 +554,11 @@ def _weighted_means(half: np.ndarray, coef: np.ndarray, steps) -> np.ndarray:
     p *= coef
     p /= t
     s = p.sum()
+    if k == k_half:                             # K = 1: the half is the whole grid
+        return np.full(2, s) + resonant
     if k == 2 * k_half:
-        return np.array([(2.0 * (p @ q) - s) / k_half, s / k_half]) + resonant
+        # np.sum, not a BLAS dot, whose summing order follows its thread count
+        return np.array([(2.0 * np.sum(p * q) - s) / k_half, s / k_half]) + resonant
     np.copyto(coef, 0.0, where=flat)
     c = 2.0 * q - 1.0
     t *= t
@@ -804,13 +802,13 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
         return np.take(above, first + np.clip(x - shift, 0, n_y - 1))
 
     x = _path_level(lambda x: count @ prefix(x),
-                    lambda x: mass @ np.take(tails, ends + prefix(x)),
+                    lambda x: np.sum(mass * np.take(tails, ends + prefix(x))),
                     int(ng.min(initial=0)) + y_lo,          # keeps every path
                     int(ng.max(initial=0)) + y_lo + n_y,    # keeps none
                     _floor(d, *_PATH_FLOOR), (_DROP_BOUND - spent) * _SLACK)
     per_cell = np.zeros(d * n_g, dtype=np.int16)
     per_cell[nz] = prefix(x)
-    spent += float(mass @ np.take(tails, ends + per_cell[nz]))
+    spent += float(np.sum(mass * np.take(tails, ends + per_cell[nz])))
     counts = np.take(per_cell, cell)            # the paths of each triple
     del nz, nc, ng, count, mass, first, shift, ends, per_cell
 

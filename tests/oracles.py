@@ -266,13 +266,13 @@ def frame_f_series(energies, w, psi, times, extended=False):
 
     The phases exp(iEt) are the package's own, restated here so that the
     two product routes meet on equal phases: a table of exp(iE k t_1) for
-    k < 512 times exp(iE t_lo) per block of 512 samples on a grid
+    k < 256 times exp(iE t_lo) per block of 256 samples on a grid
     t_k = k t_1, exp(iEt) elsewhere. With extended=True they are formed in
     np.longdouble instead and only then rounded to double, so that long
     horizons keep their digits. The products are plain double throughout.
     """
     times = np.asarray(times, dtype=float)
-    block = 512
+    block = 256
     n = times.size
     tabulated = n > 1 and np.array_equal(times, np.arange(n) * times[1])
     if extended:
@@ -446,11 +446,14 @@ def cut_w_bisection(ab, left, right, budget, floor):
     the largest power of two 2^-k, k = 0..1074, whose loss fits the budget
     are cut, found by bisecting k over the whole range, but at least the
     floor largest entries are kept. The loss is |psi| (|W|^3 - |W_cut|^3)
-    |u| for left = |psi| and right = |u|, with W = [[0, B], [B^T, 0]]."""
+    |u| for left = |psi| and right = |u|, with W = [[0, B], [B^T, 0]]; its
+    products are summed by einsum, as the package sums them, so that both
+    searches compare the same losses."""
     he = ab.shape[0]
 
     def apply(m, x):
-        return np.concatenate([m @ x[he:], m.T @ x[:he]])
+        return np.concatenate([np.einsum("ij,j->i", m, x[he:]),
+                               np.einsum("ji,j->i", m, x[:he])])
 
     r = [right, apply(ab, right)]
     r.append(apply(ab, r[-1]))

@@ -2,6 +2,9 @@
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,9 +18,8 @@ from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
 from lmg_otoc import otoc
 from lmg_otoc.cli import main
 from lmg_otoc.output import read_csv
-from lmg_otoc.otoc import (_BLOCK, _CHUNK, _DROP_BOUND, _chunks, _fold, _grid_steps,
-                           _parity_frame, _reachable, _single_state_otoc, _state_level,
-                           _state_quench)
+from lmg_otoc.otoc import (_CHUNK, _DROP_BOUND, _fold, _grid_steps, _parity_frame,
+                           _reachable, _single_state_otoc, _state_level, _state_quench)
 
 TOL = 1e-9
 
@@ -264,10 +266,11 @@ def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commut
     times = _grid("uniform")
     spec = QuenchSpec(LmgParams(0.4, SpinSector(61)), 1.0)
     (commutator_series if commutator else quench_otoc)(spec, times)
-    assert len(_chunks(times.size)) > 1
+    chunks = -(-times.size // _CHUNK)
+    assert chunks > 1
     # four for the envelopes that pick the kept levels (_reachable), one
     # for V |psi>, then three per chunk
-    assert len(calls) == 4 + 1 + 3 * len(_chunks(times.size))
+    assert len(calls) == 4 + 1 + 3 * chunks
 
 
 def test_long_horizon_quench_at_production_size():
@@ -280,11 +283,10 @@ def test_long_horizon_quench_at_production_size():
 @pytest.mark.parametrize("level", [False, True])
 @pytest.mark.parametrize("n", [60, 61])
 @pytest.mark.parametrize("grid", ["uniform", "scattered", "one chunk", "tail 1",
-                                  "tail 1 + chunk", "single sample"])
+                                  "single sample"])
 def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, level):
     # the kernel takes n samples of t_k = k dt; entry points refuse n = 1
-    samples = {"one chunk": _CHUNK - 3, "tail 1": 2 * _BLOCK + 1,
-               "tail 1 + chunk": _BLOCK + _CHUNK + 1, "single sample": 1}
+    samples = {"one chunk": _CHUNK - 3, "tail 1": 2 * _CHUNK + 1, "single sample": 1}
     if grid in samples:
         dt, size = 0.5, samples[grid]
     else:
@@ -301,6 +303,37 @@ def test_trace_is_bitwise_independent_of_the_worker_count(grid, n, level):
         assert len(split) == len(serial)
         for a, b in zip(serial, split):
             assert np.array_equal(a, b)
+
+
+_BLAS_PROBE = """
+import sys
+import numpy as np
+from lmg_otoc import (AveragingConfig, LmgParams, QuenchSpec, SpinSector,
+                      commutator_series, make_time_grid, quench_fbar)
+spec = QuenchSpec(LmgParams(0.4, SpinSector(400)), 1.0)
+avg = quench_fbar(spec, AveragingConfig())
+trace = commutator_series(spec, make_time_grid(200.0, 0.05))
+np.savez(sys.argv[1], value=avg.value, halfwidth=avg.estimator_halfwidth,
+         bound=avg.truncation_bound, f=trace.f_values, a=trace.a_values,
+         c=trace.c_values, norm=trace.c_norm_values)
+"""
+
+
+def test_results_are_bitwise_independent_of_the_blas_thread_count(tmp_path):
+    # an N = 400 cell and an N = 400 trace of 4001 samples, whose last chunk
+    # is partial, at one and two OpenBLAS threads (MKL is not checked)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    assert 4001 % _CHUNK
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}.npz"
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(out)], env=env,
+                       check=True, timeout=300)
+        runs.append(np.load(out))
+    for key in ("value", "halfwidth", "bound", "f", "a", "c", "norm"):
+        assert runs[0][key].tobytes() == runs[1][key].tobytes(), key
 
 
 @pytest.mark.parametrize("floor", [False, True])
