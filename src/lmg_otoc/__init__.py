@@ -15,21 +15,18 @@ from .errors import DomainError, LmgOtocError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
                     build_postquench, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
-from .otoc import (CommutatorSeries, LongTimeAverage, OtocSeries,
-                   commutator_series, commutator_series_micro,
-                   long_time_average, make_time_grid, micro_fbar_all,
-                   quench_otoc)
+from .otoc import (CommutatorSeries, LongTimeAverage, commutator_series,
+                   commutator_series_micro, make_time_grid)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AveragingConfig", "CommutatorSeries", "DomainError", "FitResult",
     "LmgOtocError", "LmgParams", "LongTimeAverage", "MicroScan",
-    "NumericalError", "OtocSeries", "QuenchSpec", "SpinSector", "SweepGrid",
+    "NumericalError", "QuenchSpec", "SpinSector", "SweepGrid",
     "build_hamiltonian", "build_postquench", "commutator_series",
     "commutator_series_micro", "critical_lambda", "critical_rescaled_energy",
-    "dn_diagnostic", "eigh", "fit_power_law", "long_time_average",
-    "make_time_grid", "micro_fbar_all", "microcanonical_scan", "quench_fbar",
-    "quench_otoc", "quench_sweep", "rescale_energies",
+    "dn_diagnostic", "eigh", "fit_power_law", "make_time_grid",
+    "microcanonical_scan", "quench_fbar", "quench_sweep", "rescale_energies",
     "scaling_gamma_epsilon", "scaling_gamma_lambda", "scaling_mu",
 ]

@@ -82,6 +82,19 @@ class QuenchSpec:
         if not 0.0 <= self.field_strength < np.inf:
             raise DomainError(f"field strength must be finite and nonnegative, "
                               f"got {self.field_strength}")
+        _off_diagonal(self.params, self.field_strength)     # refused before any solve
+
+
+def _off_diagonal(params: LmgParams, field_strength: float) -> np.ndarray:
+    """First off-diagonal of H + lam S_z: S_z only adds ladder_strengths/2.
+    A field that overflows an entry is a DomainError, with no numpy warning."""
+    ladder = params.sector.ladder_strengths()
+    with np.errstate(over="ignore"):
+        off = (params.alpha / 2.0) * ladder + field_strength * ladder / 2
+    if not np.isfinite(off).all():
+        raise DomainError(f"field strength {field_strength} overflows the "
+                          f"N={params.sector.n_spins} Hamiltonian")
+    return off
 
 
 def build_hamiltonian(params: LmgParams):
@@ -91,15 +104,12 @@ def build_hamiltonian(params: LmgParams):
     s = sector.total_spin
     m = sector.m_values()
     diag = -(2.0 * (1.0 - alpha) / s) * m * m + alpha * s
-    off = (alpha / 2.0) * sector.ladder_strengths()
-    return diag, off
+    return diag, _off_diagonal(params, 0.0)
 
 
 def build_postquench(spec: QuenchSpec):
-    """H + lam S_z as an X-basis pair: S_z only adds ladder_strengths/2 to
-    the off-diagonal."""
-    diag, off = build_hamiltonian(spec.params)
-    return diag, off + spec.field_strength * spec.params.sector.ladder_strengths() / 2
+    """H + lam S_z as an X-basis pair."""
+    return build_hamiltonian(spec.params)[0], _off_diagonal(spec.params, spec.field_strength)
 
 
 def critical_lambda(alpha: float) -> float:
@@ -114,8 +124,9 @@ def critical_lambda(alpha: float) -> float:
     return (4.0 - 5.0 * alpha) / 2.0
 
 
-def rescale_energies(energies) -> np.ndarray:
-    """Affine map of an ascending spectrum onto [0, 2]."""
+def _spectrum(energies):
+    """(e, lowest, span) of a nonempty, ascending 1-D spectrum whose highest
+    energy lies above its lowest, else DomainError."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise DomainError("spectrum must be a nonempty 1-D array")
@@ -124,13 +135,16 @@ def rescale_energies(energies) -> np.ndarray:
     span = e[-1] - e[0]
     if span <= 0.0:
         raise DomainError("degenerate spectrum: highest energy equals lowest")
-    return 2.0 * (e - e[0]) / span
+    return e, e[0], span
+
+
+def rescale_energies(energies) -> np.ndarray:
+    """Affine map of an ascending spectrum onto [0, 2]."""
+    e, lowest, span = _spectrum(energies)
+    return 2.0 * (e - lowest) / span
 
 
 def critical_rescaled_energy(energies) -> float:
     """CRITICAL_ENERGY under the affine map of rescale_energies."""
-    e = np.asarray(energies, dtype=float)
-    span = e[-1] - e[0]
-    if span <= 0.0:
-        raise DomainError("degenerate spectrum: highest energy equals lowest")
-    return 2.0 * (CRITICAL_ENERGY - e[0]) / span
+    _, lowest, span = _spectrum(energies)
+    return 2.0 * (CRITICAL_ENERGY - lowest) / span

@@ -173,7 +173,7 @@ def make_time_grid(tmax: float, dt: float) -> np.ndarray:
     smaller grid that does not fit gets numpy's own."""
     steps = _horizon_steps(tmax, dt)[1]
     if steps >= 2 ** 59:
-        raise MemoryError(f"a time grid of {steps + 1} samples is too large to index")
+        raise MemoryError(f"a time grid of {steps + 1:.2e} samples is too large to index")
     return np.arange(steps + 1) * float(dt)
 
 
@@ -186,18 +186,6 @@ def _grid_steps(times):
         raise DomainError("time grid must be t_k = k dt, k = 0..K with K >= 1, "
                           "as make_time_grid builds it")
     return t, _horizon_steps(t[-1], t[1])
-
-
-@dataclass(frozen=True)
-class OtocSeries:
-    """Sampled F(t) with the protocol and initial-state provenance."""
-
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    protocol: str
-    state_label: str
-    params: LmgParams
-    field_strength: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -466,17 +454,6 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
     return f, a_term, 2.0 * a_term - 2.0 * f.real, c_norm
 
 
-def quench_otoc(spec: QuenchSpec, times) -> OtocSeries:
-    """F(t) for the quench protocol: ground state of the bare Hamiltonian,
-    Heisenberg evolution under the field-shifted one. The F of
-    commutator_series."""
-    series = commutator_series(spec, times)
-    return OtocSeries(
-        times=series.times, values=series.f_values, protocol=series.protocol,
-        state_label=series.state_label, params=spec.params,
-        field_strength=spec.field_strength)
-
-
 def _level_averages(params: LmgParams, grid):
     """(energies, fbar, halfwidth, bound): the bare frame's energies, the
     closed-form average (_closed_form_average) of every level on the grid
@@ -489,6 +466,13 @@ def _level_averages(params: LmgParams, grid):
             max(a.truncation_bound for a in avgs))
 
 
+# No command runs quench_otoc, micro_fbar_all or long_time_average; they
+# stay only while perfbench/tracing.py's LAYERS table binds them.
+def quench_otoc(spec: QuenchSpec, times) -> CommutatorSeries:
+    """commutator_series(spec, times), on one thread."""
+    return commutator_series(spec, times)
+
+
 def micro_fbar_all(params: LmgParams, times):
     """Trapezoidal mean of Re F_n over a uniform grid for every level, in
     closed form with no time steps.
@@ -499,11 +483,11 @@ def micro_fbar_all(params: LmgParams, times):
     return _level_averages(params, _grid_steps(times)[1])[1:3]
 
 
-def long_time_average(series: OtocSeries) -> LongTimeAverage:
+def long_time_average(series: CommutatorSeries) -> LongTimeAverage:
     """Trapezoidal means of Re F over the series' K steps and over the first
     K_half of them (_grid_steps), summed from the samples."""
     _, (_, steps, half_steps) = _grid_steps(series.times)
-    re = series.values.real
+    re = series.f_values.real
     value, half = ((re[0] / 2 + re[1:k].sum() + re[k] / 2) / k for k in (steps, half_steps))
     return LongTimeAverage(float(value), float(abs(value - half)))
 

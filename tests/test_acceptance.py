@@ -16,10 +16,9 @@ import pytest
 from lmg_otoc import (AveragingConfig, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, commutator_series,
                       commutator_series_micro, critical_lambda, eigh,
-                      long_time_average, make_time_grid,
-                      microcanonical_scan, quench_fbar, quench_otoc,
+                      make_time_grid, microcanonical_scan, quench_fbar,
                       scaling_gamma_epsilon, scaling_gamma_lambda, scaling_mu)
-from lmg_otoc.otoc import OtocSeries, _reachable, _state_quench
+from lmg_otoc.otoc import _reachable, _state_quench, long_time_average
 
 AVG = AveragingConfig(1.0e4, 0.5)
 TRACE_DT = 0.05
@@ -254,8 +253,8 @@ def test_c10a_average_matches_spectral_oracle(criterion):
 
 def test_c10b_engine_matches_dense_exponentials(criterion):
     times = np.array([0.0, 0.5, 1.0])
-    q_got = quench_otoc(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0),
-                        times).values
+    q_got = commutator_series(QuenchSpec(LmgParams(0.4, SpinSector(4)), 1.0),
+                              times).f_values
     q_want = oracles.expm_otoc_series(4, 0.4, 1.0, times)["f"]
     m_got = level_trace(LmgParams(0.4, SpinSector(4)), 2, times)
     m_want = oracles.expm_otoc_series(4, 0.4, 0.0, times, level=2)["f"]
@@ -276,9 +275,7 @@ def test_c10c_two_level_closed_form(criterion):
         want = oracles.two_level_micro_f(0.3, times, level)
         worst = max(worst, float(np.abs(got - want).max()))
     long_times = make_time_grid(AVG.total_time, AVG.dt)
-    long_avg = long_time_average(OtocSeries(
-        times=long_times, values=level_trace(params, 0, long_times),
-        protocol="microcanonical", state_label="level(n=0)", params=params))
+    long_avg = long_time_average(commutator_series_micro(params, 0, long_times))
     ok = worst < 1e-12 and abs(long_avg.value) < 2e-4
     criterion("10c two-level closed form", ok,
               f"max |diff| = {worst:.2e}, |mean| = {abs(long_avg.value):.1e}")

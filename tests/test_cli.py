@@ -630,6 +630,9 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
     (_SWEEP + ["--lambdas", "nan"], _FIELD),
     (_SWEEP + ["--lambdas", "0,-0.5"], _FIELD),
     (_OTOC + ["--lambda", "inf"], _FIELD),
+    # finite fields whose Hamiltonian entries overflow, refused without a warning
+    (_SWEEP + ["--lambdas", "0,1e308"], "field strength 1e+308 overflows the N=10 Hamiltonian"),
+    (_OTOC + ["--lambda", "1e308"], "field strength 1e+308 overflows the N=10 Hamiltonian"),
     # refused before a grid of 1e13 samples
     (["otoc", "--n", "10", "--alpha", "0.4", "--tmax", "1e12", "--dt", "0.1",
       "--state", "level", "--level", "3", "--lambda", "1"],
@@ -638,7 +641,8 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
       "--state", "level", "--level", "99"], "level index 99 outside [0, 30]")],
     ids=["window-zero", "window-negative", "window-past-critical", "window-below-ulp",
          "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
-         "otoc-inf", "otoc-level-field", "otoc-level-range"])
+         "otoc-inf", "sweep-overflow", "otoc-overflow", "otoc-level-field",
+         "otoc-level-range"])
 def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
@@ -682,13 +686,15 @@ def test_running_out_of_memory_exits_6(tmp_path, monkeypatch, capsys, message):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("tmax, dt", [("1e19", "1"), ("1e18", "0.1")])
+@pytest.mark.parametrize("tmax, dt", [("1e19", "1"), ("1e18", "0.1"), ("1e6", "1e-300")])
 def test_a_grid_numpy_cannot_index_exits_6(tmp_path, capsys, tmax, dt):
     # 1e19 samples, past the most numpy can index: refused like one that does not fit
     argv = ["otoc", "--n", "10", "--alpha", "0.4", "--tmax", tmax, "--dt", dt]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 6
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "time grid" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the sample count to three digits, not all 307 of 1e306
+    assert f"a time grid of {float(tmax) / float(dt):.2e} samples" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from lmg_otoc import (DomainError, LmgParams, NumericalError, QuenchSpec,
                       SpinSector, build_hamiltonian, build_postquench, eigh)
-from lmg_otoc.otoc import long_time_average, make_time_grid, quench_otoc
+from lmg_otoc.otoc import commutator_series, long_time_average, make_time_grid
 
 
 def test_diagonal_matrix():
@@ -72,7 +72,7 @@ def test_degenerate_block_rotation_leaves_averages_alone():
     params = LmgParams(0.0, SpinSector(10))
     spec = QuenchSpec(params, 0.5)
     times = make_time_grid(200.0, 0.1)
-    baseline = long_time_average(quench_otoc(spec, times)).value
+    baseline = long_time_average(commutator_series(spec, times)).value
 
     psi0 = eigh(build_hamiltonian(params))[1][:, 0]
     energies, vectors = (a.copy() for a in eigh(build_postquench(spec)))

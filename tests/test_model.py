@@ -98,6 +98,15 @@ def test_rescale_rejects_degenerate_spectrum():
         critical_rescaled_energy(np.array([2.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("energies, message", [
+    ([1.0, 0.5], "ascending"), ([[0.0, 1.0]], "1-D"), ([], "nonempty")],
+    ids=["descending", "2-D", "empty"])
+def test_both_rescalings_refuse_a_spectrum_alike(energies, message):
+    for rescale in (rescale_energies, critical_rescaled_energy):
+        with pytest.raises(DomainError, match=message):
+            rescale(np.array(energies))
+
+
 def test_critical_rescaled_energy_targets_zero():
     e = np.array([-4.0, -2.0, 0.0, 2.0])
     assert abs(critical_rescaled_energy(e) - 2.0 * 4.0 / 6.0) < 1e-14

@@ -13,13 +13,13 @@ import pytest
 
 from lmg_otoc import (DomainError, LmgParams, QuenchSpec, SpinSector,
                       build_hamiltonian, build_postquench, commutator_series,
-                      commutator_series_micro, make_time_grid, micro_fbar_all,
-                      quench_otoc)
+                      commutator_series_micro, make_time_grid)
 from lmg_otoc import otoc
 from lmg_otoc.cli import main
 from lmg_otoc.output import read_csv
 from lmg_otoc.otoc import (_CHUNK, _DROP_BOUND, _fold, _grid_steps, _parity_frame,
-                           _reachable, _single_state_otoc, _state_level, _state_quench)
+                           _reachable, _single_state_otoc, _state_level, _state_quench,
+                           micro_fbar_all, quench_otoc)
 
 TOL = 1e-9
 
@@ -182,9 +182,8 @@ def test_parity_definite_levels_do_not_depend_on_the_basis_inside_a_doublet():
 def test_quench_matches_dense_kernel(n, alpha, lam, grid):
     params = LmgParams(alpha, SpinSector(n))
     times = _grid(grid)
-    got = quench_otoc(QuenchSpec(params, lam), times).values
-    assert np.max(np.abs(got - _dense(params, times, lam))) < TOL
     cs = commutator_series(QuenchSpec(params, lam), times)
+    assert np.max(np.abs(cs.f_values - _dense(params, times, lam))) < TOL
     want = _dense(params, times, lam, commutator=True)
     got = (cs.f_values, cs.a_values, cs.c_values, cs.c_norm_values)
     for g, w in zip(got, want):
@@ -254,7 +253,7 @@ def test_commutator_branch_gives_the_f_of_the_f_only_branch(n, grid):
 
 @pytest.mark.parametrize("commutator", [False, True])
 def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commutator):
-    # through either entry point: quench_otoc's F or commutator_series
+    # through either entry point: quench_otoc or commutator_series
     calls = []
     apply_w = otoc._apply_w
 
@@ -276,7 +275,7 @@ def test_single_state_kernel_applies_w_three_times_per_chunk(monkeypatch, commut
 def test_long_horizon_quench_at_production_size():
     params = LmgParams(0.4, SpinSector(200))
     times = make_time_grid(1e4, 0.5)
-    got = quench_otoc(QuenchSpec(params, 1.0), times).values
+    got = commutator_series(QuenchSpec(params, 1.0), times).f_values
     assert np.max(np.abs(got - _dense(params, times, 1.0))) < TOL
 
 
@@ -373,8 +372,8 @@ def test_every_single_state_entry_point_traces_the_reachable_levels(kind):
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    if kind == "quench":        # a level trace has no F-only entry point
-        assert np.array_equal(quench_otoc(spec, times).values, series.f_values)
+    if kind == "quench":        # a level trace has no second entry point
+        assert np.array_equal(quench_otoc(spec, times).f_values, series.f_values)
     assert series.kept_levels == kept.w_block.shape
     assert series.truncation_bound == bound
     assert series.a_values.dtype == np.float64
@@ -391,7 +390,7 @@ def test_a_trace_with_nothing_to_drop_runs_on_the_full_frame():
     got = (series.f_values, series.a_values, series.c_values, series.c_norm_values)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert np.array_equal(quench_otoc(spec, times).values, series.f_values)
+    assert np.array_equal(quench_otoc(spec, times).f_values, series.f_values)
     assert series.kept_levels == (6, 5) and series.truncation_bound == 0.0
 
 
