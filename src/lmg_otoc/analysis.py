@@ -14,8 +14,8 @@ from .errors import DomainError, NumericalError
 from .model import (LmgParams, QuenchSpec, SpinSector, critical_lambda,
                     critical_rescaled_energy, rescale_energies)
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
-                   LongTimeAverage, _bare_ground, _closed_form_average, _fan_out,
-                   _horizon_steps, _level_averages, _state_quench)
+                   LongTimeAverage, _bare_ground, _check_phases, _closed_form_average,
+                   _fan_out, _horizon_steps, _level_averages, _state_quench)
 
 # Fit windows applied by default, on the fitting abscissa (distance from
 # the critical point). Both exclude the finite-size saturation floor close
@@ -111,6 +111,7 @@ class FitResult:
 def quench_fbar(spec: QuenchSpec, config: AveragingConfig) -> LongTimeAverage:
     """Long-time average of Re F for one quench: the trapezoid rule on the
     configured grid, evaluated in closed form with no time steps."""
+    _check_phases(spec, config.steps)
     return _closed_form_average(*_state_quench(spec), config.steps)
 
 
@@ -134,6 +135,8 @@ def quench_sweep(alphas, lambdas, n_spins: int, config: AveragingConfig,
     # every cell's spec is checked before any cell is solved
     specs = {(a, lam): QuenchSpec(LmgParams(a, sector), lam)
              for a in alphas for lam in lams_todo}
+    for spec in specs.values():
+        _check_phases(spec, config.steps)
     wanted = [cell for cell in specs if cell not in precomputed]
 
     # each row's bare ground state, solved once before its cells
@@ -238,13 +241,13 @@ def scaling_mu(alpha: float, sizes=DEFAULT_SIZES,
     """
     lam_c = critical_lambda(alpha)
     sizes = tuple(int(s) for s in sizes)
-
-    def job(n):
-        return quench_fbar(QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c), config)
-
-    # a repeated size is solved once and counts once per repeat in the fit
-    distinct = tuple(dict.fromkeys(sizes))
-    solved = dict(zip(distinct, _fan_out(job, distinct, max_workers)))
+    # a repeated size is solved once and counts once per repeat in the fit;
+    # every size is checked before any is solved
+    specs = {n: QuenchSpec(LmgParams(alpha, SpinSector(n)), lam_c) for n in sizes}
+    for spec in specs.values():
+        _check_phases(spec, config.steps)
+    solved = dict(zip(specs, _fan_out(lambda n: quench_fbar(specs[n], config), specs,
+                                      max_workers)))
     fit = fit_power_law(np.array(sizes, dtype=float), [solved[n].value for n in sizes])
     return replace(fit, exponent=-fit.exponent,
                    truncation_bound=max(a.truncation_bound for a in solved.values()))

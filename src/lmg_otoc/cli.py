@@ -26,7 +26,7 @@ from .errors import DomainError, NumericalError
 from .model import LmgParams, QuenchSpec, SpinSector, rescale_energies
 from .otoc import (DEFAULT_AVERAGING_DT, DEFAULT_AVERAGING_TIME,
                    DEFAULT_DYNAMICS_DT, WORKERS_ENV, LongTimeAverage, _bare_frame,
-                   _check_level, commutator_series, commutator_series_micro,
+                   _check_level, _check_phases, commutator_series, commutator_series_micro,
                    make_time_grid, resolve_workers)
 from .output import (emit_heatmap_dat, emit_line_dat, format_column, write_csv,
                      write_manifest, write_svg_line)
@@ -85,71 +85,6 @@ def _choice(*allowed):
     return cast
 
 
-_N = "number of spins"
-_ALPHA = "model parameter in [0, 1]"
-_TAVG = "averaging horizon"
-_DT = "averaging step"
-_WORKERS = (f"worker-thread count (default ${WORKERS_ENV}, else the number of cores "
-            "this process may run on)")
-
-# per command: option name -> (config cast, default, required, help); the
-# argparse flags are generated from this table. A dict default is keyed by
-# the resolved --kind; kinds it does not name refuse the option.
-_OPTIONS = {
-    "spectrum": {
-        "n": (int, None, True, _N),
-        "alpha": (float, None, True, _ALPHA),
-    },
-    "otoc": {
-        "n": (int, None, True, _N),
-        "alpha": (float, None, True, _ALPHA),
-        "lambda": (float, 0.0, False, "quench field strength"),
-        "tmax": (float, 200.0, False, "trace horizon"),
-        "dt": (float, DEFAULT_DYNAMICS_DT, False, "sample spacing"),
-        "state": (_choice("ground", "level"), "ground", False,
-                  "initial state: the bare ground state or the eigenstate "
-                  "picked by --level"),
-        "level": (int, None, False, "eigenstate index for --state level"),
-        "plot": (_parse_bool, False, False, "also write an SVG of Re F(t)"),
-    },
-    "micro": {
-        "n": (int, None, True, _N),
-        "alpha": (float, None, True, _ALPHA),
-        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
-        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
-        "sizes": (_list_of(int), None, False,
-                  "comma-separated sizes for the near-critical spread summary"),
-        "plot": (_parse_bool, False, False, "also write an SVG of the level profile"),
-    },
-    "sweep": {
-        "alphas": (_list_of(float), None, True, "comma-separated alpha values"),
-        "lambdas": (_list_of(float), None, True, "comma-separated field strengths"),
-        "n": (int, None, True, _N),
-        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
-        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
-        "resume": (_parse_bool, False, False,
-                   "reuse per-cell results already checkpointed in --out"),
-        "workers": (_worker_count, None, False, _WORKERS),
-    },
-    "fit": {
-        "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True,
-                 "which exponent to fit"),
-        "alpha": (float, None, True, _ALPHA),
-        "n": (int, {"gamma-lambda": 400, "gamma-epsilon": 300}, False,
-              "system size for the gamma fits"),
-        "sizes": (_list_of(int), {"mu": DEFAULT_SIZES}, False,
-                  "comma-separated sizes for the mu fit"),
-        "window": (_parse_window, {"gamma-lambda": DEFAULT_FIELD_FIT_WINDOW,
-                                   "gamma-epsilon": DEFAULT_ENERGY_FIT_WINDOW}, False,
-                   "fit window lo,hi on the fitting abscissa"),
-        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
-        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
-        "workers": (_worker_count, {"mu": None, "gamma-lambda": None}, False,
-                    _WORKERS + "; used by the mu and gamma-lambda fits"),
-    },
-}
-
-
 def _load_config(path):
     """Plain key=value lines; # starts a comment, blanks ignored."""
     if not os.path.exists(path):
@@ -172,7 +107,7 @@ def _load_config(path):
 def _resolve_options(command, args, config):
     """flags > config file > defaults; missing required keys, and options the
     resolved --kind does not use, are fatal."""
-    spec = _OPTIONS[command]
+    _, _, spec = _COMMANDS[command]
     unknown = set(config) - set(spec)
     if unknown:
         raise UsageError(f"config keys not understood by {command}: {sorted(unknown)}")
@@ -304,6 +239,8 @@ def _run_otoc(opts, run_dir):
 def _run_micro(opts, run_dir):
     params = LmgParams(opts["alpha"], SpinSector(opts["n"]))
     config = AveragingConfig(opts["tavg"], opts["dt"])
+    for s in opts["sizes"] or ():      # refused, if at all, before any scan
+        _check_phases(QuenchSpec(LmgParams(opts["alpha"], SpinSector(s)), 0.0), config.steps)
     scan = microcanonical_scan(params, config)
     write_csv(os.path.join(run_dir, "micro.csv"),
               ("n", "energy_per_spin", "rescaled_energy", "fbar_n_raw", "fbar_n_norm"),
@@ -474,23 +411,71 @@ def _run_fit(opts, run_dir):
              "truncation_bound": fit.truncation_bound})
 
 
-# A runner writes the worker count it settles back into opts, so the
-# manifest records the count the run used.
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "otoc": _run_otoc,
-    "micro": _run_micro,
-    "sweep": _run_sweep,
-    "fit": _run_fit,
-}
+_N = "number of spins"
+_ALPHA = "model parameter in [0, 1]"
+_TAVG = "averaging horizon"
+_DT = "averaging step"
+_WORKERS = (f"worker-thread count (default ${WORKERS_ENV}, else the number of cores "
+            "this process may run on)")
 
-
-_COMMAND_HELP = {
-    "spectrum": "eigenvalue table",
-    "otoc": "time trace of F, A and C",
-    "micro": "per-eigenstate long-time averages",
-    "sweep": "normalized averages over an (alpha, lambda) grid",
-    "fit": "power-law exponent fits",
+# per command: (help, runner, options); each option maps its name to
+# (config cast, default, required, help), and the argparse flags are
+# generated from them. A dict default is keyed by the resolved --kind;
+# kinds it does not name refuse the option. A runner writes the worker
+# count it settles back into opts, so the manifest records the count the
+# run used.
+_COMMANDS = {
+    "spectrum": ("eigenvalue table", _run_spectrum, {
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
+    }),
+    "otoc": ("time trace of F, A and C", _run_otoc, {
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
+        "lambda": (float, 0.0, False, "quench field strength"),
+        "tmax": (float, 200.0, False, "trace horizon"),
+        "dt": (float, DEFAULT_DYNAMICS_DT, False, "sample spacing"),
+        "state": (_choice("ground", "level"), "ground", False,
+                  "initial state: the bare ground state or the eigenstate "
+                  "picked by --level"),
+        "level": (int, None, False, "eigenstate index for --state level"),
+        "plot": (_parse_bool, False, False, "also write an SVG of Re F(t)"),
+    }),
+    "micro": ("per-eigenstate long-time averages", _run_micro, {
+        "n": (int, None, True, _N),
+        "alpha": (float, None, True, _ALPHA),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
+        "sizes": (_list_of(int), None, False,
+                  "comma-separated sizes for the near-critical spread summary"),
+        "plot": (_parse_bool, False, False, "also write an SVG of the level profile"),
+    }),
+    "sweep": ("normalized averages over an (alpha, lambda) grid", _run_sweep, {
+        "alphas": (_list_of(float), None, True, "comma-separated alpha values"),
+        "lambdas": (_list_of(float), None, True, "comma-separated field strengths"),
+        "n": (int, None, True, _N),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
+        "resume": (_parse_bool, False, False,
+                   "reuse per-cell results already checkpointed in --out"),
+        "workers": (_worker_count, None, False, _WORKERS),
+    }),
+    "fit": ("power-law exponent fits", _run_fit, {
+        "kind": (_choice("mu", "gamma-lambda", "gamma-epsilon"), None, True,
+                 "which exponent to fit"),
+        "alpha": (float, None, True, _ALPHA),
+        "n": (int, {"gamma-lambda": 400, "gamma-epsilon": 300}, False,
+              "system size for the gamma fits"),
+        "sizes": (_list_of(int), {"mu": DEFAULT_SIZES}, False,
+                  "comma-separated sizes for the mu fit"),
+        "window": (_parse_window, {"gamma-lambda": DEFAULT_FIELD_FIT_WINDOW,
+                                   "gamma-epsilon": DEFAULT_ENERGY_FIT_WINDOW}, False,
+                   "fit window lo,hi on the fitting abscissa"),
+        "tavg": (float, DEFAULT_AVERAGING_TIME, False, _TAVG),
+        "dt": (float, DEFAULT_AVERAGING_DT, False, _DT),
+        "workers": (_worker_count, {"mu": None, "gamma-lambda": None}, False,
+                    _WORKERS + "; used by the mu and gamma-lambda fits"),
+    }),
 }
 
 
@@ -501,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "model: exact spectra, time traces, long-time-average "
                     "order-parameter sweeps and scaling fits.")
     sub = p.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
-        sp = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for command, (summary, _, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         for key, (cast, default, required, text) in options.items():
             if cast is _parse_bool:
                 sp.add_argument(f"--{key}", dest=key, action="store_const", const=True,
@@ -538,9 +523,10 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         opts = _resolve_options(args.command, args, config)
         run_dir, made = _make_run_dir(args.command, args.out)
+        _, run, _ = _COMMANDS[args.command]
         start = time.monotonic()
         try:
-            outputs, time_grid, diagnostics = _RUNNERS[args.command](opts, run_dir)
+            outputs, time_grid, diagnostics = run(opts, run_dir)
         except BaseException:
             # a failed run leaves none of its directories behind empty
             with contextlib.suppress(OSError):

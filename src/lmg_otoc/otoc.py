@@ -167,6 +167,26 @@ def _horizon_steps(tmax, dt):
     return float(dt), steps, max(steps // 2, 1)
 
 
+def _check_phases(spec: QuenchSpec, grid):
+    """Refuse a horizon T = K dt of the grid (dt, K, K_half) over which the
+    phases E t of the spec's evolving Hamiltonian keep no digits: eps S T >= 1,
+    S the Gershgorin bound on its spectral span. O(N) on the X-basis pair,
+    with no solve and no numpy warning for a span past the largest float."""
+    diag, off = build_postquench(spec)
+    radii = np.zeros_like(diag)
+    with np.errstate(over="ignore"):
+        radii[:-1] += np.abs(off)
+        radii[1:] += np.abs(off)
+        span = float((diag + radii).max() - (diag - radii).min())
+    dt, steps, _ = grid
+    horizon = dt * steps
+    if np.finfo(float).eps * span * horizon >= 1.0:
+        raise DomainError(
+            f"field strength {spec.field_strength:g} at N={spec.params.sector.n_spins}: "
+            f"over a horizon of {horizon:g} the phases E t keep no digits "
+            f"(eps * spectral span {span:.4g} * horizon >= 1)")
+
+
 def make_time_grid(tmax: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, tmax] whose end snaps to a whole step count.
     MemoryError from 2^59 steps, half the 8-byte items numpy can index; a
@@ -289,11 +309,13 @@ def _parity_frame(sector: SpinSector, pair):
     return _ParityFrame(energies=np.concatenate([e_even, e_odd]), w_block=b), to_frame
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _bare_ground(params: LmgParams) -> np.ndarray:
     """Ground vector of the bare Hamiltonian, as the dense solve returns it,
-    kept per (alpha, N) for the fields of a sweep row. Two threads may
-    solve it at once, so quench_sweep solves it before its cells."""
+    kept per (alpha, N) for the fields of a sweep row, one N + 1 vector per
+    model the process solved: a bound would evict rows a sweep solved before
+    their cells. Two threads may solve it at once, so quench_sweep solves it
+    before its cells."""
     psi0 = eigh(build_hamiltonian(params))[1][:, 0].copy()
     psi0.setflags(write=False)
     return psi0
@@ -459,6 +481,7 @@ def _level_averages(params: LmgParams, grid):
     closed-form average (_closed_form_average) of every level on the grid
     (dt, K, K_half), and the largest truncation bound among them. Level n is
     a unit vector of the one frame (_state_level), as a level's trace takes."""
+    _check_phases(QuenchSpec(params, 0.0), grid)
     frame, index = _bare_frame(params)
     avgs = [_closed_form_average(frame, np.eye(1, index.size, i)[0], grid) for i in index]
     return (frame.energies, np.array([a.value for a in avgs]),
@@ -816,14 +839,18 @@ def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSe
     """Quench-protocol F(t), A(t) and both C readings on the grid, its time
     samples split over `workers` threads."""
     p = spec.params
-    return _commutator(_grid_steps(times), _state_quench(spec), workers, "quench",
+    grid = _grid_steps(times)
+    _check_phases(spec, grid[1])
+    return _commutator(grid, _state_quench(spec), workers, "quench",
                        f"ground(alpha={p.alpha}, N={p.sector.n_spins})")
 
 
 def commutator_series_micro(params: LmgParams, n: int, times,
                             workers: int = 1) -> CommutatorSeries:
     """Microcanonical-protocol counterpart of commutator_series."""
-    return _commutator(_grid_steps(times), _state_level(params, n), workers,
+    grid = _grid_steps(times)
+    _check_phases(QuenchSpec(params, 0.0), grid[1])
+    return _commutator(grid, _state_level(params, n), workers,
                        "microcanonical",
                        f"level(n={n}, alpha={params.alpha}, N={params.sector.n_spins})")
 

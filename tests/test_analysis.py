@@ -187,9 +187,13 @@ def _count_solves(monkeypatch):
 
 def test_quench_sweep_solves_the_bare_model_once_per_row(monkeypatch):
     dims = _count_solves(monkeypatch)
-    quench_sweep([0.4], [0.0, 0.3, 0.6], 10, FAST, max_workers=2)
-    # one dense 11 x 11 solve for the row, then the two parity blocks per cell
-    assert sorted(dims) == [5] * 3 + [6] * 3 + [11]
+    # one dense 11 x 11 solve per row, at any row count (65 rows are more than
+    # a memo of 64 holds), then the two parity blocks per cell
+    for rows in (1, 65):
+        dims.clear()
+        otoc._bare_ground.cache_clear()
+        quench_sweep(np.linspace(0.4, 0.7, rows), [0.0, 0.3, 0.6], 10, FAST, max_workers=2)
+        assert sorted(dims) == [5] * 3 * rows + [6] * 3 * rows + [11] * rows
 
 
 def test_quench_sweep_refuses_a_bad_field_before_any_solve(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from lmg_otoc import (AveragingConfig, LmgParams, NumericalError, SpinSector, cli,
                       microcanonical_scan, otoc)
-from lmg_otoc.cli import _OPTIONS, _RUNNERS, build_parser, main
+from lmg_otoc.cli import _COMMANDS, build_parser, main
 from lmg_otoc.output import read_csv
 
 
@@ -95,13 +95,24 @@ def test_cli_does_not_import_scipy():
 
 def test_every_option_is_a_flag_of_its_command(capsys):
     parser = build_parser()
-    for command, options in _OPTIONS.items():
+    for command, (_, _, options) in _COMMANDS.items():
         assert set(options) <= set(vars(parser.parse_args([command])))
         assert main([command, "--help"]) == 0
         text = capsys.readouterr().out
         for key in options:
             assert f"--{key} " in text or f"--{key}\n" in text
 
+
+
+def test_the_top_level_help_lists_the_commands_in_order(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("{spectrum,otoc,micro,sweep,fit} "
+            "spectrum eigenvalue table "
+            "otoc time trace of F, A and C "
+            "micro per-eigenstate long-time averages "
+            "sweep normalized averages over an (alpha, lambda) grid "
+            "fit power-law exponent fits options:") in text
 
 def test_otoc_trace_table(tmp_path):
     rc, out = run(tmp_path, "otoc", "--n", "12", "--alpha", "0.4",
@@ -493,7 +504,8 @@ def test_micro_scans_each_distinct_size_once(tmp_path, monkeypatch):
 def test_workers_is_an_option_of_sweep_and_fit_only(tmp_path, monkeypatch):
     assert main(["spectrum", "--n", "4", "--alpha", "0.4", "--workers", "2",
                  "--out", str(tmp_path / "spectrum")]) == 2
-    assert [c for c in _OPTIONS if "workers" in _OPTIONS[c]] == ["sweep", "fit"]
+    assert [c for c, (_, _, options) in _COMMANDS.items()
+            if "workers" in options] == ["sweep", "fit"]
     sweep = ["sweep", "--alphas", "0.4", "--lambdas", "0,0.5", "--n", "8",
              "--tavg", "20", "--dt", "0.5"]
     conf = tmp_path / "run.conf"
@@ -638,16 +650,39 @@ _WINDOW = "must satisfy 0 < lo < hi <= lambda_c = 1"
       "--state", "level", "--level", "3", "--lambda", "1"],
      "a nonzero --lambda is inconsistent with --state level"),
     (["otoc", "--n", "30", "--alpha", "0.4", "--tmax", "1e12", "--dt", "0.1",
-      "--state", "level", "--level", "99"], "level index 99 outside [0, 30]")],
+      "--state", "level", "--level", "99"], "level index 99 outside [0, 30]"),
+    # horizons and fields whose phases E t keep no digits: eps * span * T >= 1
+    (_OTOC + ["--lambda", "1e307"], "field strength 1e+307 at N=10: over a horizon of 1 "),
+    (_SWEEP + ["--lambdas", "0,1e150"], "field strength 1e+150 at N=10: over a horizon of 20 "),
+    (["sweep", "--n", "400", "--alphas", "0.4", "--lambdas", "0,1", "--tavg", "1e14"],
+     "at N=400: over a horizon of 1e+14 "),
+    (["sweep", "--n", "400", "--alphas", "0.4", "--lambdas", "1", "--tavg", "7.5e12"],
+     "field strength 1 at N=400: over a horizon of 7.5e+12 "),
+    (["otoc", "--n", "10", "--alpha", "0.4", "--state", "level", "--level", "2",
+      "--tmax", "1e15", "--dt", "1e13"], "field strength 0 at N=10: over a horizon of 1e+15 "),
+    # a --sizes entry is refused before the --n scan writes its tables
+    (["micro", "--n", "10", "--alpha", "0.4", "--tavg", "20", "--dt", "0.5", "--sizes", "0"],
+     "n_spins must be"),
+    (["micro", "--n", "10", "--alpha", "0.4", "--tavg", "2e12", "--sizes", "10,4000"],
+     "field strength 0 at N=4000: over a horizon of 2e+12 "),
+    (["fit", "--kind", "mu", "--alpha", "0.4", "--sizes", "10,20,4000", "--tavg", "1e12"],
+     "field strength 1 at N=4000: over a horizon of 1e+12 "),
+    (["fit", "--kind", "gamma-epsilon", "--alpha", "0.4", "--n", "20", "--window", "0.01,2",
+      "--tavg", "1e15"], "field strength 0 at N=20: over a horizon of 1e+15 ")],
     ids=["window-zero", "window-negative", "window-past-critical", "window-below-ulp",
          "sweep-alpha", "sweep-no-spins", "sweep-inf", "sweep-nan", "sweep-negative",
          "otoc-inf", "sweep-overflow", "otoc-overflow", "otoc-level-field",
-         "otoc-level-range"])
-def test_refused_input_exits_4_before_any_work(tmp_path, capsys, argv, message):
+         "otoc-level-range", "otoc-phases", "sweep-phases", "sweep-horizon",
+         "sweep-horizon-at-bound", "otoc-level-horizon", "micro-no-spins", "micro-sizes-horizon",
+         "fit-mu-horizon", "fit-gamma-epsilon-horizon"])
+def test_refused_input_exits_4_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    solves = []
+    monkeypatch.setattr(otoc, "eigh", lambda pair: solves.append(pair))
+    otoc._bare_ground.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == [] and solves == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -678,7 +713,8 @@ def test_running_out_of_memory_exits_6(tmp_path, monkeypatch, capsys, message):
     def runner(opts, run_dir):
         raise MemoryError(message)
 
-    monkeypatch.setitem(_RUNNERS, "otoc", runner)
+    summary, _, options = _COMMANDS["otoc"]
+    monkeypatch.setitem(_COMMANDS, "otoc", (summary, runner, options))
     # the run root and the run directory are both made for the run
     monkeypatch.setenv("LMG_OTOC_RUNS", str(tmp_path / "runs"))
     assert main(_OTOC) == 6
