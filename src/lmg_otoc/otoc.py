@@ -663,19 +663,17 @@ def _bins(x: np.ndarray, rounding) -> np.ndarray:
     return rounding(np.multiply(x, _BINS, out=x), out=x).astype(np.int16)
 
 
-def _sum_paths(c, g, h, served, y_slots, half_slots, steps) -> np.ndarray:
-    """(full, half): sums over the paths of the triples (c, g, h) of g y
-    times the trapezoid means at the half-angle h + eta, which
-    _weighted_means weighs and sums batch by batch: slot k of row c holds y =
-    W_cd u_d and eta = (E_c - E_d) dt/2 modulo pi (y_slots[k, c] and
-    half_slots[k, c]), and h is the triple's (E_a - E_b) dt/2 modulo pi.
-    The triples come ordered by path count, most first, and slot k serves
-    the first served[k] of them.
+def _sum_paths(paths, steps) -> np.ndarray:
+    """(full, half): the sums over a path set (_select_paths) of g y times
+    the trapezoid means at the half-angle h + eta on the grid of steps (K,
+    K_half), which _weighted_means weighs and sums batch by batch, y and
+    eta read from slot k of row c. The horizon enters here only.
 
     Each slot's paths are taken at most _PATH_BATCH at a time: two gathers
     from the slot's rows, and contiguous slices of the triples. No matrix
     of means is formed.
     """
+    c, g, h, served, y_slots, half_slots, _ = paths
     acc = np.zeros(2)
     for k, n in enumerate(served):
         for lo in range(0, n, _PATH_BATCH):
@@ -702,21 +700,33 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     and per entry of W, so a doublet's splitting keeps its digits at any
     horizon, and the cost does not depend on K.
 
-    Only paths that can reach the result are summed; those left out sum,
-    in modulus, to at most _DROP_BOUND, which bounds how far either mean
-    can move and is returned as truncation_bound:
-      * W entries are cut first (_cut_w), within a quarter of the bound;
+    Only paths that can reach the result are summed (_select_paths, for
+    any K); those left out sum, in modulus, to at most _DROP_BOUND, which
+    bounds how far either mean can move and is returned as truncation_bound.
+    """
+    paths = _select_paths(frame, psi, grid[0])
+    value, half = (float(x) for x in _sum_paths(paths, grid[1:]))
+    return LongTimeAverage(value, abs(value - half), paths[-1])
+
+
+def _select_paths(frame: _ParityFrame, psi: np.ndarray, dt: float):
+    """The path set of psi's closed-form average on a grid of step dt, for
+    any K: (c, g, h) of each kept triple (a, b, c), g = psi_a W_ab W_bc and
+    h = (E_a - E_b) dt/2 modulo pi, most paths first; served[k], the triples
+    slot k serves; y_slots[k, c] and half_slots[k, c], y = W_cd u_d and eta
+    = (E_c - E_d) dt/2 modulo pi; and spent, the weight of the paths left out:
+      * W entries are cut first (_cut_w), within a quarter of _DROP_BOUND;
       * a pair (a, b) weighs |psi_a W_ab| times the envelope |W_cut|^2 |u|
         of its completions, and the lightest pairs go while they sum to
         at most a third of what is left (_lightest_cut);
-      * a triple (a, b, c) with g = psi_a W_ab W_bc keeps a prefix of row
-        c, whose entries are ordered by |W_cd u_d|: those in bin
-        x - bin(|g|) or higher (bins of 1/_BINS octave, _bins), so that
-        every path it drops weighs below 2^(x / _BINS). The level x is
-        shared by all triples and is the highest whose dropped paths sum
-        to at most the rest of the bound (_path_level). Each triple is
-        made once; counted and with their |g| summed per cell (c, bin of
-        |g|), they give the paths any level keeps and the weight it drops.
+      * a triple (a, b, c) keeps a prefix of row c, whose entries are
+        ordered by |W_cd u_d|: those in bin x - bin(|g|) or higher (bins
+        of 1/_BINS octave, _bins), so that every path it drops weighs
+        below 2^(x / _BINS). The level x is shared by all triples and is
+        the highest whose dropped paths sum to at most the rest of the
+        bound (_path_level). Each triple is made once; counted and with
+        their |g| summed per cell (c, bin of |g|), they give the paths any
+        level keeps and the weight it drops.
     Each stage also keeps a floor that grows with the frame size D, its
     heaviest candidates: at least _ENTRY_FLOOR entries of |B|,
     _PAIR_FLOOR pairs and _PATH_FLOOR paths. No quench with alpha in
@@ -732,7 +742,6 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     at most _PATH_BATCH paths at a time: memory grows with the triples
     (~0.2 million at N = 400), not with the paths (~1.3 million).
     """
-    dt, steps, half_steps = grid
     b, e = frame.w_block, frame.energies
     d, he = psi.size, b.shape[0]
     u = _apply_w(b, psi, np.empty(d))
@@ -826,13 +835,9 @@ def _closed_form_average(frame: _ParityFrame, psi: np.ndarray, grid) -> LongTime
     counts = counts[order]
     order = order[np.argsort(counts, kind="stable")[::-1]]
     served = np.cumsum(np.bincount(counts, minlength=width + 1)[::-1])[::-1][1:]
-    tc, tg = cell[order] // n_g, tg[order]
-    del cell
-    acc = _sum_paths(tc, tg, np.repeat(p_half, per_pair)[order], served,
-                     np.ascontiguousarray(y_t.T), np.ascontiguousarray(half_t.T),
-                     (steps, half_steps))
-    value, half = float(acc[0]), float(acc[1])
-    return LongTimeAverage(value, abs(value - half), spent)
+    tc, tg = cell[order] // n_g, tg[order]      # the old tg goes before the repeat
+    return (tc, tg, np.repeat(p_half, per_pair)[order], served,
+            np.ascontiguousarray(y_t.T), np.ascontiguousarray(half_t.T), spent)
 
 
 def commutator_series(spec: QuenchSpec, times, workers: int = 1) -> CommutatorSeries:

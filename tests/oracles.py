@@ -13,8 +13,11 @@ parity-definite levels from a dense solve with the reflection
 diagonalised inside each degenerate cluster. frame_f_series is the one
 deliberate exception: it restates the package's phases, so that a
 product route can be compared with the package's on equal phases.
-Agreement between these routes and the library is the point of the
-tests; nothing in this module imports the package.
+doublet_fbar is the other: it keeps only the paths on parity doublets and
+sums them with the package's trapezoid means, so that it tests which
+paths carry the average, not how a mean is taken. Agreement between these
+routes and the library is the point of the tests; nothing else in this
+module imports the package.
 """
 
 import numpy as np
@@ -307,6 +310,42 @@ def trapezoid_means_longdouble(energies, w, psi, times):
     half_end = max(int(np.count_nonzero(times <= times[-1] / 2.0)), 2)
     return (trapezoid_mean(f, times),
             trapezoid_mean(f[:half_end], times[:half_end]))
+
+
+def doublet_fbar(frame, psi, steps):
+    """The trapezoid mean of Re F on the grid steps = (dt, K, K_half),
+    summed over the paths that stay on parity doublets alone.
+
+    Level i of the even block and level i of the odd block of the parity
+    frame form doublet i, split by s_i = E^odd_i - E^even_i; for D odd the
+    extra even level stays unpaired. From a level a of doublet i, with ā
+    its partner, the paths a -> ā -> c -> c̄ and a -> c̄ -> c -> ā through
+    doublet j have Omega = -(s_i + s_j) for an even a and +(s_i + s_j) for
+    an odd one; the second family is taken for i != j only, since at i = j
+    it is the first. Each path weighs psi_a W_ab W_bc W_cd u_d with u = W
+    psi and W_(even i, odd j) = B[i, j]. The weights are summed by the
+    package's own trapezoid means (otoc._weighted_means), the one import
+    of the package here: what this checks is the choice of paths.
+    """
+    from lmg_otoc.otoc import _weighted_means
+    dt, k, k_half = steps
+    b, e = frame.w_block, frame.energies
+    he, h = b.shape
+    s = e[he:] - e[:h]
+    pair = b[:h, :h]                            # B[i, j] over the doublets
+    d = np.diag(pair)
+    pe, po = psi[:h], psi[he:]
+    ue, uo = (b @ po)[:h], b.T @ psi[:he]
+    omega = s[:, None] + s[None, :]
+    other = ~np.eye(h, dtype=bool)
+    coef = [(pe * d)[:, None] * pair.T * (d * uo)[None, :],
+            ((pe * uo)[:, None] * pair * pair.T * d[None, :])[other],
+            (po * d)[:, None] * pair * (d * ue)[None, :],
+            ((po * ue)[:, None] * pair * pair.T * d[None, :])[other]]
+    half = [-omega, -omega[other], omega, omega[other]]
+    return float(_weighted_means(np.concatenate([x.ravel() for x in half]) * (dt / 2.0),
+                                 np.concatenate([x.ravel() for x in coef]),
+                                 (k, k_half))[0])
 
 
 def two_level_micro_f(alpha, times, level):

@@ -8,11 +8,11 @@ import pytest
 
 from lmg_otoc import (AveragingConfig, CommutatorSeries, DomainError,
                       LmgParams, QuenchSpec, SpinSector, build_hamiltonian,
-                      commutator_series, commutator_series_micro,
+                      commutator_series, commutator_series_micro, critical_lambda,
                       make_time_grid, microcanonical_scan, quench_fbar)
 from lmg_otoc import otoc
 from lmg_otoc.otoc import (_closed_form_average, _reachable, _grid_steps,
-                           _horizon_steps, _state_level, _state_quench,
+                           _select_paths, _state_level, _state_quench, _sum_paths,
                            _weighted_means, long_time_average, micro_fbar_all,
                            quench_otoc)
 
@@ -319,16 +319,49 @@ def test_closed_form_average_matches_the_sampled_average(alpha, lam):
 @pytest.mark.parametrize("n", [100, 200])
 def test_a_window_mean_is_two_closed_form_averages(n):
     # acceptance c04b's window: the trapezoid mean of Re F over [T/2, T] is
-    # 2 Fbar(T) - Fbar(T/2), the trapezoid being additive on the grid;
-    # measured 5.6e-15 apart at N = 100 and 1.3e-15 at N = 200
+    # 2 Fbar(T) - Fbar(T/2), the trapezoid being additive on the grid, and
+    # one sum of a path set gives both at (K, K_half); measured 5.6e-15
+    # apart at N = 100 and 1.3e-15 at N = 200
     spec = QuenchSpec(LmgParams(0.4, SpinSector(n)), 2.0)
-    frame, psi = _state_quench(spec)
-    full, half = (_closed_form_average(frame, psi, _horizon_steps(tmax, 0.05)).value
-                  for tmax in (1000.0, 500.0))
+    full, half = _sum_paths(_select_paths(*_state_quench(spec), 0.05), (20000, 10000))
     times = make_time_grid(1000.0, 0.05)
     f = quench_trace(spec, times).real
     window = times >= 500.0
     assert abs(2 * full - half - oracles.trapezoid_mean(f[window], times[window])) <= 5e-14
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("alpha", [0.2, 0.4, 0.6])
+def test_the_average_is_a_sum_over_parity_doublets(n, alpha):
+    # up to a remainder that falls roughly as 1/T, Fbar is the state's
+    # weight on the doublets the horizon does not resolve; the worst
+    # |Fbar - doublet sum| over these cells was 5.6e-6 (N = 200) and 9.8e-6
+    # (N = 400) at T = 1e6, 7.6e-8 and 1.3e-7 at T = 1e8: the bounds keep a
+    # margin of 2x
+    for ratio in (0.0, 0.5, 0.9, 1.0, 1.2, 2.0):
+        spec = QuenchSpec(LmgParams(alpha, SpinSector(n)), ratio * critical_lambda(alpha))
+        frame, psi = _state_quench(spec)
+        paths = _select_paths(frame, psi, 0.5)
+        for tmax, bound in ((1e6, 2e-5), (1e8, 3e-7)):
+            steps = (int(tmax / 0.5), int(tmax / 0.5) // 2)
+            fbar = _sum_paths(paths, steps)[0]
+            assert abs(fbar - oracles.doublet_fbar(frame, psi, (0.5, *steps))) <= bound
+
+
+@pytest.mark.parametrize("state", ["quench", "level"])
+def test_one_path_set_sums_to_the_average_at_every_horizon(state):
+    # the selection takes no K, and the sum at each (K, K_half) is the
+    # closed-form average on that grid bit for bit; the step counts cover
+    # every branch of _weighted_means (K = 1, K odd and even)
+    params = LmgParams(0.4, SpinSector(60))
+    frame, psi = (_state_quench(QuenchSpec(params, 1.0)) if state == "quench"
+                  else _state_level(params, 30))
+    paths = _select_paths(frame, psi, 0.5)
+    for steps in [(1, 1), (21, 10), (20000, 10000), (20001, 10000), (2000000, 1000000)]:
+        value, half = (float(x) for x in _sum_paths(paths, steps))
+        want = _closed_form_average(frame, psi, (0.5, *steps))
+        assert (value, abs(value - half), paths[-1]) == (
+            want.value, want.estimator_halfwidth, want.truncation_bound)
 
 
 @pytest.mark.parametrize("tmax", [10.5, 0.5])
@@ -454,8 +487,8 @@ _SUM_PATHS = otoc._sum_paths
 def _spy_paths(monkeypatch, paths):
     """Append to paths the paths each _sum_paths call sums: slot k serves
     served[k] triples."""
-    monkeypatch.setattr(otoc, "_sum_paths", lambda c, g, h, served, *args: paths.append(
-        int(served.sum())) or _SUM_PATHS(c, g, h, served, *args))
+    monkeypatch.setattr(otoc, "_sum_paths", lambda path_set, steps: paths.append(
+        int(path_set[3].sum())) or _SUM_PATHS(path_set, steps))
 
 
 def _summed_paths(monkeypatch, spec, config):
