@@ -86,21 +86,25 @@ def _choice(*allowed):
 
 
 def _load_config(path):
-    """Plain key=value lines; # starts a comment, blanks ignored."""
+    """Plain UTF-8 key=value lines; # starts a comment, blanks ignored."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = (part.strip() for part in line.partition("="))
-            if key in values:
-                raise UsageError(f"{path}:{lineno}: {key} set twice")
-            values[key] = val
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not a text file ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: {key} set twice")
+        values[key] = val
     return values
 
 
@@ -215,7 +219,7 @@ def _run_otoc(opts, run_dir):
               ("time", "dimensionless", "dimensionless", "dimensionless",
                "dimensionless"),
               (t_cells, re_f_cells, series.f_values.imag, series.c_values,
-               series.a_values.real))
+               series.a_values))
     emit_line_dat(os.path.join(run_dir, "otoc.dat"), t_cells, re_f_cells)
     outputs = ["otoc.csv", "otoc.dat"]
     if opts["plot"]:
@@ -291,7 +295,9 @@ def _load_checkpoint(path, settings):
     A record is written with its newline in one go, so a last line without
     one was cut short by a kill: it is cut off the file with a warning and
     its cell is computed again. Any other unreadable line, a record of a
-    run with other settings, or one without a truncation bound, is refused.
+    run with other settings, or one without a truncation bound or whose
+    alpha, lambda, value, halfwidth or bound is not a finite number, is
+    refused.
     """
     with open(path, "rb") as fh:
         lines = fh.readlines()
@@ -314,6 +320,12 @@ def _load_checkpoint(path, settings):
         if "truncation_bound" not in rec:
             raise UsageError(f"{path}:{lineno}: checkpoint record has no truncation_bound; "
                              f"use a fresh --out")
+        # a bool is an int, NaN fails the comparison, and an int is compared
+        # exactly, so one past the largest float fails it too
+        for name in ("alpha", "lambda", "fbar_raw", "halfwidth", "truncation_bound"):
+            if type(rec[name]) not in (int, float) or not abs(rec[name]) <= sys.float_info.max:
+                raise UsageError(f"{path}:{lineno}: checkpoint {name} is not a finite "
+                                 f"number: {rec[name]!r}")
         for name in _CHECKPOINT_KEYS:
             if rec.get(name) != settings[name]:
                 raise UsageError(

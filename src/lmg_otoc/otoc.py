@@ -228,8 +228,8 @@ class LongTimeAverage:
 class CommutatorSeries:
     """Squared-commutator diagnostics alongside F(t).
 
-    c_values follows the printed relation C = 2 Re A - 2 Re F. For the
-    Hermitian, non-unitary choice W = V = S_x/S that relation coincides
+    c_values follows the printed relation C = 2A - 2 Re F (A is real). For
+    the Hermitian, non-unitary choice W = V = S_x/S that relation coincides
     with the expectation of [W(t), V]^dag [W(t), V] only when the state is
     an eigenstate of the evolving Hamiltonian; the genuine commutator norm
     (always nonnegative) is kept separately in c_norm_values.
@@ -468,10 +468,7 @@ def _single_state_otoc(frame: _ParityFrame, psi: np.ndarray, dt: float, n: int,
             _sum_squares(y, a_term[cols])
             _sum_squares(np.subtract(y, v, out=v), c_norm[cols])
 
-    if workers > 1:
-        _fan_out(run, range(workers), workers)
-    else:
-        run(0)
+    _fan_out(run, range(workers), workers)
     f, a_term, c_norm = f[:n], a_term[:n], c_norm[:n]
     return f, a_term, 2.0 * a_term - 2.0 * f.real, c_norm
 

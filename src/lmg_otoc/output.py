@@ -13,9 +13,6 @@ import numpy as np
 
 MANIFEST_SCHEMA_VERSION = 1
 
-# rows per write of a long table, so no whole-file string is ever built
-_ROWS_PER_WRITE = 4096
-
 
 def format_number(value) -> str:
     if value is None:
@@ -50,20 +47,16 @@ def _lines(columns, sep: str):
 
 
 def _write_lines(fh, lines):
-    """The lines joined by newlines, plus a final one (so a bare newline
-    when there are none), written one block of rows at a time."""
+    """Each line and a newline, through the file's own buffer, so no
+    whole-file string is built; a bare newline when there are no lines."""
     lines = iter(lines)
-    block = list(itertools.islice(lines, _ROWS_PER_WRITE))
-    while True:
-        fh.write("\n".join(block) + "\n")
-        if not (block := list(itertools.islice(lines, _ROWS_PER_WRITE))):
-            return
+    fh.write(next(lines, "") + "\n")
+    fh.writelines(line + "\n" for line in lines)
 
 
-def write_csv(path, columns, units, data) -> str:
+def write_csv(path, columns, units, data) -> None:
     """Units comment line, header, then rows, from one unit annotation and
-    one value sequence per column, all of one length. Returns the path
-    written."""
+    one value sequence per column, all of one length."""
     if len(units) != len(columns):
         raise ValueError("one unit annotation per column required")
     if len(data) != len(columns):
@@ -74,7 +67,6 @@ def write_csv(path, columns, units, data) -> str:
         f"{c}[{u}]" if u else c for c, u in zip(columns, units)), ",".join(columns)]
     with open(path, "w") as fh:
         _write_lines(fh, itertools.chain(header, _lines(data, ",")))
-    return str(path)
 
 
 def read_csv(path):
@@ -104,7 +96,7 @@ def read_csv(path):
 
 def write_manifest(path, command: str, parameters: dict, time_grid: dict,
                    diagnostics: dict, duration_seconds: float,
-                   outputs: list) -> str:
+                   outputs: list) -> None:
     """One manifest per run; refuses to reference files that do not exist."""
     from . import __version__              # resolved late, init imports us
     here = os.path.dirname(os.path.abspath(path))
@@ -124,17 +116,15 @@ def write_manifest(path, command: str, parameters: dict, time_grid: dict,
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return str(path)
 
 
-def emit_line_dat(path, xs, ys) -> str:
+def emit_line_dat(path, xs, ys) -> None:
     """Two-column whitespace series, one row per point."""
     with open(path, "w") as fh:
         _write_lines(fh, _lines((xs, ys), " "))
-    return str(path)
 
 
-def emit_heatmap_dat(path, xs, ys, values) -> str:
+def emit_heatmap_dat(path, xs, ys, values) -> None:
     """Blank-line-separated blocks, one per row of the 2-D grid values,
     ready for matrix plotting: block i holds the lines
     `xs[i] ys[j] values[i, j]`, whitespace-separated."""
@@ -145,7 +135,6 @@ def emit_heatmap_dat(path, xs, ys, values) -> str:
               for x, row in zip(x_cells, values))
     with open(path, "w") as fh:
         fh.write("\n\n".join(blocks) + "\n")
-    return str(path)
 
 
 def _svg_coord(v: float) -> str:
@@ -153,7 +142,7 @@ def _svg_coord(v: float) -> str:
 
 
 def write_svg_line(path, xs, ys, x_label: str, y_label: str,
-                   title: str = "") -> str:
+                   title: str = "") -> None:
     """Self-contained vector line plot; needs no display or plot library.
 
     Axis labels come from the caller (column name plus units). Degenerate
@@ -214,4 +203,3 @@ def write_svg_line(path, xs, ys, x_label: str, y_label: str,
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
-    return str(path)

@@ -341,6 +341,36 @@ def test_sweep_resume_rejects_a_malformed_inner_record(tmp_path, capsys):
     assert "cells.jsonl:2: malformed" in capsys.readouterr().err
 
 
+def _no_cell_solved(spec, config):
+    raise AssertionError("a cell was solved")
+
+
+# JSON true is a bool, which Python counts an int equal to 1.0, NaN and
+# -Infinity parse as floats, and 1e400 written as an integer is one no
+# float holds
+@pytest.mark.parametrize("name, value", [
+    ("fbar_raw", '"abc"'), ("fbar_raw", "null"), ("halfwidth", "true"),
+    ("truncation_bound", "NaN"), ("fbar_raw", "-Infinity"), ("alpha", "true"),
+    ("lambda", '"0"'), ("fbar_raw", "1" + "0" * 400)],
+    ids=["string", "null", "true", "nan", "-inf", "alpha-true", "lambda-string", "huge-int"])
+def test_sweep_resume_refuses_a_value_that_is_not_a_finite_number(tmp_path, monkeypatch,
+                                                                   capsys, name, value):
+    out = tmp_path / "run"
+    out.mkdir()
+    fields = {"alpha": "0.4", "lambda": "0.0", "fbar_raw": "0.1", "halfwidth": "0.0",
+              "truncation_bound": "0.0", "n": "10", "tavg": "20.0", "dt": "0.5", name: value}
+    record = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+    (out / "cells.jsonl").write_text(record)
+    monkeypatch.setattr("lmg_otoc.analysis.quench_fbar", _no_cell_solved)
+    argv = _SWEEP + ["--lambdas", "0,1", "--resume", "--out", str(out)]
+    assert main(argv) == 2
+    shown = {"NaN": "nan", "-Infinity": "-inf"}.get(value, repr(json.loads(value)))
+    assert capsys.readouterr().err == (f"error: {out / 'cells.jsonl'}:1: checkpoint {name} "
+                                       f"is not a finite number: {shown}\n")
+    assert os.listdir(out) == ["cells.jsonl"]
+    assert (out / "cells.jsonl").read_text() == record
+
+
 # runs the command line in a fresh process, so that a warning would reach
 # stderr, with the zero-field average of every quench at alpha = 0.4
 # patched to 0
@@ -398,6 +428,15 @@ def test_micro_table_and_spread_summary(tmp_path):
     dn_header, dn_rows = read_csv(out / "dn.csv")
     assert dn_header == ["n_spins", "n_c", "window_lo", "window_hi", "dn"]
     assert [r[0] for r in dn_rows] == [8.0, 10.0]
+
+
+def test_micro_plot_is_written_and_listed(tmp_path):
+    rc, out = run(tmp_path, "micro", "--n", "10", "--alpha", "0.4", "--tavg", "50",
+                  "--dt", "0.5", "--plot")
+    assert rc == 0
+    assert "micro.svg" in manifest_of(out)["outputs"]
+    svg = (out / "micro.svg").read_text()
+    assert "fbar_n_norm [dimensionless]" in svg and "alpha=0.4, N=10" in svg
 
 
 def test_fit_commands(tmp_path):
@@ -783,6 +822,51 @@ def test_config_file_errors(tmp_path):
     assert main(["spectrum", "--n", "4", "--alpha", "0.4",
                  "--config", str(tmp_path / "absent.conf"),
                  "--out", str(tmp_path / "z")]) == 2
+
+
+def test_a_config_file_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"n=10\nalpha=\xff\xfe\n")
+    assert main(["spectrum", "--n", "10", "--alpha", "0.4", "--config", str(conf),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {conf}: not a text file (invalid start byte)\n"
+    assert os.listdir(tmp_path) == ["bad.conf"]
+
+
+def test_a_boolean_from_a_config_file_turns_the_plot_on(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("plot = yes\n")
+    rc, out = run(tmp_path, "otoc", "--n", "8", "--alpha", "0.4", "--tmax", "2",
+                  "--dt", "0.5", "--config", str(conf))
+    assert rc == 0
+    assert "otoc.svg" in manifest_of(out)["outputs"] and (out / "otoc.svg").exists()
+
+
+def test_a_fit_kind_from_a_config_file_runs_that_fit(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("kind=mu\nsizes=30,40,60\n")
+    rc, out = run(tmp_path, "fit", "--alpha", "0.4", "--tavg", "200", "--dt", "0.5",
+                  "--config", str(conf))
+    assert rc == 0
+    assert json.loads((out / "fit.json").read_text())["kind"] == "mu"
+    assert manifest_of(out)["parameters"]["sizes"] == [30, 40, 60]
+
+
+# flags go through argparse's store_const and choices, so only a config
+# line reaches these two casts
+@pytest.mark.parametrize("argv, line, reason", [
+    (["otoc", "--n", "8", "--alpha", "0.4"], "plot=maybe", "not a boolean: 'maybe'"),
+    (["fit", "--alpha", "0.4"], "kind=nu",
+     "expected one of ('mu', 'gamma-lambda', 'gamma-epsilon'), got 'nu'")],
+    ids=["plot", "kind"])
+def test_a_config_value_its_cast_refuses_is_a_usage_error(tmp_path, capsys, argv, line,
+                                                           reason):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err == f"error: config value for {key}: {reason}\n"
+    assert os.listdir(tmp_path) == ["run.conf"]
 
 
 def test_a_config_key_set_twice_is_a_usage_error(tmp_path, capsys):

@@ -348,6 +348,25 @@ def test_the_average_is_a_sum_over_parity_doublets(n, alpha):
             assert abs(fbar - oracles.doublet_fbar(frame, psi, (0.5, *steps))) <= bound
 
 
+def test_the_doublet_account_holds_up_to_the_last_horizon_with_digits():
+    # item 8's rounding account at N = 400, alpha = 0.4, lambda = 1: Fbar
+    # reads 0.0755158 at T = 1e10 and 0.0596641 at T = 1e12, and its drift
+    # is the doublet sum's, 1.13e-10 and 1.15e-12 apart (1.1e-8 at 1e8),
+    # the remainder still falling as 1/T; the bounds keep a margin of 3.5x.
+    # 1e12 is the last decade the phase check lets through (it refuses from
+    # about 7.5e12)
+    spec = QuenchSpec(LmgParams(0.4, SpinSector(400)), 1.0)
+    frame, psi = _state_quench(spec)
+    paths = _select_paths(frame, psi, 0.5)
+    for tmax, bound in ((1e10, 4e-10), (1e12, 4e-12)):
+        steps = (0.5, int(tmax / 0.5), int(tmax / 0.5) // 2)
+        otoc._check_phases(spec, steps)
+        fbar = _sum_paths(paths, steps[1:])[0]
+        assert abs(fbar - oracles.doublet_fbar(frame, psi, steps)) <= bound
+    with pytest.raises(DomainError, match="keep no digits"):
+        otoc._check_phases(spec, (0.5, int(1e13 / 0.5), int(1e13 / 0.5) // 2))
+
+
 @pytest.mark.parametrize("state", ["quench", "level"])
 def test_one_path_set_sums_to_the_average_at_every_horizon(state):
     # the selection takes no K, and the sum at each (K, K_half) is the

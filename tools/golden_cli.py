@@ -29,6 +29,8 @@ With two trees the set runs against both, and each file gets one line:
 "identical"; else, when the two files differ only in their numbers, the
 largest absolute deviation among those numbers; else "layout differs".
 A refactor that moves only last digits shows up as small deviations.
+The comparison exits 1 unless every file is identical and in both trees;
+hashing one tree exits 0, and a run that fails exits 1 either way.
 The split quench run repeats otoc-quench, so its result files must equal
 those of otoc-quench (its manifest records the 3 workers), and across
 trees those of the other tree's run, which may ignore the variable.
@@ -179,12 +181,15 @@ def main(argv) -> int:
                 print(f"{key} {hashlib.sha256(contents(path)).hexdigest()}")
             return 0
         a, b = runs
+        same = True
         for key in dict.fromkeys([*a, *b]):
             if key not in a or key not in b:
-                print(f"{key} only in {srcs[0] if key in a else srcs[1]}")
+                verdict = f"only in {srcs[0] if key in a else srcs[1]}"
             else:
-                print(f"{key} {compare(contents(a[key]), contents(b[key]))}")
-    return 0
+                verdict = compare(contents(a[key]), contents(b[key]))
+            same = same and verdict == "identical"
+            print(f"{key} {verdict}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
